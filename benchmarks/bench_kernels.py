@@ -61,9 +61,6 @@ def main():
         cdf_rows[r, :k] = np.cumsum(p / p.sum())
     row_of = rng.integers(0, strata, size=n)
 
-    codes = rng.integers(0, 4, size=n)
-    values = rng.random(n)
-
     have = K._HAVE_NUMBA
     print(f"n = {n}, repeats = {args.repeats} (best-of), "
           f"active path: {'numba' if K.using_numba() else 'numpy'}")
@@ -71,9 +68,6 @@ def main():
           K.sample_cells_nb if have else None, (cdf, u), args.repeats)
     bench("draw_positions", K.draw_positions_np,
           K.draw_positions_nb if have else None, (cdf_rows, row_of, u),
-          args.repeats)
-    bench("match_sum_count", K.match_sum_count_np,
-          K.match_sum_count_nb if have else None, (codes, values, 2),
           args.repeats)
 
 

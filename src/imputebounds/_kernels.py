@@ -7,9 +7,7 @@ non-empty value (or numba is unavailable), numba otherwise. Both builds stay
 importable under ``_nb``/``_np`` suffixes for equivalence tests and for
 ``benchmarks/bench_kernels.py``.
 
-Integer outputs are identical across paths. Float reductions may differ in
-the last bits because numpy sums pairwise while the jitted loops accumulate
-sequentially.
+Both kernels return integer positions, identical across paths.
 """
 
 import os
@@ -50,12 +48,6 @@ def draw_positions_np(cdf_rows, row_of, u):
     return np.minimum(idx, cdf_rows.shape[1] - 1).astype(np.int64)
 
 
-def match_sum_count_np(codes, values, target):
-    """Sum of ``values`` and count over records with ``codes == target``."""
-    mask = codes == target
-    return float(values[mask].sum()), int(mask.sum())
-
-
 # --- numba builds --------------------------------------------------------------
 
 if _HAVE_NUMBA:
@@ -84,26 +76,10 @@ if _HAVE_NUMBA:
             out[i] = idx if idx < width else width - 1
         return out
 
-    @njit(cache=True)
-    def match_sum_count_nb(codes, values, target):
-        total = 0.0
-        count = 0
-        for i in range(codes.shape[0]):
-            if codes[i] == target:
-                total += values[i]
-                count += 1
-        return total, count
-
 
 if USE_NUMBA:
     sample_cells = sample_cells_nb
     draw_positions = draw_positions_nb
-
-    def match_sum_count(codes, values, target):
-        total, count = match_sum_count_nb(codes, values, target)
-        return float(total), int(count)
-
 else:
     sample_cells = sample_cells_np
     draw_positions = draw_positions_np
-    match_sum_count = match_sum_count_np

@@ -227,7 +227,7 @@ def _write_series(out_dir, name, header, rows):
 
 
 def _emit(report, out_dir, series):
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     print(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

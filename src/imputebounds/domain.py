@@ -29,6 +29,7 @@ from .errors import (
     EmptyConditioningSet,
     MassNotNormalized,
     NegativeMass,
+    NonFiniteMass,
     OutcomeOutOfDomain,
     RegimeMismatch,
 )
@@ -221,7 +222,7 @@ class Interval:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, value, tol=0.0):
-        return self.lo - tol <= value <= self.hi + tol
+        return bool(self.lo - tol <= value <= self.hi + tol)
 
     def intersect(self, other):
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
@@ -518,9 +519,21 @@ class FinitePopulation:
         return float((self.outcome_values[self.y_i[mask]] * self.mass[mask]).sum())
 
 
+def require_finite(values, error, what):
+    """Raise ``error`` naming ``what`` and the first offending value unless
+    every value is finite. NaN passes every ordered comparison check, so
+    range and normalization checks run after this one."""
+    values = np.asarray(values, dtype=np.float64)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise error(f"{what} {float(values[bad][0])} is not finite")
+
+
 def validate_population(pop):
     """Check :class:`FinitePopulation` invariants, raising on the first
-    violation: negative mass, then normalization, then outcome domain."""
+    violation: non-finite mass, then negative mass, then normalization,
+    then outcome domain."""
+    require_finite(pop.mass, NonFiniteMass, "cell mass")
     if np.any(pop.mass < 0):
         bad = float(pop.mass[pop.mass < 0][0])
         raise NegativeMass(f"cell mass {bad} is negative")

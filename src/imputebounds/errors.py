@@ -25,6 +25,10 @@ class NegativeMass(DataError):
     """A probability mass is negative."""
 
 
+class NonFiniteMass(DataError):
+    """A probability mass is NaN or infinite."""
+
+
 class MassNotNormalized(DataError):
     """Cell masses do not sum to one within tolerance."""
 

@@ -24,6 +24,7 @@ from .domain import (
     Interval,
     ObservationTable,
     flat_value,
+    total_size,
     value_labels,
 )
 from .errors import (
@@ -76,16 +77,31 @@ def true_long_mean(pop, sel):
     return pop.ymass_where(xi=xi, omega=om) / denom
 
 
+def long_cell(table, sel):
+    """``(at_xi, omega)``: indices of the records at x = xi and the flat
+    code of omega. The pooled cell of :func:`imputed_long_mean` is the
+    records among ``at_xi`` whose w is omega."""
+    xi, om = _xi_omega(sel, table.x_domains, table.w_domains)
+    return np.flatnonzero(table.x == xi), om
+
+
+def pooled_cell_mean(y, w, om, sel):
+    """Mean of ``y`` over the records with ``w == om``, where ``y`` and
+    ``w`` are the records at xi in record order; raises :class:`EmptyCell`
+    when none has ``w == om``."""
+    pooled = y[w == om]
+    if not len(pooled):
+        raise EmptyCell(f"no records pooled at (x={sel.xi!r}, w={sel.omega!r})")
+    return float(pooled.mean())
+
+
 def imputed_long_mean(completed, sel):
     """Average outcome over the pooled cell: records observed at
     (xi, omega) plus records imputed into it."""
     if not isinstance(completed, CompletedTable):
         raise RegimeMismatch("imputed_long_mean expects a completed table")
-    xi, om = _xi_omega(sel, completed.x_domains, completed.w_domains)
-    rows = (completed.x == xi) & (completed.w == om)
-    if not rows.any():
-        raise EmptyCell(f"no records pooled at (x={sel.xi!r}, w={sel.omega!r})")
-    return float(completed.y[rows].mean())
+    at_xi, om = long_cell(completed, sel)
+    return pooled_cell_mean(completed.y[at_xi], completed.w[at_xi], om, sel)
 
 
 def _omega_weights(pop, model, sel, xi, om):
@@ -347,7 +363,8 @@ def mixture_joint_estimate(table, q):
 
     Observed records enter with weight 1/N at their own (y, x, w); each
     missing record spreads its 1/N across W according to its (y, x) stratum
-    of ``q``.
+    of ``q``. Records are counted per integer (y, x, w) atom and per (y, x)
+    stratum code, so ``q`` is looked up once per stratum.
     """
     if not isinstance(q, QCovariateModel):
         q = QCovariateModel(q)
@@ -357,38 +374,39 @@ def mixture_joint_estimate(table, q):
     if n == 0:
         raise EmptyCell("empty table")
     share = 1.0 / n
-    atoms = {}
-    x_label_cache = {}
-    dist_cache = {}
-    z_w = np.asarray(table.z_w)
-    for i in range(n):
-        y_val = float(table.y[i])
-        xf = int(table.x[i])
-        if z_w[i]:
-            key = (y_val, xf, int(table.w[i]))
-            atoms[key] = atoms.get(key, 0.0) + share
-            continue
-        if xf not in x_label_cache:
-            x_label_cache[xf] = value_labels(table.x_domains, xf)
-        stratum = (y_val, xf)
-        if stratum not in dist_cache:
-            dist = q.distribution(y_val, x_label_cache[xf])
-            if dist is None:
-                raise QUndefinedForStratum(
-                    f"q has no stratum (y={y_val}, x={x_label_cache[xf]!r})")
-            dist_cache[stratum] = [
-                (flat_value(table.w_domains, w_key), p) for w_key, p in dist]
-        for wf, p in dist_cache[stratum]:
-            key = (y_val, xf, wf)
-            atoms[key] = atoms.get(key, 0.0) + p * share
-    order = sorted(atoms)
+    n_x, n_w = total_size(table.x_domains), total_size(table.w_domains)
+    y_levels, y_index = np.unique(table.y, return_inverse=True)
+    stratum = y_index * n_x + table.x
+    observed = np.asarray(table.z_w)
+    atoms, counts = np.unique(stratum[observed] * n_w + table.w[observed],
+                              return_counts=True)
+    codes, masses = [atoms], [counts * share]
+    strata, first, n_missing = np.unique(stratum[~observed], return_index=True,
+                                         return_counts=True)
+    # strata in the order their first record appears, so an undefined
+    # stratum is reported as a record-by-record pass would meet it
+    for j in np.argsort(first, kind="stable"):
+        y_val = float(y_levels[strata[j] // n_x])
+        x_labels = value_labels(table.x_domains, int(strata[j] % n_x))
+        dist = q.distribution(y_val, x_labels)
+        if dist is None:
+            raise QUndefinedForStratum(
+                f"q has no stratum (y={y_val}, x={x_labels!r})")
+        codes.append([strata[j] * n_w + flat_value(table.w_domains, w_key)
+                      for w_key, _ in dist])
+        masses.append([n_missing[j] * p * share for _, p in dist])
+    atoms, atom_of = np.unique(np.concatenate(codes).astype(np.int64),
+                               return_inverse=True)
+    mass = np.bincount(atom_of, weights=np.concatenate(masses).astype(np.float64),
+                       minlength=len(atoms))
+    stratum_of, w_i = np.divmod(atoms, n_w)
     return WeightedJointMeasure(
         x_domains=table.x_domains,
         w_domains=table.w_domains,
-        y=np.array([k[0] for k in order]),
-        x_i=np.array([k[1] for k in order]),
-        w_i=np.array([k[2] for k in order]),
-        mass=np.array([atoms[k] for k in order]),
+        y=y_levels[stratum_of // n_x],
+        x_i=stratum_of % n_x,
+        w_i=w_i,
+        mass=mass,
     )
 
 

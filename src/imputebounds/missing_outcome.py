@@ -106,19 +106,31 @@ def sample_interval(table, sel, dom=None):
     return Interval(pi * m + (1.0 - pi) * dom.lo, pi * m + (1.0 - pi) * dom.hi)
 
 
+def imputation_cell(table, sel):
+    """Indices of the records at x = xi, the cell :func:`imputation_mean`
+    averages over; raises :class:`EmptyCell` when there are none."""
+    xi = _xi_only(sel, table.x_domains, table.w_domains)
+    rows = np.flatnonzero(table.x == xi)
+    if not len(rows):
+        raise EmptyCell(f"no records at x = {sel.xi!r}")
+    return rows
+
+
+def check_imputed_outcomes(values, dom):
+    """Raise :class:`ImputedValueOutOfDomain` unless every imputed outcome
+    lies in ``dom``."""
+    if not dom.contains(values):
+        raise ImputedValueOutOfDomain(
+            f"imputed outcome outside domain [{dom.lo}, {dom.hi}]")
+
+
 def imputation_mean(completed, sel, dom=None):
     """Pooled average of observed and imputed outcomes in the xi cell."""
     if not isinstance(completed, CompletedTable):
         raise RegimeMismatch("imputation_mean expects a completed table")
-    dom = dom or completed.outcome
-    xi = _xi_only(sel, completed.x_domains, completed.w_domains)
-    rows = completed.x == xi
-    if not rows.any():
-        raise EmptyCell(f"no records at x = {sel.xi!r}")
-    imputed = completed.y[rows & completed.y_imputed]
-    if not dom.contains(imputed):
-        raise ImputedValueOutOfDomain(
-            f"imputed outcome outside domain [{dom.lo}, {dom.hi}]")
+    rows = imputation_cell(completed, sel)
+    check_imputed_outcomes(completed.y[rows[completed.y_imputed[rows]]],
+                           dom or completed.outcome)
     return float(completed.y[rows].mean())
 
 

@@ -9,7 +9,7 @@ level labels and are resolved against concrete domains at the point of use.
 
 from dataclasses import dataclass
 
-from .domain import NORMALIZATION_TOL, value_labels
+from .domain import NORMALIZATION_TOL, require_finite, value_labels
 from .errors import DataError, ProbabilityOutOfRange
 
 MAR_OUTCOME = "mar_outcome"
@@ -37,6 +37,7 @@ def _normalize_dist(pairs, what):
     dist = []
     for atom, p in pairs:
         p = float(p)
+        require_finite(p, ProbabilityOutOfRange, f"{what}: probability")
         if p < 0:
             raise ProbabilityOutOfRange(f"{what}: negative probability {p}")
         dist.append((atom, p))

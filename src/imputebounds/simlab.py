@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _kernels, missing_covariate, missing_outcome
 from ._rng import (
-    STREAM_COMPLETION,
     STREAM_POPULATION,
     STREAM_SAMPLE,
     derive_seed,
@@ -35,6 +34,7 @@ from .domain import (
     flat_value,
     load_population,
     population_from_json,
+    require_finite,
     validate_population,
 )
 from .errors import (
@@ -47,7 +47,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .models import model_from_json
-from .rmi import EstimatorSpec, fit_model, _complete
+from .rmi import EstimatorSpec, draw_completion, fit_model
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,7 @@ class MissingnessMechanism:
                                dtype=np.float64)
         else:
             raise DataError(f"unknown mechanism kind {self.kind!r}")
+        require_finite(probs, ProbabilityOutOfRange, "mechanism probability")
         if np.any((probs < 0.0) | (probs > 1.0)):
             raise ProbabilityOutOfRange("mechanism probability outside [0, 1]")
         return probs
@@ -333,6 +334,11 @@ class ConvergenceEntry:
     passed: bool
 
 
+def _json_number(value):
+    """``value``, or None where it is NaN: JSON has no NaN."""
+    return None if math.isnan(value) else value
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     plim: float
@@ -347,7 +353,8 @@ class ConvergenceReport:
             "passed": self.passed,
             "entries": [
                 {"n": e.n, "reps": e.reps, "skips": e.skips,
-                 "mean_abs_dev": e.mean_abs_dev, "max_abs_dev": e.max_abs_dev,
+                 "mean_abs_dev": _json_number(e.mean_abs_dev),
+                 "max_abs_dev": _json_number(e.max_abs_dev),
                  "est_spread": e.est_spread, "passed": e.passed}
                 for e in self.entries
             ],
@@ -377,8 +384,7 @@ def convergence_experiment(spec):
             table = sample_table(pop, n, rep_seed)
             try:
                 fitted = fit_model(spec.model, table)
-                completed = _complete(table, fitted,
-                                      stream(rep_seed, STREAM_COMPLETION))
+                completed = draw_completion(table, fitted, rep_seed)
                 est = estimator.apply(completed)
             except _SKIPPABLE:
                 skips += 1

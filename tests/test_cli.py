@@ -2,9 +2,23 @@ import json
 
 import pytest
 
-from imputebounds import population_to_json
-from imputebounds.cli import main
-from conftest import build_mnar_pop
+from imputebounds import CategoricalDomain, OutcomeDomain, population_to_json
+from imputebounds.cli import EXIT_DATA, main
+from imputebounds.simlab import (
+    MissingnessMechanism,
+    apply_mechanism,
+    joint_population,
+)
+from conftest import build_covariate_pop, build_mnar_pop
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not strict JSON")
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON, rejecting NaN and Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run_cli(argv, capsys):
@@ -149,6 +163,36 @@ class TestAudit:
         assert gap["truth"] == pytest.approx(0.8)
         assert gap["truth_covered"] is True
 
+    def test_population_reference_on_omega_cell(self, covariate_fixture,
+                                                tmp_path, capsys):
+        data, config = covariate_fixture
+        pop_path = tmp_path / "pop.json"
+        pop_path.write_text(json.dumps(population_to_json(build_covariate_pop())))
+        code, report, _ = run_cli(
+            ["audit", "--data", data, "--config", config, "--model", "marcov",
+             "--xi", "g=a", "--omega", "m=o", "--m", "3", "--seed", "5",
+             "--population", str(pop_path)], capsys)
+        assert code == 0
+        gap = report["results"]["bias_gap"]
+        assert gap["truth_covered"] is True
+        assert isinstance(gap["imputation_point_in_interval"], bool)
+
+    def test_non_finite_population_mass_is_data_error(self, outcome_fixture,
+                                                      tmp_path, capsys):
+        data, config = outcome_fixture
+        obj = population_to_json(build_mnar_pop())
+        obj["cells"][0]["mass"] = float("nan")
+        pop_path = tmp_path / "pop.json"
+        pop_path.write_text(json.dumps(obj))
+        assert "NaN" in pop_path.read_text()
+        code, report, captured = run_cli(
+            ["audit", "--data", data, "--config", config, "--model", "mar",
+             "--xi", "g=a", "--m", "2", "--seed", "5",
+             "--population", str(pop_path)], capsys)
+        assert code == EXIT_DATA == 3
+        assert report is None
+        assert "NonFiniteMass" in captured.err
+
 
 class TestSimulate:
     def test_spec_run_and_series(self, tmp_path, capsys):
@@ -175,6 +219,28 @@ class TestSimulate:
         lines = (out / "deviations.csv").read_text().splitlines()
         assert lines[0] == "n,mean_abs_dev,max_abs_dev"
         assert len(lines) == 3
+
+
+    def test_all_skipped_entry_is_strict_json(self, tmp_path, capsys):
+        xd = (CategoricalDomain("g", ("a", "b")),)
+        pop = apply_mechanism(
+            joint_population(
+                {(1.0, "a", None): 0.3, (0.0, "a", None): 0.2,
+                 (1.0, "b", None): 0.25, (0.0, "b", None): 0.25},
+                outcome=OutcomeDomain.binary_01(), x_domains=xd),
+            MissingnessMechanism.by_x({"a": 0.0, "b": 1.0}))
+        (tmp_path / "pop.json").write_text(json.dumps(population_to_json(pop)))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "population": "pop.json", "model": "mar",
+            "estimator": "imputation_mean", "xi": {"g": "a"}, "omega": None,
+            "n_grid": [50], "reps": 3, "seed": 2, "tolerance": 0.5}))
+        assert main(["simulate", "--spec", str(spec_path)]) == 0
+        report = strict_json(capsys.readouterr().out)
+        entry = report["results"]["entries"][0]
+        assert entry["skips"] == 3
+        assert entry["mean_abs_dev"] is None and entry["max_abs_dev"] is None
+        assert report["results"]["passed"] is False
 
 
 class TestDeterminism:

@@ -22,6 +22,7 @@ from imputebounds.errors import (
     EmptyConditioningSet,
     MassNotNormalized,
     NegativeMass,
+    NonFiniteMass,
     OutcomeOutOfDomain,
     RegimeMismatch,
 )
@@ -61,6 +62,19 @@ class TestValidatePopulation:
         pop = make_pop({(1.0, "a", None, 1): 1.1, (0.0, "a", None, 1): -0.1})
         with pytest.raises(NegativeMass):
             validate_population(pop)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass_rejected(self, bad):
+        # abs(nan - 1) > tol is False, so NaN would pass normalization
+        pop = make_pop({(1.0, "a", None, 1): 1.0, (0.0, "a", None, 1): bad})
+        with pytest.raises(NonFiniteMass, match="not finite"):
+            validate_population(pop)
+
+    def test_non_finite_mass_in_json_rejected(self):
+        obj = population_to_json(build_mnar_pop())
+        obj["cells"][0]["mass"] = float("nan")
+        with pytest.raises(NonFiniteMass):
+            population_from_json(obj)
 
     def test_outcome_outside_domain_rejected(self):
         pop = make_pop({(0.5, "a", None, 1): 1.0})

@@ -1,12 +1,13 @@
-"""The jitted kernels and the numpy fallbacks must agree: exactly on
-integer outputs, to float-sum accuracy on reductions."""
+"""Kernel semantics on the numpy builds, which always run, and agreement of
+the jitted builds with them where numba is installed: both kernels return
+integer positions, which must match exactly."""
 
 import numpy as np
 import pytest
 
 from imputebounds import _kernels as K
 
-pytestmark = pytest.mark.skipif(
+needs_numba = pytest.mark.skipif(
     not K._HAVE_NUMBA, reason="numba unavailable; single path only")
 
 
@@ -14,6 +15,13 @@ def rng():
     return np.random.Generator(np.random.Philox(key=[99, 0]))
 
 
+def builds(name):
+    """The numpy build of kernel ``name``, and the numba one when present."""
+    suffixes = ("_np", "_nb") if K._HAVE_NUMBA else ("_np",)
+    return [pytest.param(getattr(K, name + s), id=name + s) for s in suffixes]
+
+
+@needs_numba
 def test_sample_cells_paths_agree():
     g = rng()
     masses = g.random(37)
@@ -25,14 +33,14 @@ def test_sample_cells_paths_agree():
     assert a.min() >= 0 and a.max() < len(cdf)
 
 
-def test_sample_cells_top_edge_clamped():
+@pytest.mark.parametrize("fn", builds("sample_cells"))
+def test_sample_cells_top_edge_clamped(fn):
     cdf = np.array([0.5, 1.0 - 1e-12])
     u = np.array([0.999999999999, 0.0, 0.5])
-    for fn in (K.sample_cells_np, K.sample_cells_nb):
-        out = fn(cdf, u)
-        assert out.tolist() == [1, 0, 1]
+    assert fn(cdf, u).tolist() == [1, 0, 1]
 
 
+@needs_numba
 def test_draw_positions_paths_agree():
     g = rng()
     rows = 8
@@ -50,24 +58,23 @@ def test_draw_positions_paths_agree():
     assert a.min() >= 0 and a.max() < width
 
 
-def test_draw_positions_respects_distribution():
+@pytest.mark.parametrize("fn", builds("draw_positions"))
+def test_draw_positions_top_edge_clamped(fn):
+    # a rounded-down last CDF entry below u must not step past the row
+    cdf_rows = np.array([[0.5, 1.0 - 1e-12, 1.0], [0.25, 0.5, 1.0 - 1e-12]])
+    row_of = np.array([0, 1, 1])
+    u = np.array([0.9999999999999, 0.9999999999999, 0.3])
+    assert fn(cdf_rows, row_of, u).tolist() == [2, 2, 1]
+
+
+@pytest.mark.parametrize("fn", builds("draw_positions"))
+def test_draw_positions_respects_distribution(fn):
     cdf_rows = np.array([[0.25, 1.0, 1.0], [0.5, 0.75, 1.0]])
     row_of = np.zeros(20000, dtype=np.int64)
     row_of[10000:] = 1
     u = rng().random(20000)
-    pos = K.draw_positions(cdf_rows, row_of, u)
+    pos = fn(cdf_rows, row_of, u)
     freq0 = np.bincount(pos[:10000], minlength=3) / 10000
     freq1 = np.bincount(pos[10000:], minlength=3) / 10000
     assert freq0 == pytest.approx([0.25, 0.75, 0.0], abs=0.02)
     assert freq1 == pytest.approx([0.5, 0.25, 0.25], abs=0.02)
-
-
-def test_match_sum_count_paths_agree():
-    g = rng()
-    codes = g.integers(0, 4, size=3000)
-    values = g.random(3000)
-    for target in range(4):
-        s_np, c_np = K.match_sum_count_np(codes, values, target)
-        s_nb, c_nb = K.match_sum_count_nb(codes, values, target)
-        assert c_np == c_nb
-        assert s_np == pytest.approx(s_nb, abs=1e-10)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imputebounds import (
     CellSelector,
@@ -29,6 +30,7 @@ from imputebounds.simlab import (
     random_population,
     sample_table,
 )
+from imputebounds.domain import CategoricalDomain, flat_value, value_labels
 from imputebounds.rmi import draw_completion, fit_model
 from imputebounds.errors import (
     NonBinaryOutcome,
@@ -361,6 +363,74 @@ class TestMixtureEstimate:
         measure = mixture_joint_estimate(t, q)
         assert mixture_conditional_mean(measure, sel) == pytest.approx(
             true_long_mean(pop, sel), abs=0.015)
+
+
+def record_loop_mixture(table, q):
+    """The mixture estimate as a record-by-record pass: each observed record
+    adds 1/N to its own (y, x, w) atom, each missing one adds p/N to every
+    atom of its q stratum."""
+    share = 1.0 / table.n
+    atoms = {}
+    for y_val, xf, wf in zip(table.y.tolist(), table.x.tolist(), table.w.tolist()):
+        if wf >= 0:
+            atoms[(y_val, xf, wf)] = atoms.get((y_val, xf, wf), 0.0) + share
+            continue
+        for w_key, p in q.distribution(y_val, value_labels(table.x_domains, xf)):
+            key = (y_val, xf, flat_value(table.w_domains, w_key))
+            atoms[key] = atoms.get(key, 0.0) + p * share
+    return sorted(atoms.items())
+
+
+XG = (CategoricalDomain("g", ("a", "b", "c")), CategoricalDomain("h", ("u", "v")))
+WG = (CategoricalDomain("m", ("o", "p", "r")),)
+MIXTURE_RECORD = st.tuples(
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.tuples(st.sampled_from("abc"), st.sampled_from("uv")),
+    st.sampled_from([("o",), ("p",), ("r",), None]))
+
+
+@st.composite
+def mixture_inputs(draw):
+    records = draw(st.lists(MIXTURE_RECORD, min_size=1, max_size=60))
+    table = ObservationTable.from_records(records, OutcomeDomain(0.0, 1.0), XG, WG)
+    strata = {}
+    for y_val in (0.0, 0.3, 1.0):
+        for x_val in ((g, h) for g in "abc" for h in "uv"):
+            raw = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+            total = sum(raw)
+            probs = [r / total for r in raw] if total > 0 else [1.0, 0.0, 0.0]
+            probs[-1] = 1.0 - sum(probs[:-1])
+            strata[(y_val, x_val)] = {(w,): max(p, 0.0) for w, p in zip("opr", probs)}
+    return table, QCovariateModel(strata)
+
+
+class TestMixtureAgainstRecordLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(mixture_inputs())
+    def test_counts_match_the_record_loop(self, inputs):
+        table, q = inputs
+        measure = mixture_joint_estimate(table, q)
+        expected = record_loop_mixture(table, q)
+        got = list(zip(measure.y.tolist(), measure.x_i.tolist(), measure.w_i.tolist()))
+        assert got == [key for key, _ in expected]
+        assert np.abs(measure.mass - [m for _, m in expected]).max() <= 1e-12
+
+    def test_large_random_table(self):
+        pop = random_covariate_pop(29)
+        table = sample_table(pop, 20000, seed=3)
+        q = true_covariate_model(pop).covariate_q
+        measure = mixture_joint_estimate(table, q)
+        expected = record_loop_mixture(table, q)
+        assert len(measure.mass) == len(expected)
+        assert np.abs(measure.mass - [m for _, m in expected]).max() <= 1e-12
+
+    def test_first_undefined_stratum_in_record_order_is_named(self):
+        t = ObservationTable.from_records(
+            [(1.0, ("b", "u"), None), (0.0, ("a", "u"), None)],
+            OutcomeDomain(0.0, 1.0), XG, WG)
+        q = QCovariateModel({(0.5, ("a", "u")): {("o",): 1.0}})
+        with pytest.raises(QUndefinedForStratum, match="y=1.0, x=\\('b', 'u'\\)"):
+            mixture_joint_estimate(t, q)
 
 
 class TestPlimConvergence:

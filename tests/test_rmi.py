@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imputebounds import (
     CategoricalDomain,
@@ -11,15 +12,22 @@ from imputebounds import (
     draw_completion,
     fit_model,
     imputation_mean,
+    random_population,
     run_multiple_imputation,
     sample_table,
+    true_covariate_model,
+    true_outcome_model,
 )
+from imputebounds._rng import stream
 from imputebounds.errors import (
     DataError,
     EmptyCell,
+    ImputeBoundsError,
+    ProbabilityOutOfRange,
     RegimeMismatch,
     UnfittableStratum,
 )
+from imputebounds.rmi import ImputationPlan
 from conftest import X1, W2, build_mnar_pop
 
 
@@ -70,6 +78,18 @@ class TestFitModel:
         t = outcome_table([1, None])
         with pytest.raises(RegimeMismatch):
             fit_model(ImputationModel.mar_covariate(), t)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_outcome_probability_rejected(self, bad):
+        with pytest.raises(ProbabilityOutOfRange, match="not finite"):
+            ImputationModel.explicit_outcome({"a": {0.0: bad, 1.0: 1.0}})
+
+    def test_non_finite_covariate_probability_rejected(self):
+        with pytest.raises(ProbabilityOutOfRange, match="not finite"):
+            ImputationModel.explicit_covariate(
+                {(1.0, ("a",)): {("o",): float("nan"), ("p",): 1.0}})
 
 
 class TestDrawCompletion:
@@ -176,3 +196,185 @@ class TestRunMultipleImputation:
         assert res.pooled_dispersion > 0.0
         lo, hi = min(res.per_draw_estimates), max(res.per_draw_estimates)
         assert 3 / 7 <= lo <= hi <= 1.0
+
+
+# --- pinned per-draw estimates --------------------------------------------------
+
+def pinned_cases():
+    pop_y = random_population(11, outcome_values=(0.0, 0.1, 0.35, 0.8), x_sizes=(2,))
+    t_y = sample_table(pop_y, 300, seed=12)
+    pop_w = random_population(21, x_sizes=(2,), w_sizes=(3,), regime="covariate")
+    t_w = sample_table(pop_w, 200, seed=22)
+    mean = EstimatorSpec("imputation_mean", CellSelector("a"))
+    long = EstimatorSpec("long_mean", CellSelector("a", "a"))
+    return {
+        "mar_outcome": (t_y, ImputationModel.mar_outcome(), mean),
+        "explicit_outcome_q": (t_y, true_outcome_model(pop_y), mean),
+        "mar_covariate": (t_w, ImputationModel.mar_covariate(), long),
+        "explicit_covariate_q": (t_w, true_covariate_model(pop_w), long),
+        "ecological": (t_w, ImputationModel.ecological(), long),
+    }
+
+
+#: ``per_draw_estimates`` (as float.hex) of ``m = 5`` runs of the cases
+#: above, recorded from the per-draw CompletedTable implementation that the
+#: imputation plan replaced; the plan must reproduce them bit for bit
+PINNED_DRAWS = {
+    "mar_outcome/5": (
+        "0x1.29bf68c359025p-3", "0x1.38b6be9f1d251p-3", "0x1.64d319fe6cb39p-3",
+        "0x1.4877baaede212p-3", "0x1.59025cf29bf69p-3",
+    ),
+    "mar_outcome/2024": (
+        "0x1.4f8e9282c1c5cp-3", "0x1.422a890ef755fp-3", "0x1.5e85e85e85e86p-3",
+        "0x1.25cf29bf68c36p-3", "0x1.5e85e85e85e86p-3",
+    ),
+    "explicit_outcome_q/5": (
+        "0x1.6c4ec4ec4ec4fp-2", "0x1.7755dbc422a8ap-2", "0x1.9934c67f9b2cfp-2",
+        "0x1.7c7494160e2dcp-2", "0x1.781f81f81f820p-2",
+    ),
+    "explicit_outcome_q/2024": (
+        "0x1.8000000000002p-2", "0x1.640973ca6fda3p-2", "0x1.986b204b9e539p-2",
+        "0x1.5afa7c7494162p-2", "0x1.a82c1c5b5f4fap-2",
+    ),
+    "mar_covariate/5": (
+        "0x1.999999999999ap-3", "0x1.2d2d2d2d2d2d3p-2", "0x1.4000000000000p-2",
+        "0x1.5555555555555p-3", "0x1.e1e1e1e1e1e1ep-3",
+    ),
+    "mar_covariate/2024": (
+        "0x1.0d79435e50d79p-2", "0x1.e79e79e79e79ep-3", "0x1.1111111111111p-2",
+        "0x1.c71c71c71c71cp-3", "0x1.0000000000000p-2",
+    ),
+    "explicit_covariate_q/5": (
+        "0x1.999999999999ap-3", "0x1.0000000000000p-2", "0x1.e1e1e1e1e1e1ep-3",
+        "0x1.5555555555555p-3", "0x1.c71c71c71c71cp-3",
+    ),
+    "explicit_covariate_q/2024": (
+        "0x1.e79e79e79e79ep-3", "0x1.e79e79e79e79ep-3", "0x1.af286bca1af28p-3",
+        "0x1.999999999999ap-3", "0x1.999999999999ap-3",
+    ),
+    "ecological/5": (
+        "0x1.8000000000000p-2", "0x1.a5a5a5a5a5a5ap-2", "0x1.4000000000000p-2",
+        "0x1.2d2d2d2d2d2d3p-2", "0x1.5555555555555p-2",
+    ),
+    "ecological/2024": (
+        "0x1.435e50d79435ep-2", "0x1.6666666666666p-2", "0x1.af286bca1af28p-2",
+        "0x1.435e50d79435ep-2", "0x1.8000000000000p-2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DRAWS))
+def test_per_draw_estimates_are_pinned(case):
+    kind, seed = case.split("/")
+    table, model, estimator = pinned_cases()[kind]
+    res = run_multiple_imputation(table, model, 5, estimator, int(seed))
+    assert [x.hex() for x in res.per_draw_estimates] == list(PINNED_DRAWS[case])
+
+
+# --- the pooled fast path against completed tables --------------------------------
+
+X2 = (CategoricalDomain("g", ("a", "b")),)
+OUTCOME_RECORD = st.tuples(st.sampled_from([0.0, 0.25, 1.0, None]),
+                           st.sampled_from("ab"))
+COVARIATE_RECORD = st.tuples(st.sampled_from([0.0, 1.0]), st.sampled_from("ab"),
+                             st.sampled_from(["o", "p", None]))
+SHARE = st.floats(0.0, 1.0)
+
+
+@st.composite
+def imputation_runs(draw):
+    """A small random table with a model and an estimator for its regime."""
+    if draw(st.booleans()):
+        records = draw(st.lists(OUTCOME_RECORD, min_size=1, max_size=30))
+        table = ObservationTable.from_records(
+            [(y, x, None) for y, x in records], OutcomeDomain(0.0, 1.0), X2)
+        p = {x: draw(SHARE) for x in "ab"}
+        model = draw(st.sampled_from([
+            ImputationModel.mar_outcome(),
+            ImputationModel.explicit_outcome(
+                {x: {0.25: p[x], 1.0: 1.0 - p[x]} for x in "ab"})]))
+        estimator = EstimatorSpec("imputation_mean",
+                                  CellSelector(draw(st.sampled_from("ab"))))
+    else:
+        records = draw(st.lists(COVARIATE_RECORD, min_size=1, max_size=30))
+        table = ObservationTable.from_records(records, OutcomeDomain.binary_01(),
+                                              X2, W2)
+        q = {(y, (x,)): {("o",): p, ("p",): 1.0 - p}
+             for y in (0.0, 1.0) for x in "ab" for p in [draw(SHARE)]}
+        model = draw(st.sampled_from([
+            ImputationModel.mar_covariate(), ImputationModel.ecological(),
+            ImputationModel.explicit_covariate(q)]))
+        estimator = EstimatorSpec("long_mean", CellSelector(
+            draw(st.sampled_from("ab")), draw(st.sampled_from("op"))))
+    m = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**63 - 1))
+    return table, model, estimator, m, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(imputation_runs())
+def test_pooled_draws_match_completed_tables(run):
+    """Draw k of the pooled runner equals the estimator applied to the plan's
+    completion from stream (seed, k + 1), and draw 0 equals the estimator on
+    draw_completion; a draw whose completion makes the estimator raise makes
+    the runner raise the same class, tagged with that draw."""
+    table, model, estimator, m, seed = run
+    try:
+        fitted = fit_model(model, table)
+    except UnfittableStratum:
+        with pytest.raises(UnfittableStratum):
+            run_multiple_imputation(table, model, m, estimator, seed)
+        return
+    plan = ImputationPlan(table, fitted)
+    expected = []
+    for k in range(m):
+        try:
+            expected.append(estimator.apply(plan.complete(stream(seed, k + 1))))
+        except ImputeBoundsError as e:
+            with pytest.raises(type(e), match=f"^draw {k}: "):
+                run_multiple_imputation(table, model, m, estimator, seed)
+            return
+    res = run_multiple_imputation(table, model, m, estimator, seed)
+    assert list(res.per_draw_estimates) == expected
+    assert res.per_draw_estimates[0] == estimator.apply(
+        draw_completion(table, model, seed))
+
+
+class TestImputationPlan:
+    def test_completions_do_not_share_the_working_copy(self):
+        t = outcome_table([1, 0, None, None, None, None])
+        plan = ImputationPlan(t, fit_model(ImputationModel.mar_outcome(), t))
+        first = plan.complete(stream(3, 1))
+        snapshot = first.y.copy()
+        for k in range(2, 12):
+            plan.complete(stream(3, k))
+        assert np.array_equal(first.y, snapshot)
+        assert np.array_equal(
+            first.y, draw_completion(t, ImputationModel.mar_outcome(), 3).y)
+
+    def test_uncovered_stratum_of_another_table(self):
+        xd = (CategoricalDomain("g", ("a", "b")),)
+        donors = ObservationTable.from_records(
+            [(1.0, "a", None), (None, "a", None)], OutcomeDomain.binary_01(), xd)
+        target = ObservationTable.from_records(
+            [(1.0, "a", None), (None, "b", None)], OutcomeDomain.binary_01(), xd)
+        fitted = fit_model(ImputationModel.mar_outcome(), donors)
+        with pytest.raises(UnfittableStratum, match="'b'"):
+            ImputationPlan(target, fitted)
+        with pytest.raises(UnfittableStratum, match="'b'"):
+            draw_completion(target, fitted, seed=1)
+
+    def test_empty_pooled_cell_is_tagged_with_its_draw(self):
+        # nothing is observed at (a, o): the pooled cell holds the one
+        # missing record exactly when a draw imputes o for it
+        t = ObservationTable.from_records(
+            [(1.0, "a", "p"), (1.0, "a", None)], OutcomeDomain.binary_01(), X1, W2)
+        spec = EstimatorSpec("long_mean", CellSelector("a", "o"))
+        model = ImputationModel.explicit_covariate(
+            {(1.0, ("a",)): {("o",): 0.5, ("p",): 0.5}})
+        plan = ImputationPlan(t, fit_model(model, t))
+        draws = [plan.complete(stream(9, k + 1)).w[1] for k in range(20)]
+        first_empty = draws.index(1)
+        assert first_empty > 0
+        with pytest.raises(EmptyCell, match=f"^draw {first_empty}: "):
+            run_multiple_imputation(t, model, 20, spec, seed=9)

@@ -61,6 +61,17 @@ class TestApplyMechanism:
         with pytest.raises(ProbabilityOutOfRange):
             apply_mechanism(simple_joint(), MissingnessMechanism.constant(1.5))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ProbabilityOutOfRange, match="not finite"):
+            apply_mechanism(simple_joint(), MissingnessMechanism.constant(rate))
+
+    def test_non_finite_callable_rate_rejected(self):
+        mech = MissingnessMechanism.from_callable(
+            lambda y, x, w: np.where(y == 1.0, np.nan, 0.5))
+        with pytest.raises(ProbabilityOutOfRange):
+            mech.probabilities(simple_joint())
+
     def test_covariate_conditional_rate(self):
         from imputebounds import CategoricalDomain
 
@@ -211,6 +222,27 @@ class TestConvergenceExperiment:
         report = convergence_experiment(spec)
         assert report.entries[0].skips > 1
         assert not report.entries[0].passed
+
+    def test_all_skipped_entry_reports_null_deviations(self):
+        from imputebounds import CategoricalDomain
+
+        # no outcome at x = b is ever observed, so mar_outcome cannot be
+        # fitted on any sample that holds a record there: every rep skips
+        xd = (CategoricalDomain("g", ("a", "b")),)
+        pop = apply_mechanism(
+            joint_population(
+                {(1.0, "a", None): 0.3, (0.0, "a", None): 0.2,
+                 (1.0, "b", None): 0.25, (0.0, "b", None): 0.25},
+                outcome=OutcomeDomain.binary_01(), x_domains=xd),
+            MissingnessMechanism.by_x({"a": 0.0, "b": 1.0}))
+        spec = ExperimentSpec(pop, ImputationModel.mar_outcome(),
+                              "imputation_mean", CellSelector("a"),
+                              n_grid=(50,), reps=4, seed=1, tolerance=1.0)
+        report = convergence_experiment(spec)
+        assert report.entries[0].skips == 4
+        entry = report.to_json()["entries"][0]
+        assert entry["mean_abs_dev"] is None and entry["max_abs_dev"] is None
+        json.dumps(report.to_json(), allow_nan=False)
 
     def test_deviation_shrinks_with_n(self, mnar_pop, sel_a):
         model = ImputationModel.explicit_outcome({"a": {0.0: 0.9, 1.0: 0.1}})
