@@ -48,6 +48,9 @@ def derive_seed(master, *path):
 
 
 def stream(seed, index):
-    """A fresh Philox generator for ``(seed, index)``."""
-    key = [int(seed) & _MASK64, int(index) & _MASK64]
+    """A fresh Philox generator for ``(seed, index)``.
+
+    The key is a uint64 array: numpy would turn a list holding a value at
+    or above 2**63 into float64 and drop its low bits."""
+    key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

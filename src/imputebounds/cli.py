@@ -27,14 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, missing_covariate, missing_outcome, simlab
+from . import __version__, missing_covariate, missing_outcome, models, simlab
 from .domain import (
     CategoricalDomain,
     CellSelector,
     ObservationTable,
     OutcomeDomain,
     flat_value,
+    json_keys,
     load_population,
+    read_json,
 )
 from .ecological import ShortDistributions, duncan_davis_bounds
 from .errors import (
@@ -45,7 +47,6 @@ from .errors import (
     OutcomeOutOfDomain,
     UnknownColumn,
 )
-from .models import model_from_json
 from .rmi import EstimatorSpec, run_multiple_imputation
 
 #: CLI exit codes per error family
@@ -78,24 +79,24 @@ class DataConfig:
 
 
 def config_from_json(obj):
-    out = obj["outcome"]
-    if out.get("binary"):
-        dom = OutcomeDomain.binary_01()
-    else:
-        dom = OutcomeDomain(float(out["lo"]), float(out["hi"]))
-    return DataConfig(
-        outcome_column=out["column"],
-        outcome=dom,
-        x_columns=tuple(obj.get("x", ())),
-        w_columns=tuple(obj.get("w", ())),
-        sentinel=obj.get("missing", ""),
-        declared_levels=obj.get("levels", {}),
-    )
+    with json_keys("data config"):
+        out = obj["outcome"]
+        if out.get("binary"):
+            dom = OutcomeDomain.binary_01()
+        else:
+            dom = OutcomeDomain(float(out["lo"]), float(out["hi"]))
+        return DataConfig(
+            outcome_column=out["column"],
+            outcome=dom,
+            x_columns=tuple(obj.get("x", ())),
+            w_columns=tuple(obj.get("w", ())),
+            sentinel=obj.get("missing", ""),
+            declared_levels=obj.get("levels", {}),
+        )
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        return config_from_json(json.load(fh))
+    return config_from_json(read_json(path))
 
 
 def _column_index(header, name):
@@ -237,18 +238,6 @@ def _emit(report, out_dir, series):
             _write_series(out_dir, name, header, rows)
 
 
-def _model_from_flag(flag):
-    if flag.startswith("q:"):
-        with open(flag[2:], encoding="utf-8") as fh:
-            return model_from_json(json.load(fh))
-    alias = {"mar": "mar_outcome", "marcov": "mar_covariate",
-             "ecological": "ecological"}.get(flag)
-    if alias is None:
-        raise DataError(f"unknown model {flag!r}; "
-                        "expected mar|marcov|q:FILE|ecological")
-    return model_from_json({"kind": alias})
-
-
 def _data_interval(table, sel):
     if sel.omega is None:
         interval = missing_outcome.sample_interval(table, sel)
@@ -291,9 +280,9 @@ def _estimate_extras(table, model, sel):
     mixture = None
     if model.kind == "explicit_outcome_q" and sel.omega is None:
         xi_flat, _ = sel.resolve(table.x_domains, table.w_domains)
-        dist = missing_outcome._explicit_outcome_dist(model, table.x_domains, xi_flat)
-        if dist is not None:
-            e_q = float(sum(v * p for v, p in dist))
+        e_q = missing_outcome.assumed_missing_mean(model, table.x_domains, xi_flat,
+                                                   table.outcome)
+        if e_q is not None:
             q_mean = missing_outcome.q_mean_estimate(table, sel, e_q)
     if model.kind == "explicit_covariate_q" and sel.omega is not None:
         measure = missing_covariate.mixture_joint_estimate(table, model.covariate_q)
@@ -304,7 +293,7 @@ def _estimate_extras(table, model, sel):
 def _cmd_estimate(args):
     cfg = load_config(args.config)
     table = ingest_csv(args.data, cfg)
-    model = _model_from_flag(args.model)
+    model = models.model_from_ref(args.model)
     sel = CellSelector(_parse_cell(args.xi),
                        _parse_cell(args.omega) if args.omega else None)
     result = _run_estimate(table, model, sel, args.m, args.seed)
@@ -343,7 +332,7 @@ def _cmd_simulate(args):
 def _cmd_audit(args):
     cfg = load_config(args.config)
     table = ingest_csv(args.data, cfg)
-    model = _model_from_flag(args.model)
+    model = models.model_from_ref(args.model)
     sel = CellSelector(_parse_cell(args.xi),
                        _parse_cell(args.omega) if args.omega else None)
     result = _run_estimate(table, model, sel, args.m, args.seed)

@@ -16,6 +16,7 @@ All types are immutable after construction (arrays are marked read-only)
 and safe to share across threads.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 import json
@@ -645,6 +646,26 @@ def population_to_json(pop):
     }
 
 
+def read_json(path):
+    """The parsed contents of the JSON file at ``path``; a file that is not
+    JSON raises :class:`DataError` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path} is not valid JSON: {e}") from None
+
+
+@contextmanager
+def json_keys(what):
+    """Turn a ``KeyError`` raised while reading a parsed JSON object into
+    a :class:`DataError` naming ``what`` and the missing key."""
+    try:
+        yield
+    except KeyError as e:
+        raise DataError(f"{what} has no key {e.args[0]!r}") from None
+
+
 def population_from_json(obj):
     dom = obj.get("outcome_domain", {})
     outcome = OutcomeDomain(dom.get("lo", 0.0), dom.get("hi", 1.0),
@@ -654,11 +675,12 @@ def population_from_json(obj):
     w_domains = tuple(CategoricalDomain(n, tuple(lv))
                       for n, lv in obj.get("w_domains", {}).items())
     cells = {}
-    for cell in obj["cells"]:
-        w_val = cell.get("w")
-        key = (float(cell["y"]), tuple(cell["x"]),
-               tuple(w_val) if w_val is not None else None, int(cell["z"]))
-        cells[key] = cells.get(key, 0.0) + float(cell["mass"])
+    with json_keys("population JSON"):
+        for cell in obj["cells"]:
+            w_val = cell.get("w")
+            key = (float(cell["y"]), tuple(cell["x"]),
+                   tuple(w_val) if w_val is not None else None, int(cell["z"]))
+            cells[key] = cells.get(key, 0.0) + float(cell["mass"])
     return FinitePopulation.from_cells(
         cells, outcome=outcome, x_domains=x_domains, w_domains=w_domains,
         regime=obj.get("regime", OUTCOME_REGIME))
@@ -671,5 +693,4 @@ def save_population(pop, path):
 
 
 def load_population(path):
-    with open(path, encoding="utf-8") as fh:
-        return population_from_json(json.load(fh))
+    return population_from_json(read_json(path))

@@ -24,6 +24,7 @@ from .domain import (
     Interval,
     ObservationTable,
     flat_value,
+    require_finite,
     total_size,
     value_labels,
 )
@@ -34,6 +35,7 @@ from .errors import (
     ModelUndefinedOnCell,
     NegativeMass,
     NonBinaryOutcome,
+    NonFiniteMass,
     QUndefinedForStratum,
     RegimeMismatch,
     TooManyStrata,
@@ -344,6 +346,7 @@ class WeightedJointMeasure:
         mass = np.asarray(self.mass, dtype=np.float64)
         if not (len(y) == len(x_i) == len(w_i) == len(mass)):
             raise DataError("atom arrays differ in length")
+        require_finite(mass, NonFiniteMass, "atom mass")
         if np.any(mass < 0):
             raise NegativeMass("atom mass is negative")
         total = float(mass.sum())

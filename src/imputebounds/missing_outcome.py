@@ -134,10 +134,17 @@ def imputation_mean(completed, sel, dom=None):
     return float(completed.y[rows].mean())
 
 
-def _explicit_outcome_dist(model, x_domains, xi_flat):
+def assumed_missing_mean(model, x_domains, xi_flat, dom):
+    """Mean of an explicit outcome model's distribution at the flat x code
+    ``xi_flat``, or None where the model defines none there. Raises
+    :class:`ImputedValueOutOfDomain` when that distribution's support
+    leaves ``dom``."""
     for x_key, dist in model.outcome_q.items():
         if flat_value(x_domains, x_key) == xi_flat:
-            return dist
+            if not dom.contains(np.array([v for v, _ in dist])):
+                raise ImputedValueOutOfDomain(
+                    "model support exceeds the outcome domain")
+            return float(sum(v * p for v, p in dist))
     return None
 
 
@@ -153,13 +160,10 @@ def model_missing_outcome_mean(pop, model, sel):
             raise ModelUndefinedOnCell(
                 f"no observed outcomes at x = {sel.xi!r} to match")
         return pop.ymass_where(xi=xi, z=1) / denom
-    dist = _explicit_outcome_dist(model, pop.x_domains, xi)
-    if dist is None:
+    mean = assumed_missing_mean(model, pop.x_domains, xi, pop.outcome)
+    if mean is None:
         raise ModelUndefinedOnCell(f"model has no distribution at x = {sel.xi!r}")
-    values = np.array([v for v, _ in dist])
-    if not pop.outcome.contains(values):
-        raise ImputedValueOutOfDomain("model support exceeds the outcome domain")
-    return float(sum(v * p for v, p in dist))
+    return mean
 
 
 def plim_imputation_mean(pop, model, sel):

@@ -7,9 +7,16 @@ variants carry an assumed conditional distribution. Stratum keys hold raw
 level labels and are resolved against concrete domains at the point of use.
 """
 
+import os
 from dataclasses import dataclass
 
-from .domain import NORMALIZATION_TOL, require_finite, value_labels
+from .domain import (
+    NORMALIZATION_TOL,
+    json_keys,
+    read_json,
+    require_finite,
+    value_labels,
+)
 from .errors import DataError, ProbabilityOutOfRange
 
 MAR_OUTCOME = "mar_outcome"
@@ -212,13 +219,39 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
-    kind = obj["kind"]
-    if kind == "outcome_q":
-        q = {tuple(s["x"]): [(a["y"], a["p"]) for a in s["dist"]]
-             for s in obj["strata"]}
-        return ImputationModel.explicit_outcome(q)
-    if kind == "covariate_q":
-        return ImputationModel.explicit_covariate(QCovariateModel.from_json(obj))
+    with json_keys("model JSON"):
+        kind = obj["kind"]
+        if kind == "outcome_q":
+            q = {tuple(s["x"]): [(a["y"], a["p"]) for a in s["dist"]]
+                 for s in obj["strata"]}
+            return ImputationModel.explicit_outcome(q)
+        if kind == "covariate_q":
+            return ImputationModel.explicit_covariate(QCovariateModel.from_json(obj))
     if kind in (MAR_OUTCOME, MAR_COVARIATE, ECOLOGICAL):
         return ImputationModel(kind)
     raise DataError(f"unknown model kind {kind!r}")
+
+
+#: model names a reference may use besides ``q:FILE``: the short names and
+#: the kinds that need no distribution
+_NAMED_KINDS = {"mar": MAR_OUTCOME, "marcov": MAR_COVARIATE, ECOLOGICAL: ECOLOGICAL,
+                MAR_OUTCOME: MAR_OUTCOME, MAR_COVARIATE: MAR_COVARIATE}
+
+
+def model_from_ref(ref, base_dir=""):
+    """The model a CLI ``--model`` flag or an experiment spec's ``model``
+    field names.
+
+    A dict is a model JSON object; ``q:FILE`` reads one from FILE, resolved
+    against ``base_dir``; ``mar``, ``marcov``, ``ecological``,
+    ``mar_outcome`` and ``mar_covariate`` name a fitted model. Anything else
+    raises :class:`DataError`.
+    """
+    if isinstance(ref, dict):
+        return model_from_json(ref)
+    if isinstance(ref, str):
+        if ref.startswith("q:"):
+            return model_from_json(read_json(os.path.join(base_dir, ref[2:])))
+        if ref in _NAMED_KINDS:
+            return model_from_json({"kind": _NAMED_KINDS[ref]})
+    raise DataError(f"unknown model {ref!r}; expected mar|marcov|q:FILE|ecological")

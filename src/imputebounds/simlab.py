@@ -8,7 +8,6 @@ commutative reductions, so reports are reproducible regardless of
 scheduling.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from . import _kernels, missing_covariate, missing_outcome
+from . import _kernels, missing_covariate, missing_outcome, models
 from ._rng import (
     STREAM_POPULATION,
     STREAM_SAMPLE,
@@ -32,8 +31,10 @@ from .domain import (
     ObservationTable,
     OutcomeDomain,
     flat_value,
+    json_keys,
     load_population,
     population_from_json,
+    read_json,
     require_finite,
     validate_population,
 )
@@ -46,7 +47,6 @@ from .errors import (
     ZeroCellMass,
     ZeroDenominator,
 )
-from .models import model_from_json
 from .rmi import EstimatorSpec, draw_completion, fit_model
 
 
@@ -268,44 +268,30 @@ class ExperimentSpec:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
-_MODEL_ALIASES = {"mar": "mar_outcome", "marcov": "mar_covariate",
-                  "ecological": "ecological"}
-
-
-def _model_from_ref(ref, base_dir):
-    if isinstance(ref, str):
-        if ref.startswith("q:"):
-            with open(os.path.join(base_dir, ref[2:]), encoding="utf-8") as fh:
-                return model_from_json(json.load(fh))
-        alias = _MODEL_ALIASES.get(ref, ref)
-        return model_from_json({"kind": alias})
-    return model_from_json(ref)
-
-
 def experiment_from_json(obj, base_dir="."):
-    pop_ref = obj["population"]
-    if isinstance(pop_ref, str):
-        pop = load_population(os.path.join(base_dir, pop_ref))
-    else:
-        pop = population_from_json(pop_ref)
-    omega = obj.get("omega")
-    selector = CellSelector(obj["xi"], omega)
-    return ExperimentSpec(
-        population=pop,
-        model=_model_from_ref(obj["model"], base_dir),
-        estimator=obj["estimator"],
-        selector=selector,
-        n_grid=tuple(obj["n_grid"]),
-        reps=obj["reps"],
-        seed=obj["seed"],
-        tolerance=obj["tolerance"],
-    )
+    with json_keys("experiment spec"):
+        pop_ref = obj["population"]
+        if isinstance(pop_ref, str):
+            pop = load_population(os.path.join(base_dir, pop_ref))
+        else:
+            pop = population_from_json(pop_ref)
+        omega = obj.get("omega")
+        selector = CellSelector(obj["xi"], omega)
+        return ExperimentSpec(
+            population=pop,
+            model=models.model_from_ref(obj["model"], base_dir),
+            estimator=obj["estimator"],
+            selector=selector,
+            n_grid=tuple(obj["n_grid"]),
+            reps=obj["reps"],
+            seed=obj["seed"],
+            tolerance=obj["tolerance"],
+        )
 
 
 def load_experiment(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return experiment_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    return experiment_from_json(read_json(path),
+                                base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def exact_plim(pop, model, estimator, selector):

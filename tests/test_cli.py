@@ -2,12 +2,19 @@ import json
 
 import pytest
 
-from imputebounds import CategoricalDomain, OutcomeDomain, population_to_json
+from imputebounds import (
+    CategoricalDomain,
+    OutcomeDomain,
+    cli,
+    population_to_json,
+    run_multiple_imputation,
+)
 from imputebounds.cli import EXIT_DATA, main
 from imputebounds.simlab import (
     MissingnessMechanism,
     apply_mechanism,
     joint_population,
+    load_experiment,
 )
 from conftest import build_covariate_pop, build_mnar_pop
 
@@ -331,6 +338,93 @@ class TestErrorPaths:
             capsys)
         assert code == 3
         assert "UnknownColumn" in cap.err
+
+
+Q_OUTCOME = {"kind": "outcome_q",
+             "strata": [{"x": ["a"],
+                         "dist": [{"y": 0.0, "p": 0.5}, {"y": 1.0, "p": 0.5}]}]}
+
+
+def spec_json(**fields):
+    """A small valid experiment spec with an inline population."""
+    spec = {"population": population_to_json(build_mnar_pop()), "model": "mar",
+            "estimator": "imputation_mean", "xi": {"g": "a"}, "omega": None,
+            "n_grid": [50], "reps": 1, "seed": 1, "tolerance": 1.0}
+    return json.dumps(dict(spec, **fields))
+
+
+class TestModelReference:
+    @pytest.mark.parametrize("ref, fixture, omega", [
+        ("mar", "outcome_fixture", None),
+        ("mar_outcome", "outcome_fixture", None),
+        ("marcov", "covariate_fixture", "m=o"),
+        ("ecological", "covariate_fixture", "m=o"),
+        ("q:q.json", "outcome_fixture", None),
+    ])
+    def test_flag_and_spec_load_the_same_model(self, ref, fixture, omega, request,
+                                               tmp_path, monkeypatch, capsys):
+        """``--model`` resolves q:FILE against the working directory, a
+        spec's ``model`` against the spec's directory."""
+        data, config = request.getfixturevalue(fixture)
+        spec_dir = tmp_path / "spec"
+        spec_dir.mkdir()
+        (spec_dir / "q.json").write_text(json.dumps(Q_OUTCOME))
+        spec = spec_dir / "spec.json"
+        spec.write_text(spec_json(model=ref))
+        seen = []
+
+        def recording_run(table, model, *args):
+            seen.append(model)
+            return run_multiple_imputation(table, model, *args)
+
+        monkeypatch.setattr(cli, "run_multiple_imputation", recording_run)
+        monkeypatch.chdir(spec_dir)
+        argv = ["estimate", "--data", data, "--config", config, "--model", ref,
+                "--xi", "g=a"] + (["--omega", omega] if omega else [])
+        assert main(argv) == 0
+        monkeypatch.chdir(tmp_path)
+        assert load_experiment(str(spec)).model == seen[0]
+
+    def test_unknown_name_exits_3(self, outcome_fixture, tmp_path, capsys):
+        data, config = outcome_fixture
+        code, _, cap = run_cli(
+            ["estimate", "--data", data, "--config", config, "--model", "mvn",
+             "--xi", "g=a"], capsys)
+        assert code == EXIT_DATA
+        assert "mar|marcov|q:FILE|ecological" in cap.err
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_json(model="mvn"))
+        code, _, cap = run_cli(["simulate", "--spec", str(spec)], capsys)
+        assert code == EXIT_DATA
+        assert "mar|marcov|q:FILE|ecological" in cap.err
+
+
+class TestMalformedJson:
+    """Every JSON file the CLI reads reports a decode error or a missing key
+    as a data error naming it, not as an uncaught exception."""
+
+    @pytest.mark.parametrize("loader", ["config", "q_file", "spec", "population"])
+    def test_exits_3_naming_the_problem(self, loader, outcome_fixture, tmp_path,
+                                        capsys):
+        data, config = outcome_fixture
+        bad = tmp_path / "bad.json"
+        common = ["--data", data, "--config", config, "--xi", "g=a"]
+        no_xi = json.loads(spec_json())
+        del no_xi["xi"]
+        content, argv, expected = {
+            "config": ('{"outcome": ', ["bounds", "--data", data, "--config",
+                                        str(bad), "--xi", "g=a"], "not valid JSON"),
+            "q_file": (json.dumps({"kind": "outcome_q"}),
+                       ["estimate", *common, "--model", f"q:{bad}"], "'strata'"),
+            "spec": (json.dumps(no_xi), ["simulate", "--spec", str(bad)], "'xi'"),
+            "population": (json.dumps({"x_domains": {"g": ["a"]}}),
+                           ["audit", *common, "--model", "mar",
+                            "--population", str(bad)], "'cells'"),
+        }[loader]
+        bad.write_text(content)
+        code, _, cap = run_cli(argv, capsys)
+        assert code == EXIT_DATA
+        assert expected in cap.err
 
 
 class TestSandwichSurfacedAtCli:

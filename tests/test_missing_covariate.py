@@ -11,6 +11,7 @@ from imputebounds import (
     ObservationTable,
     OutcomeDomain,
     QCovariateModel,
+    WeightedJointMeasure,
     binary_bounds_closed_form,
     binary_bounds_oracle,
     imputed_cell_share,
@@ -34,6 +35,7 @@ from imputebounds.domain import CategoricalDomain, flat_value, value_labels
 from imputebounds.rmi import draw_completion, fit_model
 from imputebounds.errors import (
     NonBinaryOutcome,
+    NonFiniteMass,
     QUndefinedForStratum,
     TooManyStrata,
     ZeroCellMass,
@@ -294,6 +296,15 @@ class TestMidpointLongEstimate:
         assert midpoint_long_estimate(t, sel_ao) == pytest.approx(0.5)
         iv = binary_bounds_closed_form(t, sel_ao)
         assert (iv.lo, iv.hi) == (0.0, 1.0)
+
+
+class TestWeightedJointMeasure:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_mass_rejected(self, bad):
+        # NaN passes both the negativity and the normalization check
+        with pytest.raises(NonFiniteMass):
+            WeightedJointMeasure(X1, W2, y=[1.0, 0.0], x_i=[0, 0], w_i=[0, 1],
+                                 mass=[bad, 1.0])
 
 
 class TestMixtureEstimate:

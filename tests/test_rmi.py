@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,7 +309,7 @@ def imputation_runs(draw):
         estimator = EstimatorSpec("long_mean", CellSelector(
             draw(st.sampled_from("ab")), draw(st.sampled_from("op"))))
     m = draw(st.integers(1, 6))
-    seed = draw(st.integers(0, 2**63 - 1))
+    seed = draw(st.integers(0, 2**64 - 1))
     return table, model, estimator, m, seed
 
 
@@ -378,3 +380,18 @@ class TestImputationPlan:
         assert first_empty > 0
         with pytest.raises(EmptyCell, match=f"^draw {first_empty}: "):
             run_multiple_imputation(t, model, 20, spec, seed=9)
+
+
+def philox_key(seed, index):
+    return stream(seed, index).bit_generator.state["state"]["key"].tolist()
+
+
+class TestStream:
+    def test_seeds_above_2_63_keep_their_low_bits(self):
+        assert philox_key(2**63 + 5, 1) == [2**63 + 5, 1]
+        assert philox_key(2**63 + 5, 1) != philox_key(2**63 + 6, 1)
+
+    def test_largest_seed_is_its_own_key(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert philox_key(2**64 - 1, 1) == [2**64 - 1, 1]
