@@ -24,6 +24,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .domain import (
     CellSelector,
     ObservationTable,
     OutcomeDomain,
-    flat_value,
     json_keys,
     load_population,
     read_json,
@@ -115,7 +116,19 @@ def ingest_csv(path, cfg):
     Sentinel fields become missing values: a missing outcome blanks y, a
     sentinel in any w column blanks the whole w part, and a sentinel in an
     always-observed x column is an error. Covariate levels come from the
-    config when declared, otherwise they are the sorted distinct values seen.
+    config when declared, otherwise they are the sorted distinct values seen
+    (for w, in the rows where w is observed).
+
+    The file is read in one pass and then checked a column at a time, but
+    errors come out as a loop over the records would raise them. Record
+    errors come first, in row order, and within a row in this order: field
+    count, outcome not a number, outcome out of domain, sentinel in an x
+    column (in column order). A read error (a field over the csv module's
+    size limit, bytes that are not UTF-8) comes after the record errors of
+    the rows read before it. Then come errors in a covariate's levels (none
+    seen, duplicates declared), then unknown declared levels, in row order
+    with x columns before w columns. Lines count CSV records, the header
+    being line 1, so a quoted field that spans lines shifts later numbers.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -126,59 +139,124 @@ def ingest_csv(path, cfg):
         idx_y = _column_index(header, cfg.outcome_column)
         idx_x = [_column_index(header, c) for c in cfg.x_columns]
         idx_w = [_column_index(header, c) for c in cfg.w_columns]
+        rows, unread = [], None
+        try:
+            rows.extend(reader)
+        except (csv.Error, UnicodeDecodeError) as e:
+            unread = e
 
-        rows = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(
-                    line, f"expected {len(header)} fields, got {len(row)}")
-            raw_y = row[idx_y]
-            if raw_y == cfg.sentinel:
-                y_val = None
-            else:
-                try:
-                    y_val = float(raw_y)
-                except ValueError:
-                    raise MalformedRow(line, f"outcome {raw_y!r} is not a number") from None
-                if not cfg.outcome.contains([y_val]):
-                    raise OutcomeOutOfDomain(
-                        f"outcome {y_val} outside declared domain", line=line)
-            x_val = []
-            for col, i in zip(cfg.x_columns, idx_x):
-                if row[i] == cfg.sentinel:
-                    raise MalformedRow(line, f"missing value in x column {col!r}")
-                x_val.append(row[i])
-            w_val = [row[i] for i in idx_w]
-            w_missing = any(v == cfg.sentinel for v in w_val)
-            rows.append((line, y_val, tuple(x_val),
-                         None if w_missing else tuple(w_val)))
+    # a short or long row ends the rows that are checked; its error, or a
+    # read error, is raised only if no earlier row has one of its own
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    bad_width = np.flatnonzero(widths != len(header))
+    if len(bad_width):
+        r = int(bad_width[0])
+        unread = MalformedRow(r + 2, f"expected {len(header)} fields, got {len(rows[r])}")
+        del rows[r:]
+    n = len(rows)
+    sentinel = cfg.sentinel
+    y_fields = list(map(itemgetter(idx_y), rows))
+    x_cols = [list(map(itemgetter(i), rows)) for i in idx_x]
+    w_cols = [list(map(itemgetter(i), rows)) for i in idx_w]
+    del rows
 
-    def build_domain(col, observed):
+    # (line, position in the row, error) of the first offender of each check
+    y, y_error = _outcomes(y_fields, cfg)
+    offenders = [(y_error.line, 0, y_error)] if y_error else []
+    for pos, (col, fields) in enumerate(zip(cfg.x_columns, x_cols), start=1):
+        if sentinel in fields:
+            line = fields.index(sentinel) + 2
+            offenders.append((line, pos, MalformedRow(
+                line, f"missing value in x column {col!r}")))
+    if offenders:
+        raise min(offenders, key=lambda o: o[:2])[2]
+    if unread is not None:
+        raise unread
+
+    w_given = np.ones(n, dtype=bool)
+    for fields in w_cols:
+        w_given &= _given(fields, sentinel)
+    w_cols = [list(compress(fields, w_given)) for fields in w_cols]
+
+    def build_domain(col, fields):
         declared = cfg.declared_levels.get(col)
-        levels = tuple(declared) if declared else tuple(sorted(observed))
+        levels = tuple(declared) if declared else tuple(sorted(set(fields)))
         return CategoricalDomain(col, levels)
 
-    x_domains = tuple(
-        build_domain(col, {r[2][j] for r in rows})
-        for j, col in enumerate(cfg.x_columns))
-    w_observed = [r[3] for r in rows if r[3] is not None]
-    w_domains = tuple(
-        build_domain(col, {wv[j] for wv in w_observed})
-        for j, col in enumerate(cfg.w_columns)) if cfg.w_columns else ()
+    x_domains = tuple(map(build_domain, cfg.x_columns, x_cols))
+    w_domains = tuple(map(build_domain, cfg.w_columns, w_cols))
+    w = np.full(n, -1, dtype=np.int64)
+    try:
+        x = _flat_codes(x_domains, x_cols, n)
+        w[w_given] = _flat_codes(w_domains, w_cols, int(w_given.sum()))
+    except DataError:
+        raise _first_unknown_level(x_domains, x_cols, w_domains, w_cols,
+                                   w_given) from None
+    return ObservationTable(cfg.outcome, x_domains, w_domains, y, x, w)
 
-    ys, xs, ws = [], [], []
-    for line, y_val, x_val, w_val in rows:
-        ys.append(np.nan if y_val is None else y_val)
-        try:
-            xs.append(flat_value(x_domains, x_val))
-            if w_val is None and w_domains:
-                ws.append(-1)
-            else:
-                ws.append(flat_value(w_domains, w_val))
-        except DataError as e:
-            raise MalformedRow(line, str(e)) from None
-    return ObservationTable(cfg.outcome, x_domains, w_domains,
-                            np.array(ys), np.array(xs), np.array(ws))
+
+def _given(fields, sentinel):
+    """Boolean mask of the fields that are not the missing-value sentinel."""
+    return np.fromiter(map(ne, fields, repeat(sentinel)), dtype=bool,
+                       count=len(fields))
+
+
+def _outcomes(fields, cfg):
+    """The outcome column as floats, NaN where the sentinel marks it
+    missing, or None and the error of its first offending row."""
+    given = _given(fields, cfg.sentinel)
+    rows = np.flatnonzero(given)
+    text = list(compress(fields, given))
+    values, k = _floats(text)
+    outside = np.flatnonzero(~cfg.outcome.admits(values))
+    if len(outside):
+        j = int(outside[0])
+        return None, OutcomeOutOfDomain(
+            f"outcome {values[j]} outside declared domain", line=int(rows[j]) + 2)
+    if k is not None:
+        return None, MalformedRow(int(rows[k]) + 2, f"outcome {text[k]!r} is not a number")
+    y = np.full(len(fields), np.nan)
+    y[rows] = values
+    return y, None
+
+
+def _floats(fields):
+    """``float`` of each field up to the first one it rejects, and that
+    field's position (None when every field parses)."""
+    try:
+        return list(map(float, fields)), None
+    except ValueError:
+        values = []
+        for text in fields:
+            try:
+                values.append(float(text))
+            except ValueError:
+                return values, len(values)
+
+
+def _flat_codes(domains, columns, n):
+    """Mixed-radix flat codes of ``n`` rows given one label column per
+    domain (zeros when there are no domains)."""
+    flat = np.zeros(n, dtype=np.int64)
+    for d, fields in zip(domains, columns):
+        flat = flat * d.size + d.codes(fields)
+    return flat
+
+
+def _first_unknown_level(x_domains, x_cols, w_domains, w_cols, w_given):
+    """The error of the unknown level a loop over the records meets first:
+    rows in order, x columns before w columns. ``w_cols`` hold only the
+    rows flagged in ``w_given``."""
+    w_pos = np.cumsum(w_given) - 1
+    for r in range(len(w_given)):
+        cells = [(d, fields[r]) for d, fields in zip(x_domains, x_cols)]
+        if w_given[r]:
+            cells += [(d, fields[w_pos[r]]) for d, fields in zip(w_domains, w_cols)]
+        for d, label in cells:
+            try:
+                d.code(label)
+            except DataError as e:
+                return MalformedRow(r + 2, str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +328,18 @@ def _data_interval(table, sel):
 # subcommands
 
 
-def _cmd_bounds(args):
-    cfg = load_config(args.config)
-    table = ingest_csv(args.data, cfg)
+def _load_inputs(args):
+    """The observation table, the model (None without ``--model``) and the
+    cell selector that a subcommand's flags name, loaded in that order."""
+    table = ingest_csv(args.data, load_config(args.config))
+    model = models.model_from_ref(args.model) if hasattr(args, "model") else None
     sel = CellSelector(_parse_cell(args.xi),
                        _parse_cell(args.omega) if args.omega else None)
+    return table, model, sel
+
+
+def _cmd_bounds(args):
+    table, _, sel = _load_inputs(args)
     interval = _data_interval(table, sel)
     results = {
         "n": table.n,
@@ -291,11 +376,7 @@ def _estimate_extras(table, model, sel):
 
 
 def _cmd_estimate(args):
-    cfg = load_config(args.config)
-    table = ingest_csv(args.data, cfg)
-    model = models.model_from_ref(args.model)
-    sel = CellSelector(_parse_cell(args.xi),
-                       _parse_cell(args.omega) if args.omega else None)
+    table, model, sel = _load_inputs(args)
     result = _run_estimate(table, model, sel, args.m, args.seed)
     q_mean, mixture = _estimate_extras(table, model, sel)
     results = {
@@ -330,11 +411,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_audit(args):
-    cfg = load_config(args.config)
-    table = ingest_csv(args.data, cfg)
-    model = models.model_from_ref(args.model)
-    sel = CellSelector(_parse_cell(args.xi),
-                       _parse_cell(args.omega) if args.omega else None)
+    table, model, sel = _load_inputs(args)
     result = _run_estimate(table, model, sel, args.m, args.seed)
     interval = _data_interval(table, sel)
     in_interval = interval.contains(result.pooled_mean)

@@ -19,6 +19,7 @@ and safe to share across threads.
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 import json
 import math
 
@@ -74,12 +75,17 @@ class OutcomeDomain:
     def binary_01(cls):
         return cls(0.0, 1.0, binary=True)
 
-    def contains(self, values):
-        """True when every value is admissible for this domain."""
+    def admits(self, values):
+        """Boolean mask: which values are admissible for this domain (NaN
+        never is)."""
         v = np.asarray(values, dtype=np.float64)
         if self.binary:
-            return bool(np.all((v == 0.0) | (v == 1.0)))
-        return bool(np.all((v >= self.lo) & (v <= self.hi)))
+            return (v == 0.0) | (v == 1.0)
+        return (v >= self.lo) & (v <= self.hi)
+
+    def contains(self, values):
+        """True when every value is admissible for this domain."""
+        return bool(np.all(self.admits(values)))
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,15 @@ class CategoricalDomain:
             raise DataError(
                 f"unknown level {level!r} for domain {self.name!r}"
             ) from None
+
+    def codes(self, values):
+        """``int64`` codes of a sequence of level labels, one dict lookup
+        each; the first unknown label raises the error of :meth:`code`."""
+        out = np.fromiter(map(self._codes.get, values, repeat(-1)),
+                          dtype=np.int64, count=len(values))
+        for i in np.flatnonzero(out < 0):
+            out[i] = self.code(values[i])
+        return out
 
     def level(self, code):
         return self.levels[code]
@@ -658,32 +673,38 @@ def read_json(path):
 
 @contextmanager
 def json_keys(what):
-    """Turn a ``KeyError`` raised while reading a parsed JSON object into
-    a :class:`DataError` naming ``what`` and the missing key."""
+    """Turn the errors of reading a parsed JSON object of the wrong shape
+    into a :class:`DataError` naming ``what``: a ``KeyError`` names the
+    missing key, a ``TypeError``, ``ValueError`` or ``AttributeError`` (a
+    list where an object belongs, text where a number belongs) says what
+    went wrong."""
     try:
         yield
     except KeyError as e:
         raise DataError(f"{what} has no key {e.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as e:
+        raise DataError(f"{what} has a value of the wrong shape or type: {e}") from None
 
 
 def population_from_json(obj):
-    dom = obj.get("outcome_domain", {})
-    outcome = OutcomeDomain(dom.get("lo", 0.0), dom.get("hi", 1.0),
-                            bool(dom.get("binary", False)))
-    x_domains = tuple(CategoricalDomain(n, tuple(lv))
-                      for n, lv in obj.get("x_domains", {}).items())
-    w_domains = tuple(CategoricalDomain(n, tuple(lv))
-                      for n, lv in obj.get("w_domains", {}).items())
-    cells = {}
     with json_keys("population JSON"):
+        dom = obj.get("outcome_domain", {})
+        outcome = OutcomeDomain(dom.get("lo", 0.0), dom.get("hi", 1.0),
+                                bool(dom.get("binary", False)))
+        x_domains = tuple(CategoricalDomain(n, tuple(lv))
+                          for n, lv in obj.get("x_domains", {}).items())
+        w_domains = tuple(CategoricalDomain(n, tuple(lv))
+                          for n, lv in obj.get("w_domains", {}).items())
+        cells = {}
         for cell in obj["cells"]:
             w_val = cell.get("w")
             key = (float(cell["y"]), tuple(cell["x"]),
                    tuple(w_val) if w_val is not None else None, int(cell["z"]))
             cells[key] = cells.get(key, 0.0) + float(cell["mass"])
+        regime = obj.get("regime", OUTCOME_REGIME)
     return FinitePopulation.from_cells(
         cells, outcome=outcome, x_domains=x_domains, w_domains=w_domains,
-        regime=obj.get("regime", OUTCOME_REGIME))
+        regime=regime)
 
 
 def save_population(pop, path):

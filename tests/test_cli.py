@@ -1,15 +1,23 @@
+import csv
 import json
+import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imputebounds import (
     CategoricalDomain,
+    ObservationTable,
     OutcomeDomain,
     cli,
     population_to_json,
     run_multiple_imputation,
 )
-from imputebounds.cli import EXIT_DATA, main
+from imputebounds.cli import EXIT_DATA, DataConfig, ingest_csv, main
+from imputebounds.domain import flat_value
+from imputebounds.errors import DataError, MalformedRow, OutcomeOutOfDomain
 from imputebounds.simlab import (
     MissingnessMechanism,
     apply_mechanism,
@@ -399,32 +407,297 @@ class TestModelReference:
         assert "mar|marcov|q:FILE|ecological" in cap.err
 
 
+def loader_argv(loader, path, data, config):
+    """CLI arguments under which ``loader`` reads the JSON file at ``path``."""
+    common = ["--data", data, "--config", config, "--xi", "g=a"]
+    return {
+        "config": ["bounds", "--data", data, "--config", str(path), "--xi", "g=a"],
+        "q_file": ["estimate", *common, "--model", f"q:{path}"],
+        "spec": ["simulate", "--spec", str(path)],
+        "population": ["audit", *common, "--model", "mar", "--population", str(path)],
+    }[loader]
+
+
 class TestMalformedJson:
-    """Every JSON file the CLI reads reports a decode error or a missing key
-    as a data error naming it, not as an uncaught exception."""
+    """Every JSON file the CLI reads reports a decode error, a missing key
+    or a value of the wrong shape or type as a data error naming it, not as
+    an uncaught exception."""
 
     @pytest.mark.parametrize("loader", ["config", "q_file", "spec", "population"])
     def test_exits_3_naming_the_problem(self, loader, outcome_fixture, tmp_path,
                                         capsys):
         data, config = outcome_fixture
         bad = tmp_path / "bad.json"
-        common = ["--data", data, "--config", config, "--xi", "g=a"]
         no_xi = json.loads(spec_json())
         del no_xi["xi"]
-        content, argv, expected = {
-            "config": ('{"outcome": ', ["bounds", "--data", data, "--config",
-                                        str(bad), "--xi", "g=a"], "not valid JSON"),
-            "q_file": (json.dumps({"kind": "outcome_q"}),
-                       ["estimate", *common, "--model", f"q:{bad}"], "'strata'"),
-            "spec": (json.dumps(no_xi), ["simulate", "--spec", str(bad)], "'xi'"),
-            "population": (json.dumps({"x_domains": {"g": ["a"]}}),
-                           ["audit", *common, "--model", "mar",
-                            "--population", str(bad)], "'cells'"),
+        content, expected = {
+            "config": ('{"outcome": ', "not valid JSON"),
+            "q_file": (json.dumps({"kind": "outcome_q"}), "'strata'"),
+            "spec": (json.dumps(no_xi), "'xi'"),
+            "population": (json.dumps({"x_domains": {"g": ["a"]}}), "'cells'"),
         }[loader]
         bad.write_text(content)
-        code, _, cap = run_cli(argv, capsys)
+        code, _, cap = run_cli(loader_argv(loader, bad, data, config), capsys)
         assert code == EXIT_DATA
         assert expected in cap.err
+
+    @pytest.mark.parametrize("loader, content, kind", [
+        ("config", [1], "data config"),
+        ("config", {"outcome": {"column": "y", "lo": "a", "hi": 1}}, "data config"),
+        ("q_file", {"kind": "outcome_q", "strata": 5}, "model JSON"),
+        ("spec", dict(json.loads(spec_json()), n_grid=5), "experiment spec"),
+        ("population", {"outcome_domain": [0, 1], "cells": []}, "population JSON"),
+        ("population", {"x_domains": {"g": ["a"]},
+                        "cells": [{"y": "a", "x": ["a"], "z": 1, "mass": 1.0}]},
+         "population JSON"),
+    ])
+    def test_wrong_shape_or_type_exits_3(self, loader, content, kind,
+                                         outcome_fixture, tmp_path, capsys):
+        """A list where an object belongs or text where a number belongs."""
+        data, config = outcome_fixture
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        code, _, cap = run_cli(loader_argv(loader, bad, data, config), capsys)
+        assert code == EXIT_DATA
+        assert f"{kind} has a value of the wrong shape or type" in cap.err
+
+
+def row_loop_ingest(path, cfg):
+    """CSV ingest as a loop over the records: the reference the column-wise
+    ``ingest_csv`` must match in arrays, domains and errors."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRow(1, "empty file; header row required") from None
+        idx_y = cli._column_index(header, cfg.outcome_column)
+        idx_x = [cli._column_index(header, c) for c in cfg.x_columns]
+        idx_w = [cli._column_index(header, c) for c in cfg.w_columns]
+
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise MalformedRow(
+                    line, f"expected {len(header)} fields, got {len(row)}")
+            raw_y = row[idx_y]
+            if raw_y == cfg.sentinel:
+                y_val = None
+            else:
+                try:
+                    y_val = float(raw_y)
+                except ValueError:
+                    raise MalformedRow(line, f"outcome {raw_y!r} is not a number") from None
+                if not cfg.outcome.contains([y_val]):
+                    raise OutcomeOutOfDomain(
+                        f"outcome {y_val} outside declared domain", line=line)
+            x_val = []
+            for col, i in zip(cfg.x_columns, idx_x):
+                if row[i] == cfg.sentinel:
+                    raise MalformedRow(line, f"missing value in x column {col!r}")
+                x_val.append(row[i])
+            w_val = [row[i] for i in idx_w]
+            w_missing = any(v == cfg.sentinel for v in w_val)
+            rows.append((line, y_val, tuple(x_val),
+                         None if w_missing else tuple(w_val)))
+
+    def build_domain(col, observed):
+        declared = cfg.declared_levels.get(col)
+        levels = tuple(declared) if declared else tuple(sorted(observed))
+        return CategoricalDomain(col, levels)
+
+    x_domains = tuple(
+        build_domain(col, {r[2][j] for r in rows})
+        for j, col in enumerate(cfg.x_columns))
+    w_observed = [r[3] for r in rows if r[3] is not None]
+    w_domains = tuple(
+        build_domain(col, {wv[j] for wv in w_observed})
+        for j, col in enumerate(cfg.w_columns)) if cfg.w_columns else ()
+
+    ys, xs, ws = [], [], []
+    for line, y_val, x_val, w_val in rows:
+        ys.append(np.nan if y_val is None else y_val)
+        try:
+            xs.append(flat_value(x_domains, x_val))
+            if w_val is None and w_domains:
+                ws.append(-1)
+            else:
+                ws.append(flat_value(w_domains, w_val))
+        except DataError as e:
+            raise MalformedRow(line, str(e)) from None
+    return ObservationTable(cfg.outcome, x_domains, w_domains,
+                            np.array(ys), np.array(xs), np.array(ws))
+
+
+def ingest_text(tmp_path, text, **config):
+    """``ingest_csv`` of ``text`` under a config with outcome ``y`` in [0, 1]
+    and x column ``g`` unless given."""
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    fields = dict(outcome_column="y", outcome=OutcomeDomain(0.0, 1.0),
+                  x_columns=("g",))
+    return ingest_csv(str(path), DataConfig(**dict(fields, **config)))
+
+
+def ingest_error(tmp_path, text, **config):
+    with pytest.raises(DataError) as exc:
+        ingest_text(tmp_path, text, **config)
+    return exc.value
+
+
+class TestIngest:
+    """Each ingest error keeps the class, line and message of a loop over
+    the records, and the earliest row's error wins."""
+
+    def test_outcome_not_a_number(self, tmp_path):
+        e = ingest_error(tmp_path, "y,g\n1,a\n1_0x,a\n")
+        assert type(e) is MalformedRow and e.line == 3
+        assert str(e) == "line 3: outcome '1_0x' is not a number"
+
+    def test_underscore_number_parses_as_python_float(self, tmp_path):
+        table = ingest_text(tmp_path, "y,g\n0_0,a\n 1 ,a\n",
+                            outcome=OutcomeDomain(0.0, 10.0))
+        assert table.y.tolist() == [0.0, 1.0]
+
+    def test_sentinel_in_x_column(self, tmp_path):
+        e = ingest_error(tmp_path, "y,g,h\n1,a,b\n0,a,\n1,,\n",
+                         x_columns=("g", "h"))
+        assert type(e) is MalformedRow
+        assert str(e) == "line 3: missing value in x column 'h'"
+
+    def test_outcome_error_beats_x_sentinel_in_the_same_row(self, tmp_path):
+        e = ingest_error(tmp_path, "y,g\n1,a\n7,\n")
+        assert type(e) is OutcomeOutOfDomain and e.line == 3
+        assert str(e) == "line 3: outcome 7.0 outside declared domain"
+
+    @pytest.mark.parametrize("text, message", [
+        ("y,g,m\n1,a,o\n0,z,o\n", "line 3: unknown level 'z' for domain 'g'"),
+        ("y,g,m\n1,a,o\n0,a,q\n", "line 3: unknown level 'q' for domain 'm'"),
+        ("y,g,m\n1,a,q\n0,z,o\n", "line 2: unknown level 'q' for domain 'm'"),
+        ("y,g,m\n1,a,o\n0,z,q\n", "line 3: unknown level 'z' for domain 'g'"),
+    ])
+    def test_unknown_declared_level(self, tmp_path, text, message):
+        e = ingest_error(tmp_path, text, w_columns=("m",),
+                         declared_levels={"g": ["a"], "m": ["o"]})
+        assert type(e) is MalformedRow and str(e) == message
+
+    def test_unknown_level_in_a_missing_w_row_is_not_checked(self, tmp_path):
+        table = ingest_text(tmp_path, "y,g,m,n\n1,a,o,u\n0,a,q,\n",
+                            w_columns=("m", "n"),
+                            declared_levels={"m": ["o"], "n": ["u"]})
+        assert table.w.tolist() == [0, -1]
+
+    def test_short_row_beats_a_later_bad_outcome(self, tmp_path):
+        e = ingest_error(tmp_path, "y,g\n1,a\n0\nabc,a\n")
+        assert type(e) is MalformedRow
+        assert str(e) == "line 3: expected 2 fields, got 1"
+
+    def test_bad_outcome_beats_a_later_short_row(self, tmp_path):
+        e = ingest_error(tmp_path, "y,g\n1,a\nabc,a\n0\n")
+        assert str(e) == "line 3: outcome 'abc' is not a number"
+
+    def test_bad_outcome_beats_an_earlier_unknown_level(self, tmp_path):
+        e = ingest_error(tmp_path, "y,g\n1,z\n0,a\n2,a\n",
+                         declared_levels={"g": ["a"]})
+        assert type(e) is OutcomeOutOfDomain
+        assert str(e) == "line 4: outcome 2.0 outside declared domain"
+
+    def test_short_row_beats_a_later_undecodable_byte(self, tmp_path):
+        """The file is decoded in chunks, so the byte sits past the first
+        one; the error surfaces where the reader meets it."""
+        path = tmp_path / "data.csv"
+        cfg = DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",))
+        for row, error in ((b"0\n", MalformedRow), (b"0,b\n", UnicodeDecodeError)):
+            path.write_bytes(b"y,g\n" + row + b"1,a\n" * 20000 + b"1,\xff\n")
+            for ingest in (ingest_csv, row_loop_ingest):
+                with pytest.raises(error) as exc:
+                    ingest(str(path), cfg)
+                if error is MalformedRow:
+                    assert str(exc.value) == "line 2: expected 2 fields, got 1"
+
+    def test_undeclared_levels_are_sorted(self, tmp_path):
+        table = ingest_text(tmp_path, "y,g,m\n1,c,p\n0,a,\n1,b,o\n0,a,z\n",
+                            w_columns=("m",), sentinel="")
+        assert table.x_domains[0].levels == ("a", "b", "c")
+        assert table.x.tolist() == [2, 0, 1, 0]
+
+    def test_undeclared_w_levels_come_from_observed_rows(self, tmp_path):
+        table = ingest_text(tmp_path, "y,g,m,n\n1,a,p,u\n0,a,a,\n1,a,o,v\n",
+                            w_columns=("m", "n"))
+        assert [d.levels for d in table.w_domains] == [("o", "p"), ("u", "v")]
+        assert table.w.tolist() == [2, -1, 1]
+
+    def test_one_sentinel_among_w_columns_blanks_the_whole_w(self, tmp_path):
+        table = ingest_text(tmp_path, "y,g,m,n\n1,a,o,u\n0,a,NA,u\n1,a,o,NA\n",
+                            w_columns=("m", "n"), sentinel="NA")
+        assert table.w.tolist() == [0, -1, -1]
+
+    def test_quoted_field_with_a_comma(self, tmp_path):
+        table = ingest_text(tmp_path, 'y,g,note\n1,"a,b",x\n0,c,"p, q"\n')
+        assert table.x_domains[0].levels == ("a,b", "c")
+        assert table.x.tolist() == [0, 1]
+
+
+@st.composite
+def csv_cases(draw):
+    """A small CSV and a config for it: random columns, fields, sentinel,
+    outcome domain and declared levels. One field in ten is drawn from a
+    pool of bad values, and some rows lose or gain a field."""
+    sentinel, other = draw(st.permutations(["", "NA"]))
+    n_x, n_w = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    x_cols = [f"x{j}" for j in range(n_x)]
+    w_cols = [f"w{j}" for j in range(n_w)]
+    header = draw(st.permutations(["y", *x_cols, *w_cols, "extra"]))
+    pools = {"y": (["0", "1", " 1", "-0", "0.5", sentinel],
+                   ["nan", "abc", "1_0", "2", other])}
+    pools.update({c: (["a", "b", "c", "a,b"], ["z", 'q"r', sentinel]) for c in x_cols})
+    pools.update({c: (["a", "b", "c", "a,b", sentinel], ["z", 'q"r']) for c in w_cols})
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = []
+        for h in header:
+            common, rare = pools.get(h, ([other], [sentinel]))
+            bad = draw(st.integers(0, 9)) == 0
+            row.append(draw(st.sampled_from(rare if bad else common)))
+        cut = draw(st.sampled_from([0] * 18 + [-1, 1]))
+        rows.append(row[:cut] if cut < 0 else row + ["extra"] * cut)
+    levels = {}
+    for col in x_cols + w_cols:
+        declared = draw(st.sampled_from([None, [], ["a", "b"], ["a", "b", "c", "a,b"]]))
+        if declared is not None:
+            levels[col] = declared
+    outcome = draw(st.sampled_from([OutcomeDomain.binary_01(), OutcomeDomain(0.0, 1.0),
+                                    OutcomeDomain(-1.0, 2.0)]))
+    cfg = DataConfig("y", outcome, tuple(x_cols), tuple(w_cols),
+                     sentinel=sentinel, declared_levels=levels)
+    return header, rows, cfg
+
+
+def outcome_of(ingest, path, cfg):
+    try:
+        return ingest(path, cfg)
+    except Exception as e:  # compared by type and message below
+        return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_cases())
+def test_ingest_matches_the_row_loop(case):
+    header, rows, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        got = outcome_of(ingest_csv, path, cfg)
+        expected = outcome_of(row_loop_ingest, path, cfg)
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+        assert getattr(got, "line", None) == getattr(expected, "line", None)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.x_domains == expected.x_domains and got.w_domains == expected.w_domains
+    assert np.array_equal(got.y, expected.y, equal_nan=True)
+    assert got.x.tolist() == expected.x.tolist() and got.w.tolist() == expected.w.tolist()
 
 
 class TestSandwichSurfacedAtCli:

@@ -253,6 +253,22 @@ class TestBinaryBoundsOracle:
                 assert abs(cf.lo - orc.lo) <= 1e-9
                 assert abs(cf.hi - orc.hi) <= 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 4),
+           st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    def test_closed_form_equals_oracle_on_drawn_populations(self, seed, nx, w_sizes):
+        """Criterion 5's check, at its 1e-9 tolerance, on every (xi, omega)
+        cell of drawn ``random_population`` seeds and sizes."""
+        pop = random_population(seed, x_sizes=(nx,), w_sizes=tuple(w_sizes),
+                                regime="covariate")
+        for xi in pop.x_domains[0].levels:
+            for omega in itertools.product(*(d.levels for d in pop.w_domains)):
+                sel = CellSelector({"x1": xi}, omega)
+                cf = binary_bounds_closed_form(pop, sel)
+                orc = binary_bounds_oracle(pop, sel)
+                assert abs(cf.lo - orc.lo) <= 1e-9
+                assert abs(cf.hi - orc.hi) <= 1e-9
+
     def test_truth_always_inside(self):
         for seed in range(40):
             pop = random_covariate_pop(seed, w_size=3)
