@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, repeat
 from operator import itemgetter, ne
 
@@ -70,6 +71,9 @@ class DataConfig:
     declared_levels: dict = None
 
     def __post_init__(self):
+        if not isinstance(self.sentinel, str):
+            raise DataError(f"data config: the missing-value sentinel must be "
+                            f"a string, got {self.sentinel!r}")
         cols = (self.outcome_column,) + tuple(self.x_columns) + tuple(self.w_columns)
         if len(set(cols)) != len(cols):
             raise UnknownColumn("configured column names are not distinct")
@@ -127,8 +131,8 @@ def ingest_csv(path, cfg):
     size limit, bytes that are not UTF-8) comes after the record errors of
     the rows read before it. Then come errors in a covariate's levels (none
     seen, duplicates declared), then unknown declared levels, in row order
-    with x columns before w columns. Lines count CSV records, the header
-    being line 1, so a quoted field that spans lines shifts later numbers.
+    with x columns before w columns. An error names the physical line on
+    which its record starts, the header being line 1.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -139,19 +143,24 @@ def ingest_csv(path, cfg):
         idx_y = _column_index(header, cfg.outcome_column)
         idx_x = [_column_index(header, c) for c in cfg.x_columns]
         idx_w = [_column_index(header, c) for c in cfg.w_columns]
+        first = reader.line_num + 1
         rows, unread = [], None
         try:
             rows.extend(reader)
         except (csv.Error, UnicodeDecodeError) as e:
             unread = e
+        line_of = _line_of(rows, first, reader.line_num)
 
-    # a short or long row ends the rows that are checked; its error, or a
-    # read error, is raised only if no earlier row has one of its own
+    # (record, position in the row, error for a line) of the first offender
+    # of each check; a short or long row ends the rows that are checked, so
+    # it and a read error lose to any offender in an earlier row
+    offenders = []
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     bad_width = np.flatnonzero(widths != len(header))
     if len(bad_width):
         r = int(bad_width[0])
-        unread = MalformedRow(r + 2, f"expected {len(header)} fields, got {len(rows[r])}")
+        offenders.append((r, 0, partial(
+            MalformedRow, message=f"expected {len(header)} fields, got {len(rows[r])}")))
         del rows[r:]
     n = len(rows)
     sentinel = cfg.sentinel
@@ -160,16 +169,12 @@ def ingest_csv(path, cfg):
     w_cols = [list(map(itemgetter(i), rows)) for i in idx_w]
     del rows
 
-    # (line, position in the row, error) of the first offender of each check
-    y, y_error = _outcomes(y_fields, cfg)
-    offenders = [(y_error.line, 0, y_error)] if y_error else []
+    y = _outcomes(y_fields, cfg, offenders)
     for pos, (col, fields) in enumerate(zip(cfg.x_columns, x_cols), start=1):
         if sentinel in fields:
-            line = fields.index(sentinel) + 2
-            offenders.append((line, pos, MalformedRow(
-                line, f"missing value in x column {col!r}")))
-    if offenders:
-        raise min(offenders, key=lambda o: o[:2])[2]
+            offenders.append((fields.index(sentinel), pos, partial(
+                MalformedRow, message=f"missing value in x column {col!r}")))
+    _raise_first(line_of, offenders)
     if unread is not None:
         raise unread
 
@@ -185,14 +190,46 @@ def ingest_csv(path, cfg):
 
     x_domains = tuple(map(build_domain, cfg.x_columns, x_cols))
     w_domains = tuple(map(build_domain, cfg.w_columns, w_cols))
+    # per column, the records its fields are from: all for x, w-given for w
+    w_rows = np.flatnonzero(w_given)
+    columns = [(d, fields, np.arange(n)) for d, fields in zip(x_domains, x_cols)]
+    columns += [(d, fields, w_rows) for d, fields in zip(w_domains, w_cols)]
+    codes, unknown = [], []
+    for pos, (d, fields, records) in enumerate(columns):
+        codes.append(d.codes(fields))
+        bad = np.flatnonzero(codes[-1] < 0)
+        if len(bad):
+            try:
+                d.code(fields[bad[0]])
+            except DataError as e:
+                unknown.append((int(records[bad[0]]), pos,
+                                partial(MalformedRow, message=str(e))))
+    _raise_first(line_of, unknown)
     w = np.full(n, -1, dtype=np.int64)
-    try:
-        x = _flat_codes(x_domains, x_cols, n)
-        w[w_given] = _flat_codes(w_domains, w_cols, int(w_given.sum()))
-    except DataError:
-        raise _first_unknown_level(x_domains, x_cols, w_domains, w_cols,
-                                   w_given) from None
+    x = _flat_codes(x_domains, codes[:len(x_domains)], n)
+    w[w_given] = _flat_codes(w_domains, codes[len(x_domains):], len(w_rows))
     return ObservationTable(cfg.outcome, x_domains, w_domains, y, x, w)
+
+
+def _line_of(rows, first, lines_read):
+    """``line_of(k)``: the physical line where data record ``k`` starts, the
+    first one starting on line ``first``. The line breaks inside each row's
+    quoted fields are counted only if there are any, that is if more lines
+    than records were read."""
+    if lines_read == first - 1 + len(rows):
+        return lambda k: first + k
+    breaks = [sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+              for row in rows]
+    before = np.cumsum([0, *breaks])
+    return lambda k: first + k + int(before[k])
+
+
+def _raise_first(line_of, offenders):
+    """Raise the error of the offender in the earliest (record, position),
+    if any, at the physical line where that record starts."""
+    if offenders:
+        record, _, error = min(offenders, key=itemgetter(0, 1))
+        raise error(line_of(record))
 
 
 def _given(fields, sentinel):
@@ -201,9 +238,10 @@ def _given(fields, sentinel):
                        count=len(fields))
 
 
-def _outcomes(fields, cfg):
+def _outcomes(fields, cfg, offenders):
     """The outcome column as floats, NaN where the sentinel marks it
-    missing, or None and the error of its first offending row."""
+    missing. The first offending row, if any, is added to ``offenders``
+    at position 0 and None is returned."""
     given = _given(fields, cfg.sentinel)
     rows = np.flatnonzero(given)
     text = list(compress(fields, given))
@@ -211,13 +249,16 @@ def _outcomes(fields, cfg):
     outside = np.flatnonzero(~cfg.outcome.admits(values))
     if len(outside):
         j = int(outside[0])
-        return None, OutcomeOutOfDomain(
-            f"outcome {values[j]} outside declared domain", line=int(rows[j]) + 2)
-    if k is not None:
-        return None, MalformedRow(int(rows[k]) + 2, f"outcome {text[k]!r} is not a number")
-    y = np.full(len(fields), np.nan)
-    y[rows] = values
-    return y, None
+        offenders.append((int(rows[j]), 0, partial(
+            OutcomeOutOfDomain, f"outcome {values[j]} outside declared domain")))
+    elif k is not None:
+        offenders.append((int(rows[k]), 0, partial(
+            MalformedRow, message=f"outcome {text[k]!r} is not a number")))
+    else:
+        y = np.full(len(fields), np.nan)
+        y[rows] = values
+        return y
+    return None
 
 
 def _floats(fields):
@@ -234,29 +275,13 @@ def _floats(fields):
                 return values, len(values)
 
 
-def _flat_codes(domains, columns, n):
-    """Mixed-radix flat codes of ``n`` rows given one label column per
+def _flat_codes(domains, codes, n):
+    """Mixed-radix flat codes of ``n`` rows given one code array per
     domain (zeros when there are no domains)."""
     flat = np.zeros(n, dtype=np.int64)
-    for d, fields in zip(domains, columns):
-        flat = flat * d.size + d.codes(fields)
+    for d, c in zip(domains, codes):
+        flat = flat * d.size + c
     return flat
-
-
-def _first_unknown_level(x_domains, x_cols, w_domains, w_cols, w_given):
-    """The error of the unknown level a loop over the records meets first:
-    rows in order, x columns before w columns. ``w_cols`` hold only the
-    rows flagged in ``w_given``."""
-    w_pos = np.cumsum(w_given) - 1
-    for r in range(len(w_given)):
-        cells = [(d, fields[r]) for d, fields in zip(x_domains, x_cols)]
-        if w_given[r]:
-            cells += [(d, fields[w_pos[r]]) for d, fields in zip(w_domains, w_cols)]
-        for d, label in cells:
-            try:
-                d.code(label)
-            except DataError as e:
-                return MalformedRow(r + 2, str(e))
 
 
 # ---------------------------------------------------------------------------

@@ -121,19 +121,12 @@ class CategoricalDomain:
 
     def codes(self, values):
         """``int64`` codes of a sequence of level labels, one dict lookup
-        each; the first unknown label raises the error of :meth:`code`."""
-        out = np.fromiter(map(self._codes.get, values, repeat(-1)),
-                          dtype=np.int64, count=len(values))
-        for i in np.flatnonzero(out < 0):
-            out[i] = self.code(values[i])
-        return out
+        each; an unknown label gets -1."""
+        return np.fromiter(map(self._codes.get, values, repeat(-1)),
+                           dtype=np.int64, count=len(values))
 
     def level(self, code):
         return self.levels[code]
-
-
-def domain_sizes(domains):
-    return tuple(d.size for d in domains)
 
 
 def total_size(domains):

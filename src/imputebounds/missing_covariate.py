@@ -18,6 +18,7 @@ from . import models
 from .domain import (
     EQUALITY_TOL,
     NORMALIZATION_TOL,
+    COMPLETE_REGIME,
     COVARIATE_REGIME,
     CompletedTable,
     FinitePopulation,
@@ -206,28 +207,22 @@ def matching_conditions(pop, model, sel):
 # binary-outcome bounds
 
 
-def _binary_masses(source, sel, literal_unconditioned):
+def _binary_masses(source, sel):
     """The four mass terms of the ratio bounds, from a population or from
     table counts: observed target-cell successes A1 and size A, and missing
-    successes B1 / failures B0."""
+    successes B1 / failures B0 at xi."""
     if isinstance(source, FinitePopulation):
         if not source.binary_support:
             raise NonBinaryOutcome("bounds require a binary {0,1} outcome")
         xi, om = _xi_omega(sel, source.x_domains, source.w_domains)
-        if literal_unconditioned:
-            a1 = source.mass_where(xi=xi, z=1, y_value=1.0)
-            a = source.mass_where(xi=xi, z=1)
-            b1 = source.mass_where(z=0, y_value=1.0)
-            b0 = source.mass_where(z=0, y_value=0.0)
-        else:
-            a1 = source.mass_where(xi=xi, omega=om, z=1, y_value=1.0)
-            a = source.mass_where(xi=xi, omega=om, z=1)
-            b1 = source.mass_where(xi=xi, z=0, y_value=1.0)
-            b0 = source.mass_where(xi=xi, z=0, y_value=0.0)
+        a1 = source.mass_where(xi=xi, omega=om, z=1, y_value=1.0)
+        a = source.mass_where(xi=xi, omega=om, z=1)
+        b1 = source.mass_where(xi=xi, z=0, y_value=1.0)
+        b0 = source.mass_where(xi=xi, z=0, y_value=0.0)
         return a1, a, b1, b0
     if not isinstance(source, ObservationTable):
         raise DataError("source must be a population or an observation table")
-    if source.regime not in (COVARIATE_REGIME, "complete"):
+    if source.regime not in (COVARIATE_REGIME, COMPLETE_REGIME):
         raise RegimeMismatch("bounds need a covariate-regime table")
     y, x, w = source.y, source.x, source.w
     if np.any((y != 0.0) & (y != 1.0)):
@@ -235,33 +230,22 @@ def _binary_masses(source, sel, literal_unconditioned):
     xi, om = _xi_omega(sel, source.x_domains, source.w_domains)
     at_xi = x == xi
     obs = np.asarray(source.z_w)
-    if literal_unconditioned:
-        a1 = float(((y == 1.0) & at_xi & obs).sum())
-        a = float((at_xi & obs).sum())
-        b1 = float(((y == 1.0) & ~obs).sum())
-        b0 = float(((y == 0.0) & ~obs).sum())
-    else:
-        in_cell = at_xi & (w == om)
-        a1 = float(((y == 1.0) & in_cell & obs).sum())
-        a = float((in_cell & obs).sum())
-        b1 = float(((y == 1.0) & at_xi & ~obs).sum())
-        b0 = float(((y == 0.0) & at_xi & ~obs).sum())
+    in_cell = at_xi & (w == om)
+    a1 = float(((y == 1.0) & in_cell & obs).sum())
+    a = float((in_cell & obs).sum())
+    b1 = float(((y == 1.0) & at_xi & ~obs).sum())
+    b0 = float(((y == 0.0) & at_xi & ~obs).sum())
     return a1, a, b1, b0
 
 
-def binary_bounds_closed_form(source, sel, literal_unconditioned=False):
+def binary_bounds_closed_form(source, sel):
     """Assumption-free bounds on E(y | x = xi, w = omega) for binary y.
 
     Lower bound: every missing success lands outside the cell and every
     missing failure lands inside; upper bound: the reverse. ``source`` may
     be a population (exact masses) or a covariate-regime table (counts).
-
-    ``literal_unconditioned=True`` evaluates a diagnostics-only variant that
-    drops the omega restriction from the observed terms and the xi
-    restriction from the missing terms; it does not agree with
-    :func:`binary_bounds_oracle` in general and is kept for comparison.
     """
-    a1, a, b1, b0 = _binary_masses(source, sel, literal_unconditioned)
+    a1, a, b1, b0 = _binary_masses(source, sel)
     lo_den = a + b0
     hi_den = a + b1
     if lo_den <= 0.0 or hi_den <= 0.0:
@@ -287,9 +271,8 @@ def binary_bounds_oracle(pop, sel):
     a = pop.mass_where(xi=xi, omega=om, z=1)
 
     strata = []
-    n_x = max(int(pop.x_i.max()) + 1, 1) if pop.n_cells else 1
     for k, y_val in enumerate(pop.outcome_values):
-        for xf in range(n_x):
+        for xf in range(total_size(pop.x_domains)):
             m0 = pop.mass_where(xi=xf, y_index=k, z=0)
             if m0 > 0.0:
                 strata.append((float(y_val), xf, m0))
@@ -371,7 +354,7 @@ def mixture_joint_estimate(table, q):
     """
     if not isinstance(q, QCovariateModel):
         q = QCovariateModel(q)
-    if table.regime not in (COVARIATE_REGIME, "complete"):
+    if table.regime not in (COVARIATE_REGIME, COMPLETE_REGIME):
         raise RegimeMismatch("mixture estimate needs a covariate-regime table")
     n = table.n
     if n == 0:

@@ -16,6 +16,7 @@ from .domain import (
     EQUALITY_TOL,
     COVARIATE_REGIME,
     CompletedTable,
+    FinitePopulation,
     Interval,
     cell_partition,
     flat_value,
@@ -66,18 +67,34 @@ def true_mean(pop, sel):
     return pop.ymass_where(xi=xi) / p_xi
 
 
-def identification_interval_pop(pop, sel, dom=None):
+def _decomposition(source, sel):
+    """``(a, b)`` with E(y | x = xi) = a + b * (mean of the missing
+    outcomes): ``a`` is the observed part E(y|xi, z=1) P(z=1|xi) and ``b``
+    the missing share P(z=0|xi). On an outcome-regime table, with observed
+    fraction pi and observed-cell mean m, they are ``pi*m`` and ``1-pi``."""
+    if isinstance(source, FinitePopulation):
+        xi, p_xi = _cell_stats(source, sel)
+        return (source.ymass_where(xi=xi, z=1) / p_xi,
+                source.mass_where(xi=xi, z=0) / p_xi)
+    obs_idx, _, pi = cell_partition(source, sel)
+    m = float(source.y[obs_idx].mean()) if len(obs_idx) else 0.0
+    return pi * m, 1.0 - pi
+
+
+def _swept(source, sel, bounds):
+    """The decomposition with the missing mean swept over ``bounds``."""
+    a, b = _decomposition(source, sel)
+    return Interval(a + bounds.lo * b, a + bounds.hi * b)
+
+
+def identification_interval_pop(pop, sel):
     """Assumption-free identification interval for E(y | x = xi).
 
     The observed part contributes E(y|xi,z=1) P(z=1|xi); the missing mass
     P(z=0|xi) can sit anywhere in the outcome domain, so the interval is
     that observed part shifted by Y_L and Y_U times the missing share.
     """
-    dom = dom or pop.outcome
-    xi, p_xi = _cell_stats(pop, sel)
-    obs = pop.ymass_where(xi=xi, z=1) / p_xi
-    p0 = pop.mass_where(xi=xi, z=0) / p_xi
-    return Interval(obs + dom.lo * p0, obs + dom.hi * p0)
+    return _swept(pop, sel, pop.outcome)
 
 
 def restricted_interval_pop(pop, sel, gamma):
@@ -85,13 +102,10 @@ def restricted_interval_pop(pop, sel, gamma):
     lie in ``gamma`` (an interval inside the outcome domain)."""
     if not (pop.outcome.lo <= gamma.lo and gamma.hi <= pop.outcome.hi):
         raise DataError("restriction must lie inside the outcome domain")
-    xi, p_xi = _cell_stats(pop, sel)
-    obs = pop.ymass_where(xi=xi, z=1) / p_xi
-    p0 = pop.mass_where(xi=xi, z=0) / p_xi
-    return Interval(obs + gamma.lo * p0, obs + gamma.hi * p0)
+    return _swept(pop, sel, gamma)
 
 
-def sample_interval(table, sel, dom=None):
+def sample_interval(table, sel):
     """Sample analog of the assumption-free interval.
 
     With observed fraction pi and observed-cell mean m, the interval is
@@ -100,10 +114,7 @@ def sample_interval(table, sel, dom=None):
     """
     if table.regime == COVARIATE_REGIME:
         raise RegimeMismatch("sample_interval needs an outcome-regime table")
-    dom = dom or table.outcome
-    obs_idx, _, pi = cell_partition(table, sel)
-    m = float(table.y[obs_idx].mean()) if len(obs_idx) else 0.0
-    return Interval(pi * m + (1.0 - pi) * dom.lo, pi * m + (1.0 - pi) * dom.hi)
+    return _swept(table, sel, table.outcome)
 
 
 def imputation_cell(table, sel):
@@ -124,13 +135,13 @@ def check_imputed_outcomes(values, dom):
             f"imputed outcome outside domain [{dom.lo}, {dom.hi}]")
 
 
-def imputation_mean(completed, sel, dom=None):
+def imputation_mean(completed, sel):
     """Pooled average of observed and imputed outcomes in the xi cell."""
     if not isinstance(completed, CompletedTable):
         raise RegimeMismatch("imputation_mean expects a completed table")
     rows = imputation_cell(completed, sel)
     check_imputed_outcomes(completed.y[rows[completed.y_imputed[rows]]],
-                           dom or completed.outcome)
+                           completed.outcome)
     return float(completed.y[rows].mean())
 
 
@@ -170,12 +181,10 @@ def plim_imputation_mean(pop, model, sel):
     """Population probability limit of the single-imputation estimate:
     the observed part plus the model's missing-stratum mean weighted by the
     missing share."""
-    xi, p_xi = _cell_stats(pop, sel)
-    obs = pop.ymass_where(xi=xi, z=1) / p_xi
-    p0 = pop.mass_where(xi=xi, z=0) / p_xi
-    if p0 == 0.0:
-        return obs
-    return obs + model_missing_outcome_mean(pop, model, sel) * p0
+    a, b = _decomposition(pop, sel)
+    if b == 0.0:
+        return a
+    return a + model_missing_outcome_mean(pop, model, sel) * b
 
 
 def consistency_condition(pop, model, sel):
@@ -199,12 +208,11 @@ def q_mean_estimate(table, sel, e_q):
             f"assumed mean {e_q} outside [{table.outcome.lo}, {table.outcome.hi}]")
     if table.regime == COVARIATE_REGIME:
         raise RegimeMismatch("q_mean_estimate needs an outcome-regime table")
-    obs_idx, _, pi = cell_partition(table, sel)
-    m = float(table.y[obs_idx].mean()) if len(obs_idx) else 0.0
-    return pi * m + (1.0 - pi) * e_q
+    a, b = _decomposition(table, sel)
+    return a + e_q * b
 
 
-def midpoint_estimate(table, sel, dom=None):
+def midpoint_estimate(table, sel):
     """Midpoint of the sample interval; among constant-limit point
     estimates it minimizes the worst-case asymptotic squared bias."""
-    return sample_interval(table, sel, dom).midpoint
+    return sample_interval(table, sel).midpoint

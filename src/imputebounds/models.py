@@ -15,6 +15,7 @@ from .domain import (
     json_keys,
     read_json,
     require_finite,
+    total_size,
     value_labels,
 )
 from .errors import DataError, ProbabilityOutOfRange
@@ -166,8 +167,7 @@ def true_outcome_model(pop):
     """Explicit outcome model equal to the population's actual conditional
     distribution of missing outcomes, P(y | x, z=0)."""
     q = {}
-    n_x = max(int(pop.x_i.max()) + 1, 1) if pop.n_cells else 1
-    for xf in range(n_x):
+    for xf in range(total_size(pop.x_domains)):
         denom = pop.mass_where(xi=xf, z=0)
         if denom <= 0.0:
             continue
@@ -186,15 +186,13 @@ def true_covariate_model(pop):
     """Explicit covariate model equal to the population's actual conditional
     distribution of missing covariates, P(w | y, x, z=0)."""
     strata = {}
-    n_x = max(int(pop.x_i.max()) + 1, 1) if pop.n_cells else 1
-    n_w = max(int(pop.w_i.max()) + 1, 1) if pop.n_cells else 1
     for k, y_val in enumerate(pop.outcome_values):
-        for xf in range(n_x):
+        for xf in range(total_size(pop.x_domains)):
             denom = pop.mass_where(xi=xf, z=0, y_index=k)
             if denom <= 0.0:
                 continue
             dist = {}
-            for wf in range(n_w):
+            for wf in range(total_size(pop.w_domains)):
                 m = pop.mass_where(xi=xf, omega=wf, z=0, y_index=k)
                 if m > 0.0:
                     dist[value_labels(pop.w_domains, wf)] = m / denom

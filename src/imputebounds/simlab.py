@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from . import _kernels, missing_covariate, missing_outcome, models
+from . import _kernels, missing_covariate, missing_outcome, models, rmi
 from ._rng import (
     STREAM_POPULATION,
     STREAM_SAMPLE,
@@ -47,7 +47,6 @@ from .errors import (
     ZeroCellMass,
     ZeroDenominator,
 )
-from .rmi import EstimatorSpec, draw_completion, fit_model
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +293,16 @@ def load_experiment(path):
                                 base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+#: per estimator name that :class:`~imputebounds.rmi.EstimatorSpec`
+#: accepts, the exact probability limit of its estimate
+_PLIMS = {
+    "imputation_mean": missing_outcome.plim_imputation_mean,
+    "long_mean": missing_covariate.plim_imputed_long_mean,
+}
+
+
 def exact_plim(pop, model, estimator, selector):
-    if estimator == "imputation_mean":
-        return missing_outcome.plim_imputation_mean(pop, model, selector)
-    if estimator == "long_mean":
-        return missing_covariate.plim_imputed_long_mean(pop, model, selector)
-    raise DataError(f"unknown estimator {estimator!r}")
+    return _PLIMS[estimator](pop, model, selector)
 
 
 _SKIPPABLE = (EmptyCell, UnfittableStratum, ModelUndefinedOnCell,
@@ -358,7 +361,7 @@ def convergence_experiment(spec):
     reported as a diagnostic only.
     """
     pop = spec.population
-    estimator = EstimatorSpec(spec.estimator, spec.selector)
+    estimator = rmi.EstimatorSpec(spec.estimator, spec.selector)
     plim = exact_plim(pop, spec.model, spec.estimator, spec.selector)
     entries = []
     for j, n in enumerate(spec.n_grid):
@@ -369,9 +372,8 @@ def convergence_experiment(spec):
             rep_seed = derive_seed(spec.seed, j, r)
             table = sample_table(pop, n, rep_seed)
             try:
-                fitted = fit_model(spec.model, table)
-                completed = draw_completion(table, fitted, rep_seed)
-                est = estimator.apply(completed)
+                est = rmi.run_multiple_imputation(
+                    table, spec.model, 1, estimator, rep_seed).per_draw_estimates[0]
             except _SKIPPABLE:
                 skips += 1
                 continue

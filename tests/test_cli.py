@@ -462,6 +462,22 @@ class TestMalformedJson:
         assert f"{kind} has a value of the wrong shape or type" in cap.err
 
 
+class TestSentinel:
+    @pytest.mark.parametrize("sentinel", [None, 0, ["NA"]])
+    def test_non_string_sentinel_exits_3(self, sentinel, outcome_fixture,
+                                         tmp_path, capsys):
+        data, _ = outcome_fixture
+        config = tmp_path / "null_missing.json"
+        config.write_text(json.dumps({
+            "outcome": {"column": "y", "binary": True}, "x": ["g"],
+            "missing": sentinel}))
+        code, _, cap = run_cli(["bounds", "--data", data, "--config", str(config),
+                                "--xi", "g=a"], capsys)
+        assert code == EXIT_DATA
+        assert ("DataError: data config: the missing-value sentinel must be a "
+                f"string, got {sentinel!r}") in cap.err
+
+
 def row_loop_ingest(path, cfg):
     """CSV ingest as a loop over the records: the reference the column-wise
     ``ingest_csv`` must match in arrays, domains and errors."""
@@ -476,7 +492,9 @@ def row_loop_ingest(path, cfg):
         idx_w = [cli._column_index(header, c) for c in cfg.w_columns]
 
         rows = []
-        for line, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
             if len(row) != len(header):
                 raise MalformedRow(
                     line, f"expected {len(header)} fields, got {len(row)}")
@@ -601,6 +619,41 @@ class TestIngest:
                          declared_levels={"g": ["a"]})
         assert type(e) is OutcomeOutOfDomain
         assert str(e) == "line 4: outcome 2.0 outside declared domain"
+
+    @pytest.mark.parametrize("text, error, message", [
+        ('y,g,note\n1,a,x\n0,a,"two\nlines"\n1,a,x\n7,a,x\n',
+         OutcomeOutOfDomain, "line 6: outcome 7.0 outside declared domain"),
+        ('y,g,note\n0,a,"two\nlines"\n1,z,x\n', MalformedRow,
+         "line 4: unknown level 'z' for domain 'g'"),
+        ('y,g,note\n0,a,"three\n\nlines"\n1,a\n', MalformedRow,
+         "line 5: expected 3 fields, got 2"),
+        ('y,g,note\n0,"a\nb",x\n', MalformedRow,
+         "line 2: unknown level 'a\\nb' for domain 'g'"),
+    ], ids=["out_of_domain", "unknown_level", "short_row", "label_spans_lines"])
+    def test_lines_are_physical_lines(self, tmp_path, text, error, message):
+        """A quoted field spanning lines shifts the lines of later records;
+        an error names the line where its record starts."""
+        e = ingest_error(tmp_path, text, declared_levels={"g": ["a"]})
+        assert type(e) is error and str(e) == message
+        cfg = DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",),
+                         declared_levels={"g": ["a"]})
+        with pytest.raises(error) as ref:
+            row_loop_ingest(str(tmp_path / "data.csv"), cfg)
+        assert str(ref.value) == message
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_lines_from_a_pipe(self):
+        """A pipe can be read only once, as with ``--data <(...)``."""
+        read_end, write_end = os.pipe()
+        os.write(write_end, b'y,g,note\n0,a,"two\r\nlines"\n7,a,x\n')
+        os.close(write_end)
+        try:
+            with pytest.raises(OutcomeOutOfDomain) as exc:
+                ingest_csv(f"/dev/fd/{read_end}",
+                           DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",)))
+        finally:
+            os.close(read_end)
+        assert str(exc.value) == "line 4: outcome 7.0 outside declared domain"
 
     def test_short_row_beats_a_later_undecodable_byte(self, tmp_path):
         """The file is decoded in chunks, so the byte sits past the first

@@ -197,6 +197,10 @@ class TestFlatIndexing:
         with pytest.raises(DataError):
             flat_value(domains, ("zzz",))
 
+    def test_codes_mark_unknown_labels(self):
+        d = CategoricalDomain("a", ("u", "v"))
+        assert d.codes(["v", "zzz", "u", ""]).tolist() == [1, -1, 0, -1]
+
 
 class TestSerialization:
     def test_roundtrip_preserves_everything(self):

@@ -228,13 +228,6 @@ class TestBinaryBoundsClosedForm:
         assert iv.lo == pytest.approx(lo, abs=1e-12)
         assert iv.hi == pytest.approx(hi, abs=1e-12)
 
-    def test_literal_variant_differs_and_is_not_sharp(self, covariate_pop, sel_ao):
-        sharp = binary_bounds_closed_form(covariate_pop, sel_ao)
-        literal = binary_bounds_closed_form(covariate_pop, sel_ao,
-                                            literal_unconditioned=True)
-        assert literal.hi == pytest.approx(0.75, abs=1e-9)
-        assert literal.hi < sharp.hi
-
 
 class TestBinaryBoundsOracle:
     def test_matches_closed_form_on_worked_instance(self, covariate_pop, sel_ao):

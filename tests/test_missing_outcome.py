@@ -206,7 +206,7 @@ class TestSampleInterval:
     def test_any_completion_lands_inside(self, observed, fills):
         dom = OutcomeDomain(0.0, 1.0)
         t = make_outcome_table(list(observed) + [None] * len(fills), dom)
-        iv = sample_interval(t, CellSelector("a"), dom)
+        iv = sample_interval(t, CellSelector("a"))
         pooled = imputation_mean(
             completed_single_cell(observed, fills, dom), CellSelector("a"))
         assert iv.contains(pooled, tol=1e-12)
@@ -223,9 +223,9 @@ class TestImputationMean:
         assert imputation_mean(c, sel_a) == pytest.approx(0.5)
 
     def test_out_of_domain_guard(self, sel_a):
-        c = completed_single_cell([1, 0], [1.5], OutcomeDomain(0.0, 2.0))
+        c = completed_single_cell([1, 0], [1.5], OutcomeDomain(0.0, 1.0))
         with pytest.raises(ImputedValueOutOfDomain):
-            imputation_mean(c, sel_a, dom=OutcomeDomain(0.0, 1.0))
+            imputation_mean(c, sel_a)
 
     def test_decomposition(self, sel_a):
         obs = [1.0, 0.0, 1.0, 1.0]
