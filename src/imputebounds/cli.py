@@ -37,6 +37,7 @@ from .domain import (
     ObservationTable,
     OutcomeDomain,
     json_keys,
+    json_list,
     load_population,
     read_json,
 )
@@ -93,10 +94,11 @@ def config_from_json(obj):
         return DataConfig(
             outcome_column=out["column"],
             outcome=dom,
-            x_columns=tuple(obj.get("x", ())),
-            w_columns=tuple(obj.get("w", ())),
+            x_columns=json_list(obj.get("x", []), "'x'"),
+            w_columns=json_list(obj.get("w", []), "'w'"),
             sentinel=obj.get("missing", ""),
-            declared_levels=obj.get("levels", {}),
+            declared_levels={col: json_list(levels, f"the levels of {col!r}")
+                             for col, levels in obj.get("levels", {}).items()},
         )
 
 
@@ -390,8 +392,7 @@ def _estimate_extras(table, model, sel):
     mixture = None
     if model.kind == "explicit_outcome_q" and sel.omega is None:
         xi_flat, _ = sel.resolve(table.x_domains, table.w_domains)
-        e_q = missing_outcome.assumed_missing_mean(model, table.x_domains, xi_flat,
-                                                   table.outcome)
+        e_q = missing_outcome.assumed_missing_mean(model, table, xi_flat)
         if e_q is not None:
             q_mean = missing_outcome.q_mean_estimate(table, sel, e_q)
     if model.kind == "explicit_covariate_q" and sel.omega is not None:

@@ -3,9 +3,9 @@ observation tables, and exact finite populations.
 
 Conventions used throughout the package:
 
-* Covariate values are tuples of categorical codes (small ints interned
-  against a name table per role); a tuple is flattened to a single
-  mixed-radix integer for hot comparisons.
+* A covariate value names one level label per role (a number is read as
+  its text); it is coded against each role's ordered levels and the codes
+  are flattened to a single mixed-radix integer for hot comparisons.
 * An :class:`ObservationTable` stores sampled records. Missing outcomes are
   NaN, missing covariates are code -1; presence flags are derived.
 * A :class:`FinitePopulation` is an exact probability table over
@@ -136,21 +136,6 @@ def total_size(domains):
     return n
 
 
-def flatten_codes(domains, codes):
-    """Mixed-radix flat index of a code tuple."""
-    if len(codes) != len(domains):
-        raise DataError(
-            f"expected {len(domains)} covariate codes, got {len(codes)}"
-        )
-    idx = 0
-    for d, c in zip(domains, codes):
-        c = int(c)
-        if not 0 <= c < d.size:
-            raise DataError(f"code {c} out of range for domain {d.name!r}")
-        idx = idx * d.size + c
-    return idx
-
-
 def unflatten_index(domains, idx):
     codes = [0] * len(domains)
     for pos in range(len(domains) - 1, -1, -1):
@@ -163,9 +148,10 @@ def unflatten_index(domains, idx):
 def encode_value(domains, value):
     """Normalize a covariate value to a tuple of codes.
 
-    Accepts a tuple/list of level labels or codes, a mapping
-    ``{role name: level}``, a bare scalar for single-role domains, or
-    ``None``/``()`` when there are no roles.
+    Accepts a list or tuple with one level label per role, a mapping
+    ``{role name: level}`` naming every role and no other, a bare label for
+    single-role domains, or ``None``/``()`` when there are no roles. A label
+    is read as its text, so ``1`` names the level ``"1"``.
     """
     if not domains:
         if value in (None, (), []):
@@ -174,28 +160,27 @@ def encode_value(domains, value):
     if value is None:
         raise DataError("missing covariate value")
     if isinstance(value, dict):
+        names = [d.name for d in domains]
+        for role in value:
+            if role not in names:
+                raise DataError(f"covariate value names no role {role!r}")
         try:
-            value = [value[d.name] for d in domains]
+            value = [value[name] for name in names]
         except KeyError as e:
             raise DataError(f"missing covariate role {e.args[0]!r}") from None
-    elif isinstance(value, (str, int)) and len(domains) == 1:
+    elif isinstance(value, (str, int, float)) and len(domains) == 1:
         value = [value]
-    codes = []
-    for d, item in zip(domains, value):
-        if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
-            c = int(item)
-            if not 0 <= c < d.size:
-                raise DataError(f"code {c} out of range for domain {d.name!r}")
-            codes.append(c)
-        else:
-            codes.append(d.code(item))
-    if len(codes) != len(domains):
-        raise DataError(f"expected {len(domains)} covariate roles, got {len(codes)}")
-    return tuple(codes)
+    if not isinstance(value, (list, tuple)) or len(value) != len(domains):
+        raise DataError(f"expected {len(domains)} covariate roles, got {value!r}")
+    return tuple(d.code(item) for d, item in zip(domains, value))
 
 
 def flat_value(domains, value):
-    return flatten_codes(domains, encode_value(domains, value))
+    """Mixed-radix flat index of a covariate value (see :func:`encode_value`)."""
+    idx = 0
+    for d, c in zip(domains, encode_value(domains, value)):
+        idx = idx * d.size + c
+    return idx
 
 
 def value_labels(domains, flat):
@@ -675,8 +660,17 @@ def json_keys(what):
         yield
     except KeyError as e:
         raise DataError(f"{what} has no key {e.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError) as e:
+    except (TypeError, ValueError, AttributeError, OverflowError) as e:
         raise DataError(f"{what} has a value of the wrong shape or type: {e}") from None
+
+
+def json_list(value, what):
+    """``value``, read inside :func:`json_keys`, as a tuple: a JSON value
+    that is not a list is of the wrong type, so a string is never split
+    into its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def population_from_json(obj):
@@ -684,15 +678,16 @@ def population_from_json(obj):
         dom = obj.get("outcome_domain", {})
         outcome = OutcomeDomain(dom.get("lo", 0.0), dom.get("hi", 1.0),
                                 bool(dom.get("binary", False)))
-        x_domains = tuple(CategoricalDomain(n, tuple(lv))
+        x_domains = tuple(CategoricalDomain(n, json_list(lv, f"the levels of {n!r}"))
                           for n, lv in obj.get("x_domains", {}).items())
-        w_domains = tuple(CategoricalDomain(n, tuple(lv))
+        w_domains = tuple(CategoricalDomain(n, json_list(lv, f"the levels of {n!r}"))
                           for n, lv in obj.get("w_domains", {}).items())
         cells = {}
         for cell in obj["cells"]:
             w_val = cell.get("w")
-            key = (float(cell["y"]), tuple(cell["x"]),
-                   tuple(w_val) if w_val is not None else None, int(cell["z"]))
+            key = (float(cell["y"]), json_list(cell["x"], "a cell's 'x'"),
+                   None if w_val is None else json_list(w_val, "a cell's 'w'"),
+                   int(cell["z"]))
             cells[key] = cells.get(key, 0.0) + float(cell["mass"])
         regime = obj.get("regime", OUTCOME_REGIME)
     return FinitePopulation.from_cells(

@@ -24,7 +24,6 @@ from .domain import (
     FinitePopulation,
     Interval,
     ObservationTable,
-    flat_value,
     require_finite,
     total_size,
     value_labels,
@@ -123,7 +122,8 @@ def _omega_weights(pop, model, sel, xi, om):
             raise ModelUndefinedOnCell(f"P(x = {sel.xi!r}) = 0")
         weights[:] = pop.mass_where(xi=xi, omega=om) / p_xi
         return weights
-    x_labels = value_labels(pop.x_domains, xi)
+    if model.kind == models.EXPLICIT_COVARIATE_Q:
+        strata = models.coded_strata(model, pop)
     for k, y_val in enumerate(pop.outcome_values):
         m0 = pop.mass_where(xi=xi, y_index=k, z=0)
         if m0 <= 0.0:
@@ -135,13 +135,11 @@ def _omega_weights(pop, model, sel, xi, om):
                     f"no observed covariates at (y={y_val}, x={sel.xi!r}) to match")
             weights[k] = pop.mass_where(xi=xi, omega=om, y_index=k, z=1) / donor
         else:
-            dist = model.covariate_q.distribution(y_val, x_labels)
-            if dist is None:
+            stratum = strata.get((float(y_val), xi))
+            if stratum is None:
                 raise ModelUndefinedOnCell(
                     f"model has no stratum (y={y_val}, x={sel.xi!r})")
-            weights[k] = sum(
-                p for w_key, p in dist
-                if flat_value(pop.w_domains, w_key) == om)
+            weights[k] = sum(p for wf, p in zip(*stratum) if wf == om)
     return weights
 
 
@@ -167,7 +165,7 @@ def plim_imputed_long_mean(pop, model, sel):
     total = obs_mass + u_mass
     if total <= 0.0:
         raise ZeroCellMass("no mass reaches the pooled cell")
-    return (obs_ymass + u_ymass) / total
+    return float((obs_ymass + u_ymass) / total)
 
 
 def imputed_cell_share(pop, model, sel):
@@ -176,7 +174,7 @@ def imputed_cell_share(pop, model, sel):
     total = obs_mass + u_mass
     if total <= 0.0:
         raise ZeroCellMass("no mass reaches the pooled cell")
-    return obs_mass / total
+    return float(obs_mass / total)
 
 
 def matching_conditions(pop, model, sel):
@@ -352,8 +350,7 @@ def mixture_joint_estimate(table, q):
     of ``q``. Records are counted per integer (y, x, w) atom and per (y, x)
     stratum code, so ``q`` is looked up once per stratum.
     """
-    if not isinstance(q, QCovariateModel):
-        q = QCovariateModel(q)
+    q_strata = models.coded_strata(models.ImputationModel.explicit_covariate(q), table)
     if table.regime not in (COVARIATE_REGIME, COMPLETE_REGIME):
         raise RegimeMismatch("mixture estimate needs a covariate-regime table")
     n = table.n
@@ -372,15 +369,13 @@ def mixture_joint_estimate(table, q):
     # strata in the order their first record appears, so an undefined
     # stratum is reported as a record-by-record pass would meet it
     for j in np.argsort(first, kind="stable"):
-        y_val = float(y_levels[strata[j] // n_x])
-        x_labels = value_labels(table.x_domains, int(strata[j] % n_x))
-        dist = q.distribution(y_val, x_labels)
-        if dist is None:
-            raise QUndefinedForStratum(
-                f"q has no stratum (y={y_val}, x={x_labels!r})")
-        codes.append([strata[j] * n_w + flat_value(table.w_domains, w_key)
-                      for w_key, _ in dist])
-        masses.append([n_missing[j] * p * share for _, p in dist])
+        y_val, xf = float(y_levels[strata[j] // n_x]), int(strata[j] % n_x)
+        if (y_val, xf) not in q_strata:
+            raise QUndefinedForStratum(f"q has no stratum (y={y_val}, "
+                                       f"x={value_labels(table.x_domains, xf)!r})")
+        w_codes, probs = q_strata[(y_val, xf)]
+        codes.append(strata[j] * n_w + w_codes)
+        masses.append(n_missing[j] * probs * share)
     atoms, atom_of = np.unique(np.concatenate(codes).astype(np.int64),
                                return_inverse=True)
     mass = np.bincount(atom_of, weights=np.concatenate(masses).astype(np.float64),

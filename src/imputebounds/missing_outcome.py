@@ -19,7 +19,6 @@ from .domain import (
     FinitePopulation,
     Interval,
     cell_partition,
-    flat_value,
 )
 from .errors import (
     DataError,
@@ -127,36 +126,27 @@ def imputation_cell(table, sel):
     return rows
 
 
-def check_imputed_outcomes(values, dom):
-    """Raise :class:`ImputedValueOutOfDomain` unless every imputed outcome
-    lies in ``dom``."""
-    if not dom.contains(values):
-        raise ImputedValueOutOfDomain(
-            f"imputed outcome outside domain [{dom.lo}, {dom.hi}]")
-
-
 def imputation_mean(completed, sel):
     """Pooled average of observed and imputed outcomes in the xi cell."""
     if not isinstance(completed, CompletedTable):
         raise RegimeMismatch("imputation_mean expects a completed table")
     rows = imputation_cell(completed, sel)
-    check_imputed_outcomes(completed.y[rows[completed.y_imputed[rows]]],
-                           completed.outcome)
+    dom = completed.outcome
+    if not dom.contains(completed.y[rows[completed.y_imputed[rows]]]):
+        raise ImputedValueOutOfDomain(
+            f"imputed outcome outside domain [{dom.lo}, {dom.hi}]")
     return float(completed.y[rows].mean())
 
 
-def assumed_missing_mean(model, x_domains, xi_flat, dom):
+def assumed_missing_mean(model, source, xi_flat):
     """Mean of an explicit outcome model's distribution at the flat x code
-    ``xi_flat``, or None where the model defines none there. Raises
-    :class:`ImputedValueOutOfDomain` when that distribution's support
-    leaves ``dom``."""
-    for x_key, dist in model.outcome_q.items():
-        if flat_value(x_domains, x_key) == xi_flat:
-            if not dom.contains(np.array([v for v, _ in dist])):
-                raise ImputedValueOutOfDomain(
-                    "model support exceeds the outcome domain")
-            return float(sum(v * p for v, p in dist))
-    return None
+    ``xi_flat`` of ``source`` (a table or population), or None where the
+    model defines none there. Raises what
+    :func:`~imputebounds.models.coded_strata` raises."""
+    stratum = models.coded_strata(model, source).get(xi_flat)
+    if stratum is None:
+        return None
+    return float(sum(v * p for v, p in zip(*stratum)))
 
 
 def model_missing_outcome_mean(pop, model, sel):
@@ -171,7 +161,7 @@ def model_missing_outcome_mean(pop, model, sel):
             raise ModelUndefinedOnCell(
                 f"no observed outcomes at x = {sel.xi!r} to match")
         return pop.ymass_where(xi=xi, z=1) / denom
-    mean = assumed_missing_mean(model, pop.x_domains, xi, pop.outcome)
+    mean = assumed_missing_mean(model, pop, xi)
     if mean is None:
         raise ModelUndefinedOnCell(f"model has no distribution at x = {sel.xi!r}")
     return mean

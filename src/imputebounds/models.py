@@ -3,22 +3,27 @@
 An :class:`ImputationModel` names the distribution that imputed values are
 drawn from. Fitted variants (``mar_outcome``, ``mar_covariate``,
 ``ecological``) are estimated from observed data at fit time; explicit
-variants carry an assumed conditional distribution. Stratum keys hold raw
-level labels and are resolved against concrete domains at the point of use.
+variants carry an assumed conditional distribution. Covariate values in
+stratum keys and atoms are tuples of level labels, a number being read as
+its text; :func:`coded_strata` is the one place that resolves them to the
+integer cell codes of a table or population.
 """
 
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import (
     NORMALIZATION_TOL,
+    flat_value,
     json_keys,
     read_json,
     require_finite,
     total_size,
     value_labels,
 )
-from .errors import DataError, ProbabilityOutOfRange
+from .errors import DataError, ImputedValueOutOfDomain, ProbabilityOutOfRange
 
 MAR_OUTCOME = "mar_outcome"
 MAR_COVARIATE = "mar_covariate"
@@ -31,11 +36,26 @@ _COVARIATE_KINDS = (MAR_COVARIATE, EXPLICIT_COVARIATE_Q, ECOLOGICAL)
 
 
 def _as_value_key(value):
-    if isinstance(value, list):
-        return tuple(value)
-    if isinstance(value, (str, int)) and not isinstance(value, bool):
-        return (value,)
-    return tuple(value)
+    """A covariate value as a tuple of level labels: a bare label or a
+    list or tuple of them, each read as its text (``1`` names ``"1"``)."""
+    if isinstance(value, (str, int, float)):
+        value = (value,)
+    if not isinstance(value, (list, tuple)):
+        raise DataError(f"covariate value {value!r} is not a list of level labels")
+    return tuple(map(str, value))
+
+
+def _strata(pairs, canon_key, normalize):
+    """``{canon_key(key): normalize(key, dist)}`` over a mapping or a
+    sequence of ``(key, dist)`` pairs; a stratum named twice raises
+    :class:`DataError`."""
+    canon = {}
+    for key, dist in (pairs.items() if isinstance(pairs, dict) else pairs):
+        key = canon_key(key)
+        if key in canon:
+            raise DataError(f"model names the stratum {key} twice")
+        canon[key] = normalize(key, dist.items() if isinstance(dist, dict) else dist)
+    return canon
 
 
 def _normalize_dist(pairs, what):
@@ -64,15 +84,11 @@ class QCovariateModel:
     strata: dict
 
     def __post_init__(self):
-        canon = {}
-        for (y_val, x_val), dist in self.strata.items():
-            key = (float(y_val), _as_value_key(x_val))
-            atoms = _normalize_dist(
-                [(_as_value_key(w), p) for w, p in
-                 (dist.items() if isinstance(dist, dict) else dist)],
-                f"Q(w|y={key[0]}, x={key[1]})")
-            canon[key] = atoms
-        object.__setattr__(self, "strata", canon)
+        object.__setattr__(self, "strata", _strata(
+            self.strata, lambda key: (float(key[0]), _as_value_key(key[1])),
+            lambda key, dist: _normalize_dist(
+                [(_as_value_key(w), p) for w, p in dist],
+                f"Q(w|y={key[0]}, x={key[1]})")))
 
     def distribution(self, y_val, x_val):
         return self.strata.get((float(y_val), _as_value_key(x_val)))
@@ -89,21 +105,13 @@ class QCovariateModel:
 
     @classmethod
     def from_json(cls, obj):
-        strata = {}
-        for stratum in obj["strata"]:
-            key = (float(stratum["y"]), tuple(stratum["x"]))
-            strata[key] = [(tuple(a["w"]), float(a["p"])) for a in stratum["dist"]]
-        return cls(strata)
+        return cls([((s["y"], s["x"]), [(a["w"], a["p"]) for a in s["dist"]])
+                    for s in obj["strata"]])
 
 
 def _normalize_outcome_q(q):
-    canon = {}
-    for x_val, dist in q.items():
-        key = _as_value_key(x_val)
-        pairs = dist.items() if isinstance(dist, dict) else dist
-        canon[key] = _normalize_dist(
-            [(float(y), p) for y, p in pairs], f"Q(y|x={key})")
-    return canon
+    return _strata(q, _as_value_key, lambda key, dist: _normalize_dist(
+        [(float(y), p) for y, p in dist], f"Q(y|x={key})"))
 
 
 @dataclass(frozen=True)
@@ -202,6 +210,30 @@ def true_covariate_model(pop):
     return ImputationModel.explicit_covariate(strata)
 
 
+def coded_strata(model, source):
+    """An explicit model's strata resolved against the domains of
+    ``source``, a table or a population: ``{cell: (atoms, probabilities)}``
+    in the model's order. A cell is the flat ``x`` code for an outcome model
+    and ``(y, x)`` for a covariate model; atoms are outcome values or flat
+    ``w`` codes. Raises :class:`DataError` on a label that names no level
+    and :class:`ImputedValueOutOfDomain` when any stratum's support leaves
+    the outcome domain."""
+    strata = {}
+    if model.kind == EXPLICIT_OUTCOME_Q:
+        for x_key, dist in model.outcome_q.items():
+            values = np.array([v for v, _ in dist])
+            if not source.outcome.contains(values):
+                raise ImputedValueOutOfDomain("model support exceeds the outcome domain")
+            strata[flat_value(source.x_domains, x_key)] = (
+                values, np.array([p for _, p in dist]))
+        return strata
+    for (y_val, x_key), dist in model.covariate_q.strata.items():
+        strata[(y_val, flat_value(source.x_domains, x_key))] = (
+            np.array([flat_value(source.w_domains, w) for w, _ in dist], dtype=np.int64),
+            np.array([p for _, p in dist]))
+    return strata
+
+
 def model_to_json(model):
     if model.kind == EXPLICIT_OUTCOME_Q:
         return {
@@ -219,12 +251,16 @@ def model_to_json(model):
 def model_from_json(obj):
     with json_keys("model JSON"):
         kind = obj["kind"]
-        if kind == "outcome_q":
-            q = {tuple(s["x"]): [(a["y"], a["p"]) for a in s["dist"]]
-                 for s in obj["strata"]}
-            return ImputationModel.explicit_outcome(q)
-        if kind == "covariate_q":
-            return ImputationModel.explicit_covariate(QCovariateModel.from_json(obj))
+        try:
+            if kind == "outcome_q":
+                return ImputationModel.explicit_outcome(
+                    [(s["x"], [(a["y"], a["p"]) for a in s["dist"]])
+                     for s in obj["strata"]])
+            if kind == "covariate_q":
+                return ImputationModel.explicit_covariate(
+                    QCovariateModel.from_json(obj))
+        except ProbabilityOutOfRange as e:
+            raise DataError(f"model JSON: {e}") from None
     if kind in (MAR_OUTCOME, MAR_COVARIATE, ECOLOGICAL):
         return ImputationModel(kind)
     raise DataError(f"unknown model kind {kind!r}")

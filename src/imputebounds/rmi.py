@@ -10,9 +10,12 @@ noise of a single completion.
 
 Strata are integer codes computed once per table with numpy: ``x`` for
 models keyed by the covariate alone, ``y_index * |X| + x`` for models keyed
-by outcome and covariate. An :class:`ImputationPlan` holds everything a draw
-needs that does not depend on the draw: the missing records, each one's
-stratum row, and the padded CDF and value matrices. A draw is then one
+by outcome and covariate. Fitted models count their donors over these
+codes; explicit models take their strata from
+:func:`imputebounds.models.coded_strata`, the one place where a model's
+label keys become cell codes. An :class:`ImputationPlan` holds everything a
+draw needs that does not depend on the draw: the missing records, each
+one's stratum row, and the padded CDF and value matrices. A draw is then one
 Philox stream, one inverse-CDF lookup and one write into the plan's working
 copy of the imputed column. The pooled runner builds the plan and the
 estimator's cell once and takes each draw's cell mean straight from that
@@ -32,14 +35,12 @@ from .domain import (
     COVARIATE_REGIME,
     OUTCOME_REGIME,
     CompletedTable,
-    flat_value,
     total_size,
     value_labels,
 )
 from .errors import (
     DataError,
     ImputeBoundsError,
-    ImputedValueOutOfDomain,
     RegimeMismatch,
     UnfittableStratum,
 )
@@ -143,27 +144,15 @@ def fit_model(model, table):
     """Resolve an imputation model against a table.
 
     Fitted variants take the empirical conditional distribution of their
-    observed donors; explicit variants pass their assumed distribution
-    through. Raises :class:`UnfittableStratum` when a stratum that needs
-    imputation has no donors (or no assumed distribution).
+    observed donors; explicit variants read their assumed distribution off
+    :func:`~imputebounds.models.coded_strata`. Raises
+    :class:`UnfittableStratum` when a stratum that needs imputation has no
+    donors (or no assumed distribution).
     """
     _check_regime(model, table)
-    if model.kind == models.EXPLICIT_OUTCOME_Q:
-        strata = {}
-        for x_key, dist in model.outcome_q.items():
-            values = np.array([v for v, _ in dist])
-            if not table.outcome.contains(values):
-                raise ImputedValueOutOfDomain(
-                    "model support exceeds the outcome domain")
-            cdf = np.cumsum([p for _, p in dist])
-            strata[flat_value(table.x_domains, x_key)] = (values, cdf)
-    elif model.kind == models.EXPLICIT_COVARIATE_Q:
-        strata = {}
-        for (y_val, x_key), dist in model.covariate_q.strata.items():
-            codes = np.array([flat_value(table.w_domains, w) for w, _ in dist],
-                             dtype=np.int64)
-            cdf = np.cumsum([p for _, p in dist])
-            strata[(y_val, flat_value(table.x_domains, x_key))] = (codes, cdf)
+    if model.kind in (models.EXPLICIT_OUTCOME_Q, models.EXPLICIT_COVARIATE_Q):
+        strata = {key: (atoms, np.cumsum(probs))
+                  for key, (atoms, probs) in models.coded_strata(model, table).items()}
     else:
         column, observed = _imputed_column(table, model.target)
         donors = np.flatnonzero(observed)
@@ -215,11 +204,6 @@ class ImputationPlan:
             self.cdf_mat[j, :len(cdf)] = cdf
             self.val_mat[j, :len(atoms)] = atoms
             self.val_mat[j, len(atoms):] = atoms[-1]
-
-    def drawable(self, rows):
-        """Every value a draw can impute into the records ``rows``."""
-        into = np.isin(self.missing, rows)
-        return self.val_mat[np.unique(self.row_of[into])].ravel()
 
     def draw(self, rng):
         """Impute every missing record into the working copy from one
@@ -291,9 +275,6 @@ _ESTIMATORS = {
 
 def _imputation_mean_on(plan, sel):
     rows = missing_outcome.imputation_cell(plan.table, sel)
-    if plan.target == "outcome":
-        missing_outcome.check_imputed_outcomes(plan.drawable(rows),
-                                               plan.table.outcome)
     y, _ = plan.columns()
     return lambda: float(y[rows].mean())
 

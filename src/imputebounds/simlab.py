@@ -32,6 +32,7 @@ from .domain import (
     OutcomeDomain,
     flat_value,
     json_keys,
+    json_list,
     load_population,
     population_from_json,
     read_json,
@@ -281,7 +282,7 @@ def experiment_from_json(obj, base_dir="."):
             model=models.model_from_ref(obj["model"], base_dir),
             estimator=obj["estimator"],
             selector=selector,
-            n_grid=tuple(obj["n_grid"]),
+            n_grid=json_list(obj["n_grid"], "'n_grid'"),
             reps=obj["reps"],
             seed=obj["seed"],
             tolerance=obj["tolerance"],

@@ -462,6 +462,41 @@ class TestMalformedJson:
         assert f"{kind} has a value of the wrong shape or type" in cap.err
 
 
+class TestConfigLists:
+    """A string where the data config needs a list is a data error, never
+    split into its characters."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"x": "g"}, "'x' must be a list"),
+        ({"x": ["g"], "w": "m"}, "'w' must be a list"),
+        ({"x": ["g"], "levels": {"g": "ab"}}, "the levels of 'g' must be a list"),
+    ])
+    def test_string_exits_3(self, fields, message, outcome_fixture, tmp_path,
+                            capsys):
+        data, _ = outcome_fixture
+        config = tmp_path / "strings.json"
+        config.write_text(json.dumps(
+            {"outcome": {"column": "y", "binary": True}, **fields}))
+        code, _, cap = run_cli(
+            ["bounds", "--data", data, "--config", str(config), "--xi", "g=a"],
+            capsys)
+        assert code == EXIT_DATA
+        assert message in cap.err
+
+
+class TestCellFlags:
+    @pytest.mark.parametrize("xi, message", [
+        ("g=a,typo=zzz", "names no role 'typo'"),
+        ("typo=a", "names no role 'typo'"),
+    ])
+    def test_unknown_role_exits_3(self, xi, message, outcome_fixture, capsys):
+        data, config = outcome_fixture
+        code, _, cap = run_cli(
+            ["bounds", "--data", data, "--config", config, "--xi", xi], capsys)
+        assert code == EXIT_DATA
+        assert message in cap.err
+
+
 class TestSentinel:
     @pytest.mark.parametrize("sentinel", [None, 0, ["NA"]])
     def test_non_string_sentinel_exits_3(self, sentinel, outcome_fixture,

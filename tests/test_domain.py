@@ -191,11 +191,32 @@ class TestFlatIndexing:
         assert seen == set(range(6))
 
     def test_mapping_and_code_inputs(self):
+        """A number in a label position names the level of its text, never
+        the level at that position."""
         domains = (CategoricalDomain("a", ("u", "v")),)
         assert flat_value(domains, {"a": "v"}) == 1
-        assert flat_value(domains, (1,)) == 1
         with pytest.raises(DataError):
             flat_value(domains, ("zzz",))
+        with pytest.raises(DataError, match="unknown level 1"):
+            flat_value(domains, (1,))
+        numeric = (CategoricalDomain("a", ("1", "0")),)
+        assert flat_value(numeric, (1,)) == flat_value(numeric, ("1",)) == 0
+        assert flat_value(numeric, 0) == 1
+
+    @pytest.mark.parametrize("value, message", [
+        ({"a": "v", "typo": "zzz"}, "names no role 'typo'"),
+        (("v", "nonsense"), "expected 1 covariate roles"),
+    ])
+    def test_value_must_name_each_role_once(self, value, message):
+        domains = (CategoricalDomain("a", ("u", "v")),)
+        with pytest.raises(DataError, match=message):
+            flat_value(domains, value)
+
+    def test_string_is_not_split_into_roles(self):
+        domains = (CategoricalDomain("a", ("u", "v")),
+                   CategoricalDomain("b", ("u", "v")))
+        with pytest.raises(DataError, match="expected 2 covariate roles"):
+            flat_value(domains, "uv")
 
     def test_codes_mark_unknown_labels(self):
         d = CategoricalDomain("a", ("u", "v"))

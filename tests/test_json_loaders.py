@@ -1,0 +1,176 @@
+"""Fuzz of the four JSON loaders: data config, population, model and
+experiment spec. Any JSON value either loads or raises :class:`DataError`
+(the spec, which names other files, may also raise ``OSError``), and the
+CLI reading the same file exits 3 on it instead of ending in a traceback."""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from imputebounds import population_to_json
+from imputebounds.cli import EXIT_DATA, EXIT_GUARD, config_from_json, main
+from imputebounds.domain import population_from_json
+from imputebounds.errors import DataError
+from imputebounds.models import model_from_json
+from imputebounds.simlab import experiment_from_json
+from conftest import build_covariate_pop, build_mnar_pop
+
+#: any value ``json.load`` can return, NaN and Infinity included
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=10)
+
+POPULATIONS = [population_to_json(build_mnar_pop()),
+               population_to_json(build_covariate_pop())]
+MODELS = [
+    {"kind": "outcome_q",
+     "strata": [{"x": ["a"], "dist": [{"y": 0.0, "p": 0.5}, {"y": 1.0, "p": 0.5}]}]},
+    {"kind": "covariate_q",
+     "strata": [{"y": y, "x": ["a"],
+                 "dist": [{"w": ["o"], "p": 0.25}, {"w": ["p"], "p": 0.75}]}
+                for y in (0.0, 1.0)]},
+    {"kind": "mar_covariate"},
+]
+VALID = {
+    "config": [
+        {"outcome": {"column": "y", "binary": True}, "x": ["g"], "w": [],
+         "missing": "", "levels": {"g": ["a", "b"]}},
+        {"outcome": {"column": "y", "lo": 0.0, "hi": 1.0}, "x": ["g"]},
+    ],
+    "population": POPULATIONS,
+    "model": MODELS,
+    "spec": [
+        {"population": "pop.json", "model": "mar", "estimator": "imputation_mean",
+         "xi": {"g": "a"}, "omega": None, "n_grid": [20, 40], "reps": 2,
+         "seed": 1, "tolerance": 1.0},
+        {"population": POPULATIONS[1], "model": MODELS[1], "estimator": "long_mean",
+         "xi": ["a"], "omega": {"m": "o"}, "n_grid": [20], "reps": 1,
+         "seed": 2, "tolerance": 1.0},
+    ],
+}
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, docs):
+    """A valid document with one to three of its values replaced by any
+    JSON value or, inside an object, deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON)
+    return doc
+
+
+LOADERS = {
+    "config": config_from_json,
+    "population": population_from_json,
+    "model": model_from_json,
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A directory with the data the CLI runs on and the file a spec names."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "y.csv").write_text("y,g\n1,a\n0,a\n,a\n")
+    (root / "w.csv").write_text("y,g,m\n1,a,o\n0,a,p\n1,a,\n")
+    (root / "cfg.json").write_text(json.dumps(VALID["config"][0]))
+    (root / "wcfg.json").write_text(json.dumps(
+        {"outcome": {"column": "y", "binary": True}, "x": ["g"], "w": ["m"]}))
+    (root / "pop.json").write_text(json.dumps(POPULATIONS[0]))
+    return root
+
+
+def _argv(kind, root, doc_path, covariate):
+    data, config = ((root / "w.csv", root / "wcfg.json") if covariate
+                    else (root / "y.csv", root / "cfg.json"))
+    common = ["--data", str(data), "--config", str(config), "--xi", "g=a"]
+    return {
+        "config": ["bounds", "--data", str(root / "y.csv"), "--config",
+                   str(doc_path), "--xi", "g=a"],
+        "model": ["estimate", *common, "--model", f"q:{doc_path}"]
+                 + (["--omega", "m=o"] if covariate else []),
+        "population": ["audit", *common, "--model", "mar", "--m", "1",
+                       "--population", str(doc_path)],
+        "spec": ["simulate", "--spec", str(doc_path)],
+    }[kind]
+
+
+def _run_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["config", "population", "model", "spec"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loads_or_raises_a_data_error(kind, data, files):
+    doc = data.draw(JSON | mutated(VALID[kind]), label="document")
+    doc_path = files / f"{kind}.json"
+    doc_path.write_text(json.dumps(doc))
+    try:
+        if kind == "spec":
+            loaded = experiment_from_json(doc, base_dir=str(files))
+        else:
+            loaded = LOADERS[kind](doc)
+    except (DataError, OSError) as e:
+        assert kind == "spec" or isinstance(e, DataError)
+        code, err = _run_cli(_argv(kind, files, doc_path, False))
+        assert code == EXIT_DATA, err
+        assert err.startswith("error: ")
+        return
+    if kind == "spec":
+        return  # a loaded spec may ask for any amount of sampling
+    covariate = kind == "model" and loaded.target == "covariate"
+    code, _ = _run_cli(_argv(kind, files, doc_path, covariate))
+    assert code in (0, EXIT_DATA, EXIT_GUARD)
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("config", dict(VALID["config"][0], levels={"g": 1.0})),
+    ("model", {"kind": "outcome_q",
+               "strata": [{"x": ["a"], "dist": [{"y": 0.0, "p": 0.75}]}]}),
+    ("population", dict(POPULATIONS[0], cells=[
+        dict(POPULATIONS[0]["cells"][0], mass=10**400)])),
+    ("spec", dict(VALID["spec"][0], n_grid=[float("inf")])),
+    ("population", dict(POPULATIONS[0], x_domains={"g": "a"})),
+    ("population", dict(POPULATIONS[0], cells=[
+        dict(cell, x="a") for cell in POPULATIONS[0]["cells"]])),
+    ("spec", dict(VALID["spec"][0], n_grid="24")),
+])
+def test_rejected_with_exit_3(kind, doc, files):
+    """Inputs that once ended in a traceback or in exit 4 (the first four,
+    found by the fuzz), or loaded with a string split into its characters."""
+    doc_path = files / f"found_{kind}.json"
+    doc_path.write_text(json.dumps(doc))
+    with pytest.raises(DataError):
+        if kind == "spec":
+            experiment_from_json(doc, base_dir=str(files))
+        else:
+            LOADERS[kind](doc)
+    assert _run_cli(_argv(kind, files, doc_path, False))[0] == EXIT_DATA

@@ -130,6 +130,15 @@ class TestPlimImputedLongMean:
         assert imputed_cell_share(pop, model, sel) == pytest.approx(0.75, abs=1e-12)
         assert plim_imputed_long_mean(pop, model, sel) == pytest.approx(0.70, abs=1e-12)
 
+    @pytest.mark.parametrize("model", [
+        ImputationModel.explicit_covariate(build_routing_pop_and_q()[1]),
+        ImputationModel.mar_covariate(), ImputationModel.ecological()])
+    def test_values_are_python_floats(self, model):
+        pop, _ = build_routing_pop_and_q()
+        sel = CellSelector("a", "o")
+        assert type(plim_imputed_long_mean(pop, model, sel)) is float
+        assert type(imputed_cell_share(pop, model, sel)) is float
+
     def test_true_distribution_recovers_long_mean(self):
         for seed, x_sizes in ((3, (1,)), (11, (2,))):
             pop = random_population(seed, x_sizes=x_sizes, w_sizes=(2,),

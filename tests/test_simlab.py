@@ -189,6 +189,12 @@ class TestConvergenceExperiment:
         assert report.entries[-1].max_abs_dev < report.entries[0].max_abs_dev + 0.05
         assert report.entries[-1].passed
 
+    def test_long_mean_report_plim_is_a_float(self, covariate_pop, sel_ao):
+        spec = ExperimentSpec(covariate_pop, ImputationModel.mar_covariate(),
+                              "long_mean", sel_ao, n_grid=(200,), reps=1,
+                              seed=3, tolerance=1.0)
+        assert type(convergence_experiment(spec).to_json()["plim"]) is float
+
     def test_consistent_model_converges_to_truth(self, sel_a):
         pop = apply_mechanism(simple_joint(), MissingnessMechanism.constant(0.4))
         spec = ExperimentSpec(pop, ImputationModel.mar_outcome(),
