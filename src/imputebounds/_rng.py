@@ -13,6 +13,12 @@ reuses a stream:
 * ``STREAM_COMPLETION + k``  -- draw ``k`` (0-based) of a multiple-imputation
   run, so an ``m=1`` run reproduces the single-completion stream exactly
 
+:func:`stream` is the definition of the contract. Philox output depends only
+on its key and its counter, so :func:`fill_streams` gives the same numbers
+from one reused generator: it rekeys the generator for each stream instead of
+building a new one, which is what the pooled multiple-imputation runner does
+for its m draws.
+
 Nested experiments derive fresh 64-bit seeds from a master seed and an index
 path with :func:`derive_seed` (SplitMix64 mixing), then key their own streams
 under the derived seed.
@@ -47,10 +53,33 @@ def derive_seed(master, *path):
     return state
 
 
-def stream(seed, index):
-    """A fresh Philox generator for ``(seed, index)``.
+def _key(seed, index):
+    """The Philox key of ``(seed, index)``, as a uint64 array: numpy would
+    turn a list holding a value at or above 2**63 into float64 and drop its
+    low bits."""
+    return np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
 
-    The key is a uint64 array: numpy would turn a list holding a value at
-    or above 2**63 into float64 and drop its low bits."""
-    key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+def stream(seed, index):
+    """A fresh Philox generator for ``(seed, index)``."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+
+
+def fill_streams(generator, seed, first, out):
+    """Fill row ``j`` of the 2-D float64 array ``out`` with
+    ``stream(seed, first + j).random(out.shape[1])``, bit for bit.
+
+    ``generator`` is a Philox generator, such as one from :func:`stream`,
+    that is rekeyed for each row: the key ``(seed, first + j)`` is written
+    into its state with the counter zeroed and the output buffer marked
+    spent. That is the state ``Philox(key=...)`` starts in, so nothing of
+    the previous key carries over."""
+    bits = generator.bit_generator
+    state = bits.state
+    for j, row in enumerate(out):
+        state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
+                          "key": _key(seed, first + j)}
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        bits.state = state
+        generator.random(out=row)

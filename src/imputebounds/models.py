@@ -110,8 +110,13 @@ class QCovariateModel:
 
 
 def _normalize_outcome_q(q):
-    return _strata(q, _as_value_key, lambda key, dist: _normalize_dist(
-        [(float(y), p) for y, p in dist], f"Q(y|x={key})"))
+    def normalize(key, dist):
+        dist = [(float(y), p) for y, p in dist]
+        what = f"Q(y|x={key})"
+        require_finite([y for y, _ in dist], DataError, f"{what}: outcome atom")
+        return _normalize_dist(dist, what)
+
+    return _strata(q, _as_value_key, normalize)
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,19 @@ codes; explicit models take their strata from
 :func:`imputebounds.models.coded_strata`, the one place where a model's
 label keys become cell codes. An :class:`ImputationPlan` holds everything a
 draw needs that does not depend on the draw: the missing records, each
-one's stratum row, and the padded CDF and value matrices. A draw is then one
-Philox stream, one inverse-CDF lookup and one write into the plan's working
-copy of the imputed column. The pooled runner builds the plan and the
-estimator's cell once and takes each draw's cell mean straight from that
-working copy; :func:`draw_completion` wraps one draw in a
-:class:`CompletedTable`. Because Philox is counter-based, a record's drawn
-value depends only on its stratum and its uniform, so the per-draw estimates
-do not depend on how the plan is laid out.
+one's stratum row, and the padded CDF and value matrices.
+
+The pooled runner builds the plan and the estimator's cell once and one
+Philox generator per run, then makes its draws in blocks. For a block of
+``b`` draws it rekeys the generator to each draw's stream in turn
+(:func:`imputebounds._rng.fill_streams`) to fill a ``(b, missing)`` matrix
+of uniforms, inverts the whole matrix with one kernel call
+(:meth:`ImputationPlan.imputed_block`), and reads the ``b`` estimates off the
+drawn values. :meth:`ImputationPlan.draw` is the one-draw block written into
+the plan's working copy of the imputed column, and :func:`draw_completion`
+wraps it in a :class:`CompletedTable`. Because Philox is counter-based, a
+record's drawn value depends only on its stratum and its uniform, so the
+per-draw estimates do not depend on the block size or the plan's layout.
 """
 
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, missing_covariate, missing_outcome, models
-from ._rng import STREAM_COMPLETION, stream
+from ._rng import STREAM_COMPLETION, fill_streams, stream
 from .domain import (
     COVARIATE_REGIME,
     OUTCOME_REGIME,
@@ -185,7 +190,8 @@ class ImputationPlan:
 
     ``values`` is a private working copy of the imputed column (y or w);
     :meth:`draw` overwrites its missing entries with one draw, so it holds
-    the latest draw's completed column.
+    the latest draw's completed column. :meth:`imputed_block` makes several
+    draws at once and leaves the working copy alone.
     """
 
     def __init__(self, table, fitted):
@@ -205,13 +211,20 @@ class ImputationPlan:
             self.val_mat[j, :len(atoms)] = atoms
             self.val_mat[j, len(atoms):] = atoms[-1]
 
+    def imputed_block(self, u):
+        """The imputed values of ``len(u)`` draws, one row per draw: row
+        ``j`` inverts the uniforms ``u[j]``, one per missing record in
+        record order, and the whole block is one kernel call."""
+        b, n = u.shape
+        rows = np.tile(self.row_of, b)
+        pos = _kernels.draw_positions(self.cdf_mat, rows, u.ravel())
+        return self.val_mat[rows, pos].reshape(b, n)
+
     def draw(self, rng):
         """Impute every missing record into the working copy from one
         uniform of ``rng`` each, in record order."""
-        if len(self.missing):
-            u = rng.random(len(self.missing))
-            pos = _kernels.draw_positions(self.cdf_mat, self.row_of, u)
-            self.values[self.missing] = self.val_mat[self.row_of, pos]
+        u = rng.random((1, len(self.missing)))
+        self.values[self.missing] = self.imputed_block(u)[0]
 
     def columns(self):
         """``(y, w)`` of the table as completed by the latest draw."""
@@ -273,24 +286,56 @@ _ESTIMATORS = {
 }
 
 
+def _imputed_in(plan, rows):
+    """Where the imputed records among ``rows`` sit: their positions in
+    ``rows`` and their columns in a block of draws."""
+    at = np.flatnonzero(plan.imputed[rows])
+    return at, np.searchsorted(plan.missing, rows[at])
+
+
 def _imputation_mean_on(plan, sel):
     rows = missing_outcome.imputation_cell(plan.table, sel)
     y, _ = plan.columns()
-    return lambda: float(y[rows].mean())
+    base = y[rows]
+    at, of = _imputed_in(plan, rows)
+
+    def estimate(drawn, estimates):
+        # each row is one draw's cell, laid out as y[rows]: a mean along the
+        # contiguous axis sums every row in the order y[rows].mean() would
+        cell = np.tile(base, (len(drawn), 1))
+        cell[:, at] = drawn[:, of]
+        estimates.extend(cell.mean(axis=1).tolist())
+
+    return estimate, len(rows)
 
 
 def _long_mean_on(plan, sel):
     at_xi, om = missing_covariate.long_cell(plan.table, sel)
     y, w = plan.columns()
-    return lambda: missing_covariate.pooled_cell_mean(y[at_xi], w[at_xi], om, sel)
+    y_cell, w_cell = y[at_xi], w[at_xi]
+    at, of = _imputed_in(plan, at_xi)
+
+    def estimate(drawn, estimates):
+        for row in drawn:
+            w_cell[at] = row[of]
+            estimates.append(missing_covariate.pooled_cell_mean(y_cell, w_cell, om, sel))
+
+    return estimate, len(at_xi)
 
 
-#: per estimator, the same estimate read off a plan's working copy: the
-#: checks that do not depend on the draw run once when this is built
+#: per estimator, the same estimate read off a block of a plan's draws:
+#: ``(estimate, cell size)``, where ``estimate(drawn, estimates)`` appends
+#: one estimate per row of ``drawn`` in draw order. The checks that do not
+#: depend on the draw run once, when this is built
 _ON_PLAN = {
     "imputation_mean": _imputation_mean_on,
     "long_mean": _long_mean_on,
 }
+
+#: the largest working matrix a block of pooled draws may make, in cells:
+#: a block holds as many draws as fit when each costs the larger of its
+#: kernel matrix (missing records by support width) and its cell
+BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -316,26 +361,34 @@ def run_multiple_imputation(table, model, m, estimator, seed):
 
     Draw ``k`` (0-based) uses the stream keyed ``(seed, k + 1)``, so results
     are reproducible and independent of scheduling; ``m = 1`` reproduces
-    :func:`draw_completion` exactly. The plan and the estimator's cell are
-    built once; estimator errors that do not depend on the draw are tagged
-    ``draw 0``, and an empty pooled cell on draw ``k`` is tagged ``draw k``.
-    The pooled value is the arithmetic mean of the per-draw estimates; the
-    dispersion is their sample standard deviation (0 when ``m = 1``) and is
-    reported for diagnostics only.
+    :func:`draw_completion` exactly. The plan, the estimator's cell and one
+    Philox generator are built once. Draws are made in blocks of at most
+    :data:`BLOCK_CELLS` working cells: the generator is rekeyed to each
+    draw's stream, and a block's uniforms are inverted in one kernel call.
+    Estimator errors that do not depend on the draw are tagged ``draw 0``,
+    and an empty pooled cell on draw ``k`` is tagged ``draw k``. The pooled
+    value is the arithmetic mean of the per-draw estimates; the dispersion
+    is their sample standard deviation (0 when ``m = 1``) and is reported
+    for diagnostics only.
     """
     m = int(m)
     if m < 1:
         raise DataError(f"m must be >= 1, got {m}")
     plan = ImputationPlan(table, fit_model(model, table))
+    rng = stream(seed, STREAM_COMPLETION)
     estimates = []
-    k = 0
     try:
-        estimate = _ON_PLAN[estimator.name](plan, estimator.selector)
-        for k in range(m):
-            plan.draw(stream(seed, STREAM_COMPLETION + k))
-            estimates.append(estimate())
+        estimate, cell_size = _ON_PLAN[estimator.name](plan, estimator.selector)
+        n = len(plan.missing)
+        per_draw = max(n * plan.cdf_mat.shape[1], cell_size, 1)
+        block = min(m, max(1, BLOCK_CELLS // per_draw))
+        u = np.empty((block, n))
+        for first in range(0, m, block):
+            b = min(block, m - first)
+            fill_streams(rng, seed, STREAM_COMPLETION + first, u[:b])
+            estimate(plan.imputed_block(u[:b]), estimates)
     except ImputeBoundsError as e:
-        raise _tag_draw(e, k) from e
+        raise _tag_draw(e, len(estimates)) from e
     arr = np.array(estimates)
     dispersion = float(arr.std(ddof=1)) if m > 1 else 0.0
     return MultipleImputationResult(

@@ -151,6 +151,24 @@ class TestEstimate:
             0.8 * 0.75 + 0.2 * 0.5)
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_q_atom_is_data_error(self, outcome_fixture, tmp_path,
+                                             capsys, bad):
+        data, config = outcome_fixture
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps({
+            "kind": "outcome_q",
+            "strata": [{"x": ["a"], "dist": [{"y": bad, "p": 1.0}]}],
+        }))
+        code, report, captured = run_cli(
+            ["estimate", "--data", data, "--config", config,
+             "--model", f"q:{qfile}", "--xi", "g=a", "--m", "4", "--seed", "3"],
+            capsys)
+        assert code == EXIT_DATA == 3
+        assert report is None
+        assert "outcome atom" in captured.err
+
+
 class TestAudit:
     def test_single_draw_pooling_identity(self, outcome_fixture, capsys):
         data, config = outcome_fixture

@@ -1,8 +1,10 @@
+import contextlib
+import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imputebounds import (
     CategoricalDomain,
@@ -20,7 +22,8 @@ from imputebounds import (
     true_covariate_model,
     true_outcome_model,
 )
-from imputebounds._rng import stream
+from imputebounds import _kernels, rmi
+from imputebounds._rng import fill_streams, stream
 from imputebounds.errors import (
     DataError,
     EmptyCell,
@@ -29,8 +32,9 @@ from imputebounds.errors import (
     RegimeMismatch,
     UnfittableStratum,
 )
+from imputebounds.models import model_from_json
 from imputebounds.rmi import ImputationPlan
-from conftest import X1, W2, build_mnar_pop
+from conftest import X1, W2, build_covariate_pop, build_mnar_pop
 
 
 def outcome_table(ys, outcome=None):
@@ -87,6 +91,20 @@ class TestModelValidation:
     def test_non_finite_outcome_probability_rejected(self, bad):
         with pytest.raises(ProbabilityOutOfRange, match="not finite"):
             ImputationModel.explicit_outcome({"a": {0.0: bad, 1.0: 1.0}})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_outcome_atom_rejected(self, bad):
+        # a non-finite atom is bad input (exit 3), not an out-of-domain
+        # imputation (exit 4)
+        with pytest.raises(DataError, match="outcome atom .* is not finite"):
+            ImputationModel.explicit_outcome({"a": {bad: 0.5, 1.0: 0.5}})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_outcome_atom_in_model_json_rejected(self, bad):
+        obj = {"kind": "outcome_q",
+               "strata": [{"x": ["a"], "dist": [{"y": bad, "p": 1.0}]}]}
+        with pytest.raises(DataError, match="outcome atom .* is not finite"):
+            model_from_json(json.loads(json.dumps(obj)))
 
     def test_non_finite_covariate_probability_rejected(self):
         with pytest.raises(ProbabilityOutOfRange, match="not finite"):
@@ -382,6 +400,74 @@ class TestImputationPlan:
             run_multiple_imputation(t, model, 20, spec, seed=9)
 
 
+def kernel_blocks(monkeypatch):
+    """Record the number of uniforms of every ``draw_positions`` call."""
+    sizes = []
+    kernel = _kernels.draw_positions
+
+    def recorded(cdf_rows, row_of, u):
+        sizes.append(len(u))
+        return kernel(cdf_rows, row_of, u)
+
+    monkeypatch.setattr(_kernels, "draw_positions", recorded)
+    return sizes
+
+
+class TestBlocks:
+    """The pooled runner draws in blocks of draws; these runs span several
+    blocks and end on a partial one."""
+
+    @pytest.mark.parametrize("pop, model, estimator", [
+        (build_mnar_pop(), ImputationModel.mar_outcome(),
+         EstimatorSpec("imputation_mean", CellSelector("a"))),
+        (build_covariate_pop(), ImputationModel.mar_covariate(),
+         EstimatorSpec("long_mean", CellSelector("a", "o"))),
+    ], ids=["imputation_mean", "long_mean"])
+    def test_draws_across_blocks_match_completed_tables(self, monkeypatch, pop,
+                                                        model, estimator):
+        # a third of BLOCK_CELLS records, all in the estimator's cell, make
+        # blocks of two or three draws, so seven draws end on a partial block
+        t = sample_table(pop, rmi.BLOCK_CELLS // 3, seed=31)
+        m, seed = 7, 2**64 - 3
+        sizes = kernel_blocks(monkeypatch)
+        res = run_multiple_imputation(t, model, m, estimator, seed)
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        plan = ImputationPlan(t, fit_model(model, t))
+        assert list(res.per_draw_estimates) == [
+            estimator.apply(plan.complete(stream(seed, k + 1))) for k in range(m)]
+
+    def test_empty_cell_after_the_first_block_is_tagged_with_its_draw(self, monkeypatch):
+        # as in test_empty_pooled_cell_is_tagged_with_its_draw, the pooled
+        # cell (a, o) holds the one missing record at a exactly when a draw
+        # imputes o for it; the missing records at b make the blocks short
+        n_b = rmi.BLOCK_CELLS // 8
+        t = ObservationTable.from_records(
+            [(1.0, "a", "p"), (1.0, "a", None)] + [(1.0, "b", None)] * n_b,
+            OutcomeDomain.binary_01(), X2, W2)
+        spec = EstimatorSpec("long_mean", CellSelector("a", "o"))
+        half = {("o",): 0.5, ("p",): 0.5}
+        model = ImputationModel.explicit_covariate(
+            {(1.0, ("a",)): half, (1.0, ("b",)): half})
+        plan = ImputationPlan(t, fit_model(model, t))
+        sizes = kernel_blocks(monkeypatch)
+        with contextlib.suppress(EmptyCell):
+            run_multiple_imputation(t, model, 20, spec, seed=0)
+        block = sizes[0] // len(plan.missing)
+        assert 1 < block < 20
+
+        def first_empty(seed):
+            for k in range(20):
+                plan.draw(stream(seed, k + 1))
+                if plan.values[1] == 1:
+                    return k
+            return None
+
+        seed, k = next((s, k) for s in range(200)
+                       if (k := first_empty(s)) is not None and k >= block)
+        with pytest.raises(EmptyCell, match=f"^draw {k}: "):
+            run_multiple_imputation(t, model, 20, spec, seed=seed)
+
+
 def philox_key(seed, index):
     return stream(seed, index).bit_generator.state["state"]["key"].tolist()
 
@@ -395,3 +481,41 @@ class TestStream:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert philox_key(2**64 - 1, 1) == [2**64 - 1, 1]
+
+
+#: (seed, first index, rows, dirty): fill ``rows`` streams from (seed, first)
+#: on, after a 32-bit draw from the generator when ``dirty``
+FILLS = st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 2**33),
+                  st.integers(0, 5), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(FILLS, min_size=1, max_size=4), st.integers(0, 13))
+@example([(2**63 + 5, 1, 3, False), (2**63 + 6, 1, 2, True)], 5)
+@example([(2**64 - 1, 2**32 - 1, 4, True), (2**64 - 1, 2**32, 1, False)], 7)
+def test_fill_streams_equals_fresh_streams(fills, n):
+    """Every row of every fill of one reused generator equals a fresh
+    stream's uniforms bit for bit, and the generator ends where the last
+    row's fresh stream ends: no state of an earlier key, a partly spent
+    output buffer or a cached 32-bit half, leaks into the next."""
+    generator = stream(0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for seed, first, rows, dirty in fills:
+            if dirty:
+                generator.random(dtype=np.float32)
+            out = np.empty((rows, n))
+            fill_streams(generator, seed, first, out)
+            for j in range(rows):
+                fresh = stream(seed, first + j)
+                assert np.array_equal(out[j], fresh.random(n))
+            if rows:
+                assert philox_position(generator) == philox_position(fresh)
+
+
+def philox_position(generator):
+    """Where a Philox generator stands: key, counter, output buffer
+    position and whether half of a 64-bit output is cached."""
+    state = generator.bit_generator.state
+    return (state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
+            state["buffer_pos"], state["has_uint32"])
