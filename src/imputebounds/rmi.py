@@ -286,9 +286,12 @@ _ESTIMATORS = {
 }
 
 
-def _imputed_in(plan, rows):
-    """Where the imputed records among ``rows`` sit: their positions in
-    ``rows`` and their columns in a block of draws."""
+def _imputed_in(plan, rows, column):
+    """Where a draw's values land in ``column`` ("outcome" or "covariate")
+    at ``rows``: their positions in ``rows`` and their places in a draw.
+    None land there when the plan imputes the other column."""
+    if plan.target != column:
+        rows = rows[:0]
     at = np.flatnonzero(plan.imputed[rows])
     return at, np.searchsorted(plan.missing, rows[at])
 
@@ -297,7 +300,7 @@ def _imputation_mean_on(plan, sel):
     rows = missing_outcome.imputation_cell(plan.table, sel)
     y, _ = plan.columns()
     base = y[rows]
-    at, of = _imputed_in(plan, rows)
+    at, of = _imputed_in(plan, rows, "outcome")
 
     def estimate(drawn, estimates):
         # each row is one draw's cell, laid out as y[rows]: a mean along the
@@ -313,20 +316,22 @@ def _long_mean_on(plan, sel):
     at_xi, om = missing_covariate.long_cell(plan.table, sel)
     y, w = plan.columns()
     y_cell, w_cell = y[at_xi], w[at_xi]
-    at, of = _imputed_in(plan, at_xi)
+    cell = y_cell if plan.target == "outcome" else w_cell
+    at, of = _imputed_in(plan, at_xi, plan.target)
 
     def estimate(drawn, estimates):
         for row in drawn:
-            w_cell[at] = row[of]
+            cell[at] = row[of]
             estimates.append(missing_covariate.pooled_cell_mean(y_cell, w_cell, om, sel))
 
-    return estimate, len(at_xi)
+    return estimate, 0
 
 
 #: per estimator, the same estimate read off a block of a plan's draws:
-#: ``(estimate, cell size)``, where ``estimate(drawn, estimates)`` appends
-#: one estimate per row of ``drawn`` in draw order. The checks that do not
-#: depend on the draw run once, when this is built
+#: ``(estimate, tiled)``, where ``estimate(drawn, estimates)`` appends one
+#: estimate per row of ``drawn`` in draw order and copies ``tiled`` cells
+#: per row to do so. The checks that do not depend on the draw run once,
+#: when this is built
 _ON_PLAN = {
     "imputation_mean": _imputation_mean_on,
     "long_mean": _long_mean_on,
@@ -334,7 +339,7 @@ _ON_PLAN = {
 
 #: the largest working matrix a block of pooled draws may make, in cells:
 #: a block holds as many draws as fit when each costs the larger of its
-#: kernel matrix (missing records by support width) and its cell
+#: kernel matrix (missing records by support width) and its tiled cell
 BLOCK_CELLS = 2**14
 
 
@@ -378,9 +383,9 @@ def run_multiple_imputation(table, model, m, estimator, seed):
     rng = stream(seed, STREAM_COMPLETION)
     estimates = []
     try:
-        estimate, cell_size = _ON_PLAN[estimator.name](plan, estimator.selector)
+        estimate, tiled = _ON_PLAN[estimator.name](plan, estimator.selector)
         n = len(plan.missing)
-        per_draw = max(n * plan.cdf_mat.shape[1], cell_size, 1)
+        per_draw = max(n * plan.cdf_mat.shape[1], tiled, 1)
         block = min(m, max(1, BLOCK_CELLS // per_draw))
         u = np.empty((block, n))
         for first in range(0, m, block):

@@ -10,6 +10,7 @@ from imputebounds import (
     CategoricalDomain,
     CellSelector,
     EstimatorSpec,
+    FinitePopulation,
     ImputationModel,
     ObservationTable,
     OutcomeDomain,
@@ -413,20 +414,44 @@ def kernel_blocks(monkeypatch):
     return sizes
 
 
+def outcome_pop_with_w():
+    """Outcome-missing population at one x cell whose w is always observed,
+    so that ``long_mean`` has a pooled cell to read."""
+    return FinitePopulation.from_cells({
+        (1.0, "a", "o", 1): 0.2,
+        (0.0, "a", "o", 1): 0.1,
+        (1.0, "a", "p", 1): 0.15,
+        (0.0, "a", "p", 1): 0.05,
+        (1.0, "a", "o", 0): 0.2,
+        (0.0, "a", "o", 0): 0.1,
+        (1.0, "a", "p", 0): 0.15,
+        (0.0, "a", "p", 0): 0.05,
+    }, outcome=OutcomeDomain.binary_01(), x_domains=X1, w_domains=W2)
+
+
 class TestBlocks:
     """The pooled runner draws in blocks of draws; these runs span several
-    blocks and end on a partial one."""
+    blocks and end on a partial one. Each estimator runs on the regime it
+    is made for and on the other one, where a draw imputes a column the
+    estimator reads only as given (``imputation_mean`` under a covariate
+    model) or the outcomes it averages (``long_mean`` under an outcome
+    model)."""
 
     @pytest.mark.parametrize("pop, model, estimator", [
         (build_mnar_pop(), ImputationModel.mar_outcome(),
          EstimatorSpec("imputation_mean", CellSelector("a"))),
         (build_covariate_pop(), ImputationModel.mar_covariate(),
          EstimatorSpec("long_mean", CellSelector("a", "o"))),
-    ], ids=["imputation_mean", "long_mean"])
+        (build_covariate_pop(), ImputationModel.mar_covariate(),
+         EstimatorSpec("imputation_mean", CellSelector("a"))),
+        (outcome_pop_with_w(), ImputationModel.mar_outcome(),
+         EstimatorSpec("long_mean", CellSelector("a", "o"))),
+    ], ids=["imputation_mean", "long_mean", "imputation_mean-covariate_model",
+            "long_mean-outcome_model"])
     def test_draws_across_blocks_match_completed_tables(self, monkeypatch, pop,
                                                         model, estimator):
         # a third of BLOCK_CELLS records, all in the estimator's cell, make
-        # blocks of two or three draws, so seven draws end on a partial block
+        # blocks of a few draws, so seven draws end on a partial block
         t = sample_table(pop, rmi.BLOCK_CELLS // 3, seed=31)
         m, seed = 7, 2**64 - 3
         sizes = kernel_blocks(monkeypatch)
