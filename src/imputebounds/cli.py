@@ -82,6 +82,10 @@ class DataConfig:
         object.__setattr__(self, "w_columns", tuple(self.w_columns))
         object.__setattr__(self, "declared_levels",
                            dict(self.declared_levels or {}))
+        for col in self.declared_levels:
+            if col not in self.x_columns + self.w_columns:
+                raise UnknownColumn(f"levels declared for {col!r}, "
+                                    "which is not an x or w column")
 
 
 def config_from_json(obj):
@@ -116,8 +120,8 @@ def _column_index(header, name):
 
 
 def ingest_csv(path, cfg):
-    """Parse a CSV (UTF-8, header row, RFC 4180 quoting) into an
-    observation table.
+    """Parse a CSV (UTF-8, with or without a byte-order mark, header row,
+    RFC 4180 quoting) into an observation table.
 
     Sentinel fields become missing values: a missing outcome blanks y, a
     sentinel in any w column blanks the whole w part, and a sentinel in an
@@ -136,7 +140,7 @@ def ingest_csv(path, cfg):
     with x columns before w columns. An error names the physical line on
     which its record starts, the header being line 1.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -295,8 +299,10 @@ def _parse_cell(text):
     for part in text.split(","):
         if "=" not in part:
             raise DataError(f"cell selector part {part!r} is not K=V")
-        key, value = part.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (half.strip() for half in part.split("=", 1))
+        if key in pairs:
+            raise DataError(f"cell selector names role {key!r} twice")
+        pairs[key] = value
     return pairs
 
 

@@ -270,7 +270,7 @@ class ObservationTable:
     w_domains: tuple
     y: np.ndarray
     x: np.ndarray
-    w: np.ndarray = None
+    w: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x_domains", tuple(self.x_domains))
@@ -279,10 +279,7 @@ class ObservationTable:
             raise DataError(f"covariate cell count exceeds cap {MAX_CELLS}")
         y = np.asarray(self.y, dtype=np.float64)
         x = np.asarray(self.x, dtype=np.int64)
-        w = self.w
-        if w is None:
-            w = np.zeros(len(y), dtype=np.int64)
-        w = np.asarray(w, dtype=np.int64)
+        w = np.asarray(self.w, dtype=np.int64)
         if not (len(y) == len(x) == len(w)):
             raise DataError("column lengths differ")
         if np.any((x < 0) | (x >= total_size(self.x_domains))):
@@ -640,9 +637,10 @@ def population_to_json(pop):
 
 
 def read_json(path):
-    """The parsed contents of the JSON file at ``path``; a file that is not
-    JSON raises :class:`DataError` naming it."""
-    with open(path, encoding="utf-8") as fh:
+    """The parsed contents of the UTF-8 JSON file at ``path``, which may
+    start with a byte-order mark; a file that is not JSON raises
+    :class:`DataError` naming it."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as e:

@@ -59,9 +59,8 @@ def _strata(pairs, canon_key, normalize):
 
 
 def _normalize_dist(pairs, what):
-    """Canonicalize a finite distribution to a sorted tuple of (atom, p)."""
-    if isinstance(pairs, dict):
-        pairs = pairs.items()
+    """Canonicalize a finite distribution, a list of (atom, p) pairs, to a
+    sorted tuple of (atom, p)."""
     dist = []
     for atom, p in pairs:
         p = float(p)

@@ -23,11 +23,11 @@ Philox generator per run, then makes its draws in blocks. For a block of
 (:func:`imputebounds._rng.fill_streams`) to fill a ``(b, missing)`` matrix
 of uniforms, inverts the whole matrix with one kernel call
 (:meth:`ImputationPlan.imputed_block`), and reads the ``b`` estimates off the
-drawn values. :meth:`ImputationPlan.draw` is the one-draw block written into
-the plan's working copy of the imputed column, and :func:`draw_completion`
-wraps it in a :class:`CompletedTable`. Because Philox is counter-based, a
-record's drawn value depends only on its stratum and its uniform, so the
-per-draw estimates do not depend on the block size or the plan's layout.
+drawn values. :meth:`ImputationPlan.complete` is the one-draw block written
+into a fresh copy of the imputed column, and :func:`draw_completion` wraps
+it for a single completion. Because Philox is counter-based, a record's
+drawn value depends only on its stratum and its uniform, so the per-draw
+estimates do not depend on the block size or the plan's layout.
 """
 
 from dataclasses import dataclass
@@ -186,12 +186,10 @@ def _missing_strata(table, fitted):
 
 class ImputationPlan:
     """Everything a completion draw of ``table`` under ``fitted`` needs that
-    does not depend on the draw, built once.
-
-    ``values`` is a private working copy of the imputed column (y or w);
-    :meth:`draw` overwrites its missing entries with one draw, so it holds
-    the latest draw's completed column. :meth:`imputed_block` makes several
-    draws at once and leaves the working copy alone.
+    does not depend on the draw, built once: the missing records, each
+    one's stratum row, and the padded CDF and value matrices. Nothing
+    writes to a plan once it is built; a draw lives in the arrays that
+    :meth:`imputed_block` and :meth:`complete` return.
     """
 
     def __init__(self, table, fitted):
@@ -199,7 +197,6 @@ class ImputationPlan:
         self.target = fitted.target
         self.missing, keys, self.row_of = _missing_strata(table, fitted)
         column, _ = _imputed_column(table, fitted.target)
-        self.values = np.array(column, copy=True)
         self.imputed = np.zeros(table.n, dtype=bool)
         self.imputed[self.missing] = True
         width = max((len(fitted.strata[k][1]) for k in keys), default=1)
@@ -220,28 +217,19 @@ class ImputationPlan:
         pos = _kernels.draw_positions(self.cdf_mat, rows, u.ravel())
         return self.val_mat[rows, pos].reshape(b, n)
 
-    def draw(self, rng):
-        """Impute every missing record into the working copy from one
-        uniform of ``rng`` each, in record order."""
-        u = rng.random((1, len(self.missing)))
-        self.values[self.missing] = self.imputed_block(u)[0]
-
-    def columns(self):
-        """``(y, w)`` of the table as completed by the latest draw."""
-        if self.target == "outcome":
-            return self.values, self.table.w
-        return self.table.y, self.values
-
     def complete(self, rng):
-        """One draw as a :class:`CompletedTable` of its own."""
-        self.draw(rng)
+        """One draw, one uniform of ``rng`` per missing record in record
+        order, as a :class:`CompletedTable` of its own."""
         t = self.table
-        y, w = self.columns()
+        column, _ = _imputed_column(t, self.target)
+        column = np.array(column, copy=True)
+        u = rng.random((1, len(self.missing)))
+        column[self.missing] = self.imputed_block(u)[0]
         none = np.zeros(t.n, dtype=bool)
         if self.target == "outcome":
-            y_imputed, w_imputed = self.imputed, none
+            y, w, y_imputed, w_imputed = column, t.w, self.imputed, none
         else:
-            y_imputed, w_imputed = none, self.imputed
+            y, w, y_imputed, w_imputed = t.y, column, none, self.imputed
         return CompletedTable(
             outcome=t.outcome, x_domains=t.x_domains, w_domains=t.w_domains,
             y=y, x=t.x, w=w, y_imputed=y_imputed, w_imputed=w_imputed)
@@ -298,8 +286,7 @@ def _imputed_in(plan, rows, column):
 
 def _imputation_mean_on(plan, sel):
     rows = missing_outcome.imputation_cell(plan.table, sel)
-    y, _ = plan.columns()
-    base = y[rows]
+    base = plan.table.y[rows]
     at, of = _imputed_in(plan, rows, "outcome")
 
     def estimate(drawn, estimates):
@@ -314,8 +301,7 @@ def _imputation_mean_on(plan, sel):
 
 def _long_mean_on(plan, sel):
     at_xi, om = missing_covariate.long_cell(plan.table, sel)
-    y, w = plan.columns()
-    y_cell, w_cell = y[at_xi], w[at_xi]
+    y_cell, w_cell = plan.table.y[at_xi], plan.table.w[at_xi]
     cell = y_cell if plan.target == "outcome" else w_cell
     at, of = _imputed_in(plan, at_xi, plan.target)
 

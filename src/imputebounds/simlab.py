@@ -9,6 +9,7 @@ scheduling.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -200,17 +201,17 @@ def default_domains(prefix, sizes):
 
 
 def random_population(seed, *, outcome_values=(0.0, 1.0), x_sizes=(2,),
-                      w_sizes=(), regime=OUTCOME_REGIME, floor=1e-3,
-                      outcome=None):
+                      w_sizes=(), regime=OUTCOME_REGIME, floor=1e-3):
     """A seeded random population: Dirichlet(1, ..., 1) masses over all
     (y, x, w, z) cells, mixed with a per-cell floor so no stratum vanishes.
+    The outcome domain is binary when the support is within {0, 1}, else
+    the support's range.
     """
     values = np.array(sorted(float(v) for v in set(outcome_values)))
-    if outcome is None:
-        if set(values) <= {0.0, 1.0}:
-            outcome = OutcomeDomain.binary_01()
-        else:
-            outcome = OutcomeDomain(float(values.min()), float(values.max()))
+    if set(values) <= {0.0, 1.0}:
+        outcome = OutcomeDomain.binary_01()
+    else:
+        outcome = OutcomeDomain(float(values.min()), float(values.max()))
     x_domains = default_domains("x", x_sizes)
     w_domains = default_domains("w", w_sizes)
     nx = max(int(np.prod(x_sizes)), 1)
@@ -255,17 +256,30 @@ class ExperimentSpec:
     tolerance: float
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(_whole(n, "an n_grid entry", 1) for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DataError("n_grid must be strictly increasing")
         if not grid:
             raise DataError("n_grid is empty")
-        if int(self.reps) < 1:
-            raise DataError("reps must be >= 1")
+        tol = self.tolerance
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not math.isfinite(tol) or tol < 0):
+            raise DataError(f"tolerance must be a finite number >= 0, got {tol!r}")
         object.__setattr__(self, "n_grid", grid)
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "reps", _whole(self.reps, "reps", 1))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", None))
+        object.__setattr__(self, "tolerance", float(tol))
+
+
+def _whole(value, what, least):
+    """``value`` as an ``int``: an integer or an integral float, never a
+    boolean, and at least ``least`` unless that is None."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DataError(f"{what} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def experiment_from_json(obj, base_dir="."):
@@ -300,10 +314,6 @@ _PLIMS = {
     "imputation_mean": missing_outcome.plim_imputation_mean,
     "long_mean": missing_covariate.plim_imputed_long_mean,
 }
-
-
-def exact_plim(pop, model, estimator, selector):
-    return _PLIMS[estimator](pop, model, selector)
 
 
 _SKIPPABLE = (EmptyCell, UnfittableStratum, ModelUndefinedOnCell,
@@ -363,7 +373,7 @@ def convergence_experiment(spec):
     """
     pop = spec.population
     estimator = rmi.EstimatorSpec(spec.estimator, spec.selector)
-    plim = exact_plim(pop, spec.model, spec.estimator, spec.selector)
+    plim = _PLIMS[spec.estimator](pop, spec.model, spec.selector)
     entries = []
     for j, n in enumerate(spec.n_grid):
         devs = []

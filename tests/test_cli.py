@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +320,19 @@ class TestErrorPaths:
         assert code == 3
         assert "UnknownColumn" in cap.err
 
+    def test_levels_for_an_unknown_column_rejected(self, outcome_fixture, tmp_path,
+                                                   capsys):
+        data, _ = outcome_fixture
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps({
+            "outcome": {"column": "y", "binary": True}, "x": ["g"],
+            "levels": {"gg": ["a", "b"]}}))
+        code, _, cap = run_cli(
+            ["bounds", "--data", data, "--config", str(bad), "--xi", "g=a"],
+            capsys)
+        assert code == 3
+        assert "UnknownColumn: levels declared for 'gg'" in cap.err
+
     def test_outcome_outside_binary_domain(self, tmp_path, outcome_fixture, capsys):
         _, config = outcome_fixture
         data = tmp_path / "bad.csv"
@@ -513,6 +527,18 @@ class TestCellFlags:
             ["bounds", "--data", data, "--config", config, "--xi", xi], capsys)
         assert code == EXIT_DATA
         assert message in cap.err
+
+    @pytest.mark.parametrize("flag, cell, role", [
+        ("--xi", "g=a,g=b", "g"),
+        ("--xi", "g=a, g =a", "g"),
+        ("--omega", "m=o,m=p", "m"),
+    ])
+    def test_role_named_twice_exits_3(self, flag, cell, role, outcome_fixture, capsys):
+        data, config = outcome_fixture
+        argv = ["bounds", "--data", data, "--config", config, "--xi", "g=a", flag, cell]
+        code, _, cap = run_cli(argv, capsys)
+        assert code == EXIT_DATA
+        assert f"DataError: cell selector names role {role!r} twice" in cap.err
 
 
 class TestSentinel:
@@ -804,6 +830,39 @@ def test_ingest_matches_the_row_loop(case):
     assert got.x_domains == expected.x_domains and got.w_domains == expected.w_domains
     assert np.array_equal(got.y, expected.y, equal_nan=True)
     assert got.x.tolist() == expected.x.tolist() and got.w.tolist() == expected.w.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_cases())
+def test_byte_order_mark_is_ignored(case):
+    """A CSV saved with a UTF-8 byte-order mark ingests as the plain file
+    does: the same arrays and domains, or the same error on the same line."""
+    header, rows, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        got = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = os.path.join(tmp, f"{encoding}.csv")
+            with open(path, "w", encoding=encoding, newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+            got.append(outcome_of(ingest_csv, path, cfg))
+    plain, marked = got
+    if isinstance(plain, Exception):
+        assert (type(marked), str(marked)) == (type(plain), str(plain))
+        assert getattr(marked, "line", None) == getattr(plain, "line", None)
+        return
+    assert marked.x_domains == plain.x_domains and marked.w_domains == plain.w_domains
+    assert np.array_equal(marked.y, plain.y, equal_nan=True)
+    assert marked.x.tolist() == plain.x.tolist() and marked.w.tolist() == plain.w.tolist()
+
+
+def test_byte_order_mark_in_json_config(outcome_fixture, tmp_path, capsys):
+    data, config = outcome_fixture
+    marked = tmp_path / "marked.json"
+    marked.write_text(Path(config).read_text(encoding="utf-8"), encoding="utf-8-sig")
+    argv = ["bounds", "--data", data, "--xi", "g=a", "--config"]
+    code, report, _ = run_cli(argv + [str(marked)], capsys)
+    plain_code, plain_report, _ = run_cli(argv + [config], capsys)
+    assert (code, report["results"]) == (plain_code, plain_report["results"])
 
 
 class TestSandwichSurfacedAtCli:

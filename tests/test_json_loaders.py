@@ -119,6 +119,18 @@ def _argv(kind, root, doc_path, covariate):
     }[kind]
 
 
+@pytest.mark.parametrize("change", [
+    dict(n_grid=[2e1, 4e1], reps=2.0, seed=-3, tolerance=1),
+    dict(seed=2**64 - 1, tolerance=0),
+])
+def test_integral_numbers_load(change):
+    spec = experiment_from_json(dict(VALID["spec"][1], **change))
+    assert isinstance(spec.reps, int) and isinstance(spec.seed, int)
+    assert all(isinstance(n, int) for n in spec.n_grid)
+    assert isinstance(spec.tolerance, float)
+    assert spec.seed == change["seed"]
+
+
 def _run_cli(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
@@ -162,10 +174,26 @@ def test_loads_or_raises_a_data_error(kind, data, files):
     ("population", dict(POPULATIONS[0], cells=[
         dict(cell, x="a") for cell in POPULATIONS[0]["cells"]])),
     ("spec", dict(VALID["spec"][0], n_grid="24")),
+    ("spec", dict(VALID["spec"][0], n_grid=[-5, 100])),
+    ("spec", dict(VALID["spec"][0], tolerance=float("nan"))),
+    ("spec", dict(VALID["spec"][0], tolerance=float("inf"))),
+    ("spec", dict(VALID["spec"][0], tolerance=-0.5)),
+    ("spec", dict(VALID["spec"][0], tolerance=True)),
+    ("spec", dict(VALID["spec"][0], reps=2.5)),
+    ("spec", dict(VALID["spec"][0], reps=True)),
+    ("spec", dict(VALID["spec"][0], n_grid=[20.9, 40])),
+    ("spec", dict(VALID["spec"][0], n_grid=[True, 40])),
+    ("spec", dict(VALID["spec"][0], seed=True)),
+    ("spec", dict(VALID["spec"][0], seed=1.5)),
+    ("spec", dict(VALID["spec"][0], seed="1")),
+    ("config", dict(VALID["config"][0], levels={"y": []})),
 ])
 def test_rejected_with_exit_3(kind, doc, files):
     """Inputs that once ended in a traceback or in exit 4 (the first four,
-    found by the fuzz), or loaded with a string split into its characters."""
+    found by the fuzz), loaded with a string split into its characters, or
+    ran with a number the spec does not allow (a NaN tolerance failed only
+    when the report was written, a fractional or boolean count or seed was
+    truncated) or with levels declared for no covariate."""
     doc_path = files / f"found_{kind}.json"
     doc_path.write_text(json.dumps(doc))
     with pytest.raises(DataError):

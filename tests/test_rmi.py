@@ -482,8 +482,7 @@ class TestBlocks:
 
         def first_empty(seed):
             for k in range(20):
-                plan.draw(stream(seed, k + 1))
-                if plan.values[1] == 1:
+                if plan.complete(stream(seed, k + 1)).w[1] == 1:
                     return k
             return None
 
