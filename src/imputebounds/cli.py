@@ -54,6 +54,8 @@ from .rmi import EstimatorSpec, run_multiple_imputation
 
 #: CLI exit codes per error family
 EXIT_USAGE, EXIT_DATA, EXIT_GUARD = 2, 3, 4
+#: candidate point estimates in a ``minimax_bias.csv`` series
+MINIMAX_POINTS = 101
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +322,11 @@ def _report(command, config, seed, results):
     }
 
 
-def _minimax_series(interval, points=101):
+def _minimax_series(interval):
     """Worst-case squared asymptotic bias of each candidate point estimate
     against the interval endpoints; minimized at the midpoint."""
     rows = []
-    for c in np.linspace(interval.lo, interval.hi, points):
+    for c in np.linspace(interval.lo, interval.hi, MINIMAX_POINTS):
         worst = max((c - interval.lo) ** 2, (c - interval.hi) ** 2)
         rows.append((float(c), float(worst)))
     return ("candidate", "max_squared_bias"), rows
@@ -349,14 +351,6 @@ def _emit(report, out_dir, series):
             _write_series(out_dir, name, header, rows)
 
 
-def _data_interval(table, sel):
-    if sel.omega is None:
-        interval = missing_outcome.sample_interval(table, sel)
-    else:
-        interval = missing_covariate.binary_bounds_closed_form(table, sel)
-    return interval
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -373,7 +367,7 @@ def _load_inputs(args):
 
 def _cmd_bounds(args):
     table, _, sel = _load_inputs(args)
-    interval = _data_interval(table, sel)
+    interval = EstimatorSpec.for_cell(sel).sample_interval(table)
     results = {
         "n": table.n,
         "interval": _interval_json(interval),
@@ -387,9 +381,25 @@ def _cmd_bounds(args):
     return 0
 
 
-def _run_estimate(table, model, sel, m, seed):
-    name = "imputation_mean" if sel.omega is None else "long_mean"
-    return run_multiple_imputation(table, model, m, EstimatorSpec(name, sel), seed)
+def _pooled_run(args):
+    """What ``estimate`` and ``audit`` share: their inputs, the estimator
+    of the selected cell, and from its pooled run the first five result
+    keys, the configuration and the ``per_draw.csv`` series."""
+    table, model, sel = _load_inputs(args)
+    estimator = EstimatorSpec.for_cell(sel)
+    result = run_multiple_imputation(table, model, args.m, estimator, args.seed)
+    results = {
+        "model": model.kind,
+        "m": result.m,
+        "pooled_mean": result.pooled_mean,
+        "pooled_dispersion": result.pooled_dispersion,
+        "per_draw": list(result.per_draw_estimates),
+    }
+    config = {"data": args.data, "config": args.config, "model": args.model,
+              "xi": args.xi, "omega": args.omega, "m": args.m}
+    per_draw = ("per_draw.csv", ("draw", "estimate"),
+                list(enumerate(result.per_draw_estimates)))
+    return table, model, estimator, results, config, per_draw
 
 
 def _estimate_extras(table, model, sel):
@@ -408,23 +418,10 @@ def _estimate_extras(table, model, sel):
 
 
 def _cmd_estimate(args):
-    table, model, sel = _load_inputs(args)
-    result = _run_estimate(table, model, sel, args.m, args.seed)
-    q_mean, mixture = _estimate_extras(table, model, sel)
-    results = {
-        "model": model.kind,
-        "m": result.m,
-        "pooled_mean": result.pooled_mean,
-        "pooled_dispersion": result.pooled_dispersion,
-        "per_draw": list(result.per_draw_estimates),
-        "q_mean": q_mean,
-        "mixture_mean": mixture,
-    }
-    config = {"data": args.data, "config": args.config, "model": args.model,
-              "xi": args.xi, "omega": args.omega, "m": args.m}
-    rows = [(k, est) for k, est in enumerate(result.per_draw_estimates)]
-    _emit(_report("estimate", config, args.seed, results), args.out,
-          [("per_draw.csv", ("draw", "estimate"), rows)])
+    table, model, estimator, results, config, per_draw = _pooled_run(args)
+    results["q_mean"], results["mixture_mean"] = _estimate_extras(
+        table, model, estimator.selector)
+    _emit(_report("estimate", config, args.seed, results), args.out, [per_draw])
     return 0
 
 
@@ -443,26 +440,17 @@ def _cmd_simulate(args):
 
 
 def _cmd_audit(args):
-    table, model, sel = _load_inputs(args)
-    result = _run_estimate(table, model, sel, args.m, args.seed)
-    interval = _data_interval(table, sel)
-    in_interval = interval.contains(result.pooled_mean)
-    results = {
-        "model": model.kind,
-        "m": result.m,
-        "pooled_mean": result.pooled_mean,
-        "pooled_dispersion": result.pooled_dispersion,
-        "per_draw": list(result.per_draw_estimates),
-        "interval": _interval_json(interval),
-        "point_in_interval": in_interval,
-        "headline": (
-            f"point estimate {result.pooled_mean:.6g} under model {args.model} "
-            f"vs assumption-free interval [{interval.lo:.6g}, {interval.hi:.6g}]"
-        ),
-    }
+    table, model, estimator, results, config, per_draw = _pooled_run(args)
+    interval = estimator.sample_interval(table)
+    point = results["pooled_mean"]
+    results["interval"] = _interval_json(interval)
+    results["point_in_interval"] = interval.contains(point)
+    results["headline"] = (
+        f"point estimate {point:.6g} under model {args.model} "
+        f"vs assumption-free interval [{interval.lo:.6g}, {interval.hi:.6g}]")
     if args.population:
         pop = load_population(args.population)
-        gap = simlab.bias_gap(pop, model, sel)
+        gap = simlab.bias_gap(pop, model, estimator.selector)
         results["bias_gap"] = {
             "plim": gap.plim,
             "truth": gap.truth,
@@ -471,14 +459,10 @@ def _cmd_audit(args):
             "truth_covered": gap.truth_covered,
             "imputation_point_in_interval": gap.imputation_point_in_interval,
         }
-    config = {"data": args.data, "config": args.config, "model": args.model,
-              "xi": args.xi, "omega": args.omega, "m": args.m,
-              "population": args.population}
+    config["population"] = args.population
     header, rows = _minimax_series(interval)
-    per_draw = [(k, est) for k, est in enumerate(result.per_draw_estimates)]
     _emit(_report("audit", config, args.seed, results), args.out,
-          [("minimax_bias.csv", header, rows),
-           ("per_draw.csv", ("draw", "estimate"), per_draw)])
+          [("minimax_bias.csv", header, rows), per_draw])
     return 0
 
 
@@ -560,7 +544,7 @@ def main(argv=None):
     except GuardError as e:
         print(f"error: {e.__class__.__name__}: {e}", file=sys.stderr)
         return EXIT_GUARD
-    except (DataError, OSError) as e:
+    except (DataError, OSError, UnicodeDecodeError, csv.Error) as e:
         name = e.__class__.__name__ if isinstance(e, ImputeBoundsError) else "io"
         print(f"error: {name}: {e}", file=sys.stderr)
         return EXIT_DATA

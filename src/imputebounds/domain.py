@@ -568,45 +568,24 @@ def empirical_cond(table, event, conditioning=None):
 
 
 def cell_partition(table, sel):
-    """Split the selected cell into observed and missing/imputed records.
+    """Split the records at ``x = xi`` of an outcome-regime or complete
+    :class:`ObservationTable` by whether their outcome is present.
 
     Returns ``(observed_idx, missing_idx, pi)`` where ``pi`` is the observed
-    fraction. On an :class:`ObservationTable`, records at ``x = xi`` are
-    split by outcome presence (outcome or complete regime) or covariate
-    presence (covariate regime); an ``omega`` part requires fully observed
-    covariates. On a :class:`CompletedTable` with ``omega``, the pooled
-    ``(xi, omega)`` cell is split into originally-observed versus
-    imputed-in records.
+    fraction. Raises :class:`RegimeMismatch` on a covariate-regime table,
+    :class:`DataError` when ``sel`` names an omega, and :class:`EmptyCell`
+    when no record is at xi.
     """
+    if table.regime == COVARIATE_REGIME:
+        raise RegimeMismatch("cell_partition needs an outcome-regime table")
     xi_flat, omega_flat = sel.resolve(table.x_domains, table.w_domains)
-    completed = isinstance(table, CompletedTable)
-    if completed:
-        rows = table.x == xi_flat
-        if omega_flat is not None:
-            rows &= table.w == omega_flat
-            observed = ~table.w_imputed
-        else:
-            observed = ~table.y_imputed
-    else:
-        rows = table.x == xi_flat
-        if omega_flat is not None:
-            if not table.z_w.all():
-                raise RegimeMismatch(
-                    "an omega cell cannot be partitioned while covariates are "
-                    "missing; complete the table first"
-                )
-            rows &= table.w == omega_flat
-            observed = np.asarray(table.z_w)
-        elif table.regime == COVARIATE_REGIME:
-            observed = np.asarray(table.z_w)
-        else:
-            observed = np.asarray(table.z_y)
-    total = int(rows.sum())
-    if total == 0:
+    if omega_flat is not None:
+        raise DataError("missing-outcome operations select on x only")
+    rows = np.flatnonzero(table.x == xi_flat)
+    if not len(rows):
         raise EmptyCell(f"no records in the selected cell {sel}")
-    obs_idx = np.flatnonzero(rows & observed)
-    mis_idx = np.flatnonzero(rows & ~observed)
-    return obs_idx, mis_idx, len(obs_idx) / total
+    observed = table.z_y[rows]
+    return rows[observed], rows[~observed], int(observed.sum()) / len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +617,12 @@ def population_to_json(pop):
 
 def read_json(path):
     """The parsed contents of the UTF-8 JSON file at ``path``, which may
-    start with a byte-order mark; a file that is not JSON raises
+    start with a byte-order mark; a file that is not UTF-8 JSON raises
     :class:`DataError` naming it."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DataError(f"{path} is not valid JSON: {e}") from None
 
 

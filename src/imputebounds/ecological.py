@@ -40,7 +40,11 @@ def duncan_davis_bounds(sd):
     return Interval(lo, hi)
 
 
-def duncan_davis_oracle(sd, grid=2001):
+#: grid points of t that :func:`duncan_davis_oracle` scans
+ORACLE_GRID = 2001
+
+
+def duncan_davis_oracle(sd):
     """Search oracle for the same interval.
 
     Scans joint distributions on {0,1} x {omega, not-omega} consistent with
@@ -49,7 +53,7 @@ def duncan_davis_oracle(sd, grid=2001):
     range of t / p_w, evaluating the feasibility vertices plus a grid.
     """
     py, pw = sd.p_y1_given_xi, sd.p_w_omega_given_xi
-    candidates = np.linspace(0.0, min(py, pw), grid)
+    candidates = np.linspace(0.0, min(py, pw), ORACLE_GRID)
     candidates = np.append(candidates, [max(0.0, py + pw - 1.0), min(py, pw)])
     feasible = []
     for t in candidates:

@@ -196,8 +196,6 @@ def q_mean_estimate(table, sel, e_q):
     if not table.outcome.lo <= e_q <= table.outcome.hi:
         raise MeanOutOfDomain(
             f"assumed mean {e_q} outside [{table.outcome.lo}, {table.outcome.hi}]")
-    if table.regime == COVARIATE_REGIME:
-        raise RegimeMismatch("q_mean_estimate needs an outcome-regime table")
     a, b = _decomposition(table, sel)
     return a + e_q * b
 

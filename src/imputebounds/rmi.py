@@ -24,12 +24,17 @@ Philox generator per run, then makes its draws in blocks. For a block of
 of uniforms, inverts the whole matrix with one kernel call
 (:meth:`ImputationPlan.imputed_block`), and reads the ``b`` estimates off the
 drawn values. :meth:`ImputationPlan.complete` is the one-draw block written
-into a fresh copy of the imputed column, and :func:`draw_completion` wraps
-it for a single completion. Because Philox is counter-based, a record's
+into a fresh copy of the imputed column, and :func:`draw_completion` is one
+completion from a fresh plan. Because Philox is counter-based, a record's
 drawn value depends only on its stratum and its uniform, so the per-draw
 estimates do not depend on the block size or the plan's layout.
+
+What each estimator reads is one private table keyed by its name, which
+:class:`EstimatorSpec` reads; :meth:`EstimatorSpec.for_cell` is the one
+place that maps a cell to its estimator.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,43 +240,13 @@ class ImputationPlan:
             y=y, x=t.x, w=w, y_imputed=y_imputed, w_imputed=w_imputed)
 
 
-def _complete(table, fitted, rng):
-    """One completion from a fresh plan: the step behind
-    :func:`draw_completion`."""
-    return ImputationPlan(table, fitted).complete(rng)
-
-
 def draw_completion(table, fitted, seed):
     """One completed dataset: every missing value replaced by an
     independent draw from its stratum's distribution, deterministic in
     ``seed``. Observed values are untouched."""
     if isinstance(fitted, ImputationModel):
         fitted = fit_model(fitted, table)
-    return _complete(table, fitted, stream(seed, STREAM_COMPLETION))
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """A named cell estimator to apply to each completed dataset:
-    ``imputation_mean`` (outcome regime) or ``long_mean`` (covariate)."""
-
-    name: str
-    selector: object
-
-    def __post_init__(self):
-        if self.name not in _ESTIMATORS:
-            raise DataError(
-                f"unknown estimator {self.name!r}; "
-                f"expected one of {sorted(_ESTIMATORS)}")
-
-    def apply(self, completed):
-        return _ESTIMATORS[self.name](completed, self.selector)
-
-
-_ESTIMATORS = {
-    "imputation_mean": missing_outcome.imputation_mean,
-    "long_mean": missing_covariate.imputed_long_mean,
-}
+    return ImputationPlan(table, fitted).complete(stream(seed, STREAM_COMPLETION))
 
 
 def _imputed_in(plan, rows, column):
@@ -313,15 +288,65 @@ def _long_mean_on(plan, sel):
     return estimate, 0
 
 
-#: per estimator, the same estimate read off a block of a plan's draws:
-#: ``(estimate, tiled)``, where ``estimate(drawn, estimates)`` appends one
-#: estimate per row of ``drawn`` in draw order and copies ``tiled`` cells
-#: per row to do so. The checks that do not depend on the draw run once,
-#: when this is built
-_ON_PLAN = {
-    "imputation_mean": _imputation_mean_on,
-    "long_mean": _long_mean_on,
+_Readings = namedtuple("_Readings", "estimate on_plan plim truth "
+                       "population_interval sample_interval")
+
+#: per estimator name, what it reads, each reading taking the selector last.
+#: ``on_plan(plan, sel)`` is ``(estimate, tiled)``: ``estimate(drawn,
+#: estimates)`` appends one estimate per row of ``drawn`` in draw order and
+#: copies ``tiled`` cells per row to do so; checks that do not depend on the
+#: draw run once, in ``on_plan``
+_READINGS = {
+    "imputation_mean": _Readings(
+        missing_outcome.imputation_mean, _imputation_mean_on,
+        missing_outcome.plim_imputation_mean, missing_outcome.true_mean,
+        missing_outcome.identification_interval_pop,
+        missing_outcome.sample_interval),
+    "long_mean": _Readings(
+        missing_covariate.imputed_long_mean, _long_mean_on,
+        missing_covariate.plim_imputed_long_mean, missing_covariate.true_long_mean,
+        missing_covariate.binary_bounds_oracle,
+        missing_covariate.binary_bounds_closed_form),
 }
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """A cell estimator by name and what it reads, one row of
+    :data:`_READINGS`: ``imputation_mean`` estimates E(y|x) when outcomes
+    are missing, ``long_mean`` E(y|x,w) when covariates are. Each method is
+    one reading of that row at ``selector``; :meth:`for_cell` picks the row
+    of a cell."""
+
+    name: str
+    selector: object
+
+    def __post_init__(self):
+        if self.name not in _READINGS:
+            raise DataError(
+                f"unknown estimator {self.name!r}; "
+                f"expected one of {sorted(_READINGS)}")
+
+    @classmethod
+    def for_cell(cls, sel):
+        """``imputation_mean`` for an x cell, ``long_mean`` for an (x, w) cell."""
+        return cls("imputation_mean" if sel.omega is None else "long_mean", sel)
+
+    def apply(self, completed):
+        return _READINGS[self.name].estimate(completed, self.selector)
+
+    def plim(self, pop, model):
+        return _READINGS[self.name].plim(pop, model, self.selector)
+
+    def truth(self, pop):
+        return _READINGS[self.name].truth(pop, self.selector)
+
+    def population_interval(self, pop):
+        return _READINGS[self.name].population_interval(pop, self.selector)
+
+    def sample_interval(self, table):
+        return _READINGS[self.name].sample_interval(table, self.selector)
+
 
 #: the largest working matrix a block of pooled draws may make, in cells:
 #: a block holds as many draws as fit when each costs the larger of its
@@ -369,7 +394,7 @@ def run_multiple_imputation(table, model, m, estimator, seed):
     rng = stream(seed, STREAM_COMPLETION)
     estimates = []
     try:
-        estimate, tiled = _ON_PLAN[estimator.name](plan, estimator.selector)
+        estimate, tiled = _READINGS[estimator.name].on_plan(plan, estimator.selector)
         n = len(plan.missing)
         per_draw = max(n * plan.cdf_mat.shape[1], tiled, 1)
         block = min(m, max(1, BLOCK_CELLS // per_draw))

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from . import _kernels, missing_covariate, missing_outcome, models, rmi
+from . import _kernels, models, rmi
 from ._rng import (
     STREAM_POPULATION,
     STREAM_SAMPLE,
@@ -308,14 +308,6 @@ def load_experiment(path):
                                 base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-#: per estimator name that :class:`~imputebounds.rmi.EstimatorSpec`
-#: accepts, the exact probability limit of its estimate
-_PLIMS = {
-    "imputation_mean": missing_outcome.plim_imputation_mean,
-    "long_mean": missing_covariate.plim_imputed_long_mean,
-}
-
-
 _SKIPPABLE = (EmptyCell, UnfittableStratum, ModelUndefinedOnCell,
               ZeroCellMass, ZeroDenominator)
 
@@ -373,7 +365,7 @@ def convergence_experiment(spec):
     """
     pop = spec.population
     estimator = rmi.EstimatorSpec(spec.estimator, spec.selector)
-    plim = _PLIMS[spec.estimator](pop, spec.model, spec.selector)
+    plim = estimator.plim(pop, spec.model)
     entries = []
     for j, n in enumerate(spec.n_grid):
         devs = []
@@ -421,15 +413,12 @@ class BiasGapReport:
 def bias_gap(pop, model, sel):
     """Exact bias diagnostics for (population, model, cell): the estimator's
     probability limit, the true cell mean, their gap, and whether each lies
-    in the assumption-free identification interval."""
-    if sel.omega is None:
-        plim = missing_outcome.plim_imputation_mean(pop, model, sel)
-        truth = missing_outcome.true_mean(pop, sel)
-        interval = missing_outcome.identification_interval_pop(pop, sel)
-    else:
-        plim = missing_covariate.plim_imputed_long_mean(pop, model, sel)
-        truth = missing_covariate.true_long_mean(pop, sel)
-        interval = missing_covariate.binary_bounds_oracle(pop, sel)
+    in the assumption-free identification interval, all read through the
+    estimator of the cell (:meth:`~imputebounds.rmi.EstimatorSpec.for_cell`)."""
+    estimator = rmi.EstimatorSpec.for_cell(sel)
+    plim = estimator.plim(pop, model)
+    truth = estimator.truth(pop)
+    interval = estimator.population_interval(pop)
     return BiasGapReport(
         plim=plim,
         truth=truth,

@@ -368,6 +368,25 @@ class TestErrorPaths:
             capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("content, message", [
+        (b"y,g\n1,a\n0,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"y,\xffg\n1,a\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"y,g\n1," + b"a" * 200000 + b"\n", "field larger than field limit"),
+    ], ids=["body", "header", "long_field"])
+    def test_unreadable_csv_exits_3(self, content, message, tmp_path, outcome_fixture,
+                                    capsys):
+        """A byte that is not UTF-8, or a field over the csv module's size
+        limit, is a one-line data error, not a traceback."""
+        _, config = outcome_fixture
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        code, _, cap = run_cli(
+            ["bounds", "--data", str(data), "--config", config, "--xi", "g=a"],
+            capsys)
+        assert code == EXIT_DATA
+        assert cap.err.startswith("error: io: ") and cap.err.count("\n") == 1
+        assert message in cap.err
+
     def test_duplicate_header_column_rejected(self, tmp_path, outcome_fixture,
                                               capsys):
         _, config = outcome_fixture
@@ -472,6 +491,17 @@ class TestMalformedJson:
         code, _, cap = run_cli(loader_argv(loader, bad, data, config), capsys)
         assert code == EXIT_DATA
         assert expected in cap.err
+
+    @pytest.mark.parametrize("loader", ["config", "q_file", "spec", "population"])
+    def test_undecodable_byte_exits_3(self, loader, outcome_fixture, tmp_path,
+                                      capsys):
+        data, config = outcome_fixture
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"kind": "\xff"}')
+        code, _, cap = run_cli(loader_argv(loader, bad, data, config), capsys)
+        assert code == EXIT_DATA
+        assert cap.err.startswith(f"error: DataError: {bad} is not valid JSON: "
+                                  "'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("loader, content, kind", [
         ("config", [1], "data config"),

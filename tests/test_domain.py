@@ -124,6 +124,18 @@ class TestCellPartition:
         with pytest.raises(EmptyCell):
             cell_partition(t, CellSelector("b"))
 
+    def test_selects_on_x_only_in_the_outcome_regime(self):
+        w2 = (CategoricalDomain("m", ("o", "p")),)
+        outcome = ObservationTable.from_records(
+            [(1.0, "a", "o"), (None, "a", "p")], OutcomeDomain.binary_01(), X1, w2)
+        with pytest.raises(DataError, match="select on x only"):
+            cell_partition(outcome, CellSelector("a", "o"))
+        covariate = ObservationTable.from_records(
+            [(1.0, "a", "o"), (0.0, "a", None)], OutcomeDomain.binary_01(), X1, w2)
+        for sel in (CellSelector("a"), CellSelector("a", "o")):
+            with pytest.raises(RegimeMismatch):
+                cell_partition(covariate, sel)
+
     @given(st.lists(st.sampled_from([0.0, 1.0, None]), min_size=1, max_size=40))
     def test_sizes_always_sum_and_pi_in_unit(self, ys):
         t = outcome_table(ys)

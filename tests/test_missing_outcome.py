@@ -30,12 +30,13 @@ from imputebounds.simlab import (
 )
 from imputebounds.rmi import EstimatorSpec, run_multiple_imputation
 from imputebounds.errors import (
+    DataError,
     EmptyCell,
     ImputedValueOutOfDomain,
     MeanOutOfDomain,
     ZeroCellMass,
 )
-from conftest import X1
+from conftest import W2, X1
 
 
 # --- independent oracles -----------------------------------------------------
@@ -325,6 +326,28 @@ class TestMidpointEstimate:
             assert best == 50
             assert worst[best] < worst[best - 1] and worst[best] < worst[best + 1]
             assert grid[best] == pytest.approx(iv.midpoint, abs=1e-12)
+
+
+class TestOmegaRejected:
+    """The missing-outcome functions select on x alone: an omega is
+    rejected whether or not its (xi, omega) cell holds a missing outcome."""
+
+    @pytest.mark.parametrize("omega", ["o", "p"])
+    @pytest.mark.parametrize("estimate", [
+        sample_interval, midpoint_estimate, lambda t, sel: q_mean_estimate(t, sel, 0.5)])
+    def test_table_functions(self, estimate, omega):
+        t = ObservationTable.from_records(
+            [(1.0, "a", "o"), (None, "a", "o"), (0.0, "a", "p")],
+            OutcomeDomain.binary_01(), X1, W2)
+        with pytest.raises(DataError, match="select on x only"):
+            estimate(t, CellSelector("a", omega))
+
+    def test_population_interval(self, sel_ao):
+        pop = joint_population({(1.0, "a", "o"): 0.5, (0.0, "a", "p"): 0.5},
+                               outcome=OutcomeDomain.binary_01(), x_domains=X1,
+                               w_domains=W2)
+        with pytest.raises(DataError, match="select on x only"):
+            identification_interval_pop(pop, sel_ao)
 
 
 class TestDrawsShareOneLimit:

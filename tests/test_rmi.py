@@ -23,7 +23,7 @@ from imputebounds import (
     true_covariate_model,
     true_outcome_model,
 )
-from imputebounds import _kernels, rmi
+from imputebounds import _kernels, missing_covariate, missing_outcome, rmi
 from imputebounds._rng import fill_streams, stream
 from imputebounds.errors import (
     DataError,
@@ -199,6 +199,31 @@ class TestRunMultipleImputation:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(DataError):
             EstimatorSpec("nonsense", CellSelector("a"))
+
+    @pytest.mark.parametrize("sel, name, pop, model, readings", [
+        (CellSelector("a"), "imputation_mean", build_mnar_pop(),
+         ImputationModel.mar_outcome(),
+         (missing_outcome.imputation_mean, missing_outcome.plim_imputation_mean,
+          missing_outcome.true_mean, missing_outcome.identification_interval_pop,
+          missing_outcome.sample_interval)),
+        (CellSelector("a", "o"), "long_mean", build_covariate_pop(),
+         ImputationModel.mar_covariate(),
+         (missing_covariate.imputed_long_mean, missing_covariate.plim_imputed_long_mean,
+          missing_covariate.true_long_mean, missing_covariate.binary_bounds_oracle,
+          missing_covariate.binary_bounds_closed_form)),
+    ], ids=["x_cell", "xw_cell"])
+    def test_for_cell_picks_the_estimator_and_its_readings(self, sel, name, pop,
+                                                           model, readings):
+        estimate, plim, truth, pop_interval, interval = readings
+        spec = EstimatorSpec.for_cell(sel)
+        assert spec == EstimatorSpec(name, sel)
+        table = sample_table(pop, 200, 4)
+        completed = draw_completion(table, model, 1)
+        assert spec.apply(completed) == estimate(completed, sel)
+        assert spec.plim(pop, model) == plim(pop, model, sel)
+        assert spec.truth(pop) == truth(pop, sel)
+        assert spec.population_interval(pop) == pop_interval(pop, sel)
+        assert spec.sample_interval(table) == interval(table, sel)
 
     def test_large_m_pool_approaches_draw_average_limit(self):
         # with every missing record at one stratum, the m -> inf pooled value
