@@ -2,7 +2,9 @@
 
 Both kernels return integer positions. Callers look them up on this module
 at call time (``_kernels.sample_cells(...)``), so a caller that wraps the
-module attribute sees every call.
+module attribute sees every call. :func:`draw_positions` counts one CDF
+column at a time into an integer vector, so a call allocates a few vectors
+as long as its records and never a (records, support) matrix.
 """
 
 import numpy as np
@@ -23,8 +25,21 @@ def draw_positions(cdf_rows, row_of, u):
     """Per-record inverse-CDF draw: record ``i`` uses row ``row_of[i]``.
 
     ``cdf_rows`` is a (strata, support) matrix of cumulative probabilities,
-    short rows padded with 1.0. Returns the drawn support position per record.
+    short rows padded with 1.0. Returns the drawn support position per
+    record: the number of entries of its row that are ``<= u[i]``, clamped
+    to the last position.
+
+    The count runs one column at a time, gathering only that column for the
+    records, and skips the last column. Precondition: each row is
+    non-decreasing up to its 1.0 padding, and every ``u`` is below 1. Then
+    the padding is never counted, and when the last column is at or below
+    ``u`` so is every column before it, so skipping it gives the clamped
+    count. The plan's rows are cumulative sums of non-negative
+    probabilities (which rounding keeps non-decreasing, though the last
+    entry may land just above 1.0) and its uniforms come from
+    ``Generator.random``, so they meet it.
     """
-    picked = cdf_rows[row_of]
-    idx = (picked <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1).astype(np.int64)
+    idx = np.zeros(len(u), dtype=np.int64)
+    for column in cdf_rows.T[:-1]:
+        idx += column.take(row_of) <= u
+    return idx

@@ -73,13 +73,16 @@ def fill_streams(generator, seed, first, out):
     that is rekeyed for each row: the key ``(seed, first + j)`` is written
     into its state with the counter zeroed and the output buffer marked
     spent. That is the state ``Philox(key=...)`` starts in, so nothing of
-    the previous key carries over."""
+    the previous key carries over. Setting the state copies it into the
+    generator, so one state dict serves every row and only its key's
+    stream word changes between rows."""
     bits = generator.bit_generator
     state = bits.state
+    key = _key(seed, first)
+    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
+    state["buffer_pos"] = 4
+    state["has_uint32"] = 0
     for j, row in enumerate(out):
-        state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
-                          "key": _key(seed, first + j)}
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
+        key[1] = (first + j) & _MASK64
         bits.state = state
         generator.random(out=row)

@@ -137,7 +137,8 @@ def ingest_csv(path, cfg):
     count, outcome not a number, outcome out of domain, sentinel in an x
     column (in column order). A read error (a field over the csv module's
     size limit, bytes that are not UTF-8) comes after the record errors of
-    the rows read before it. Then come errors in a covariate's levels (none
+    the rows read before it; it names the file and the line where reading
+    stopped (see :func:`_unreadable`). Then come errors in a covariate's levels (none
     seen, duplicates declared), then unknown declared levels, in row order
     with x columns before w columns. An error names the physical line on
     which its record starts, the header being line 1.
@@ -148,6 +149,8 @@ def ingest_csv(path, cfg):
             header = next(reader)
         except StopIteration:
             raise MalformedRow(1, "empty file; header row required") from None
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise _unreadable(path, reader, e) from None
         idx_y = _column_index(header, cfg.outcome_column)
         idx_x = [_column_index(header, c) for c in cfg.x_columns]
         idx_w = [_column_index(header, c) for c in cfg.w_columns]
@@ -156,7 +159,7 @@ def ingest_csv(path, cfg):
         try:
             rows.extend(reader)
         except (csv.Error, UnicodeDecodeError) as e:
-            unread = e
+            unread = _unreadable(path, reader, e)
         line_of = _line_of(rows, first, reader.line_num)
 
     # (record, position in the row, error for a line) of the first offender
@@ -217,6 +220,20 @@ def ingest_csv(path, cfg):
     x = _flat_codes(x_domains, codes[:len(x_domains)], n)
     w[w_given] = _flat_codes(w_domains, codes[len(x_domains):], len(w_rows))
     return ObservationTable(cfg.outcome, x_domains, w_domains, y, x, w)
+
+
+def _unreadable(path, reader, error):
+    """The :class:`MalformedRow` for a CSV that ``reader`` could not read
+    past some point, naming the file and the physical line where reading
+    stopped. A field over the size limit stops the line on which the csv
+    module finds it. The file is decoded in chunks, so a byte that is not
+    UTF-8 stops the line being read when its chunk fails: the byte is on
+    that line or a later one."""
+    if isinstance(error, UnicodeDecodeError):
+        return MalformedRow(reader.line_num + 1, (
+            f"cannot read {path}: byte 0x{error.object[error.start]:02x} at or "
+            f"after this line is not UTF-8 ({error.reason})"))
+    return MalformedRow(reader.line_num, f"cannot read {path}: {error}")
 
 
 def _line_of(rows, first, lines_read):
@@ -544,7 +561,7 @@ def main(argv=None):
     except GuardError as e:
         print(f"error: {e.__class__.__name__}: {e}", file=sys.stderr)
         return EXIT_GUARD
-    except (DataError, OSError, UnicodeDecodeError, csv.Error) as e:
+    except (DataError, OSError) as e:
         name = e.__class__.__name__ if isinstance(e, ImputeBoundsError) else "io"
         print(f"error: {name}: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -39,3 +39,17 @@ def test_workload_checks_and_replays(name, tmp_path):
 
 def test_run_metadata_names_the_numpy_kernel_path():
     assert run_metadata(0)["kernel_path"] == "numpy"
+
+
+def test_traced_pooled_replay_times_the_draw_kernel(tmp_path):
+    """The per-layer kernel metric stays measured: a traced ``pool_small_n``
+    replay goes through ``_kernels.draw_positions`` under the tracer, and
+    no kernel trace point is missing from the package."""
+    wl = WORKLOADS["pool_small_n"]
+    inp = wl.generate(SEED, str(tmp_path))
+    tracer = Tracer()
+    with tracer.installed(trace_points()), tracer.operation(0):
+        wl.replay(inp, 0)
+    assert not {name for name in tracer.absent if name.startswith("kernels.")}
+    assert any(span[0] == "kernels.draw_positions" for span in tracer.spans)
+    assert tracer.counts[0]["kernels.draw_positions.bytes_computed"] > 0

@@ -368,15 +368,20 @@ class TestErrorPaths:
             capsys)
         assert code == 3
 
-    @pytest.mark.parametrize("content, message", [
-        (b"y,g\n1,a\n0,\xff\n", "'utf-8' codec can't decode byte 0xff"),
-        (b"y,\xffg\n1,a\n", "'utf-8' codec can't decode byte 0xff"),
-        (b"y,g\n1," + b"a" * 200000 + b"\n", "field larger than field limit"),
+    @pytest.mark.parametrize("content, line, reason", [
+        (b"y,g\n1,a\n0,\xff\n", 1,
+         "byte 0xff at or after this line is not UTF-8 (invalid start byte)"),
+        (b"y,\xffg\n1,a\n", 1,
+         "byte 0xff at or after this line is not UTF-8 (invalid start byte)"),
+        (b"y,g\n1," + b"a" * 200000 + b"\n", 2,
+         "field larger than field limit (131072)"),
     ], ids=["body", "header", "long_field"])
-    def test_unreadable_csv_exits_3(self, content, message, tmp_path, outcome_fixture,
-                                    capsys):
+    def test_unreadable_csv_exits_3(self, content, line, reason, tmp_path,
+                                    outcome_fixture, capsys):
         """A byte that is not UTF-8, or a field over the csv module's size
-        limit, is a one-line data error, not a traceback."""
+        limit, is a one-line data error naming the file and the line where
+        reading stopped, not a traceback. The small files here decode in one
+        chunk, so a bad byte stops reading at line 1."""
         _, config = outcome_fixture
         data = tmp_path / "bad.csv"
         data.write_bytes(content)
@@ -384,8 +389,7 @@ class TestErrorPaths:
             ["bounds", "--data", str(data), "--config", config, "--xi", "g=a"],
             capsys)
         assert code == EXIT_DATA
-        assert cap.err.startswith("error: io: ") and cap.err.count("\n") == 1
-        assert message in cap.err
+        assert cap.err == f"error: MalformedRow: line {line}: cannot read {data}: {reason}\n"
 
     def test_duplicate_header_column_rejected(self, tmp_path, outcome_fixture,
                                               capsys):
@@ -596,13 +600,21 @@ def row_loop_ingest(path, cfg):
             header = next(reader)
         except StopIteration:
             raise MalformedRow(1, "empty file; header row required") from None
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise cli._unreadable(path, reader, e) from None
         idx_y = cli._column_index(header, cfg.outcome_column)
         idx_x = [cli._column_index(header, c) for c in cfg.x_columns]
         idx_w = [cli._column_index(header, c) for c in cfg.w_columns]
 
         rows = []
         start = reader.line_num + 1
-        for row in reader:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except (csv.Error, UnicodeDecodeError) as e:
+                raise cli._unreadable(path, reader, e) from None
             line, start = start, reader.line_num + 1
             if len(row) != len(header):
                 raise MalformedRow(
@@ -766,16 +778,25 @@ class TestIngest:
 
     def test_short_row_beats_a_later_undecodable_byte(self, tmp_path):
         """The file is decoded in chunks, so the byte sits past the first
-        one; the error surfaces where the reader meets it."""
+        one; the error surfaces where the reader meets it, on a line at or
+        before the byte's line 20003."""
         path = tmp_path / "data.csv"
         cfg = DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",))
-        for row, error in ((b"0\n", MalformedRow), (b"0,b\n", UnicodeDecodeError)):
+        for row in (b"0\n", b"0,b\n"):
             path.write_bytes(b"y,g\n" + row + b"1,a\n" * 20000 + b"1,\xff\n")
+            messages = set()
             for ingest in (ingest_csv, row_loop_ingest):
-                with pytest.raises(error) as exc:
+                with pytest.raises(MalformedRow) as exc:
                     ingest(str(path), cfg)
-                if error is MalformedRow:
-                    assert str(exc.value) == "line 2: expected 2 fields, got 1"
+                messages.add(str(exc.value))
+            (message,) = messages
+            if row == b"0\n":
+                assert message == "line 2: expected 2 fields, got 1"
+            else:
+                line, reason = message.split(": ", 1)
+                assert 2 < int(line.removeprefix("line ")) <= 20003
+                assert reason == (f"cannot read {path}: byte 0xff at or after "
+                                  "this line is not UTF-8 (invalid start byte)")
 
     def test_undeclared_levels_are_sorted(self, tmp_path):
         table = ingest_text(tmp_path, "y,g,m\n1,c,p\n0,a,\n1,b,o\n0,a,z\n",

@@ -3,6 +3,7 @@ support, clamp the top edge, and follow the distribution they invert."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imputebounds import _kernels as K
 
@@ -35,3 +36,44 @@ def test_draw_positions_respects_distribution():
     freq1 = np.bincount(pos[10000:], minlength=3) / 10000
     assert freq0 == pytest.approx([0.25, 0.75, 0.0], abs=0.02)
     assert freq1 == pytest.approx([0.5, 0.25, 0.25], abs=0.02)
+
+
+def gather_draw_positions(cdf_rows, row_of, u):
+    """The reference build: gather every record's whole CDF row, count the
+    entries at or below its uniform, clamp to the last position."""
+    picked = cdf_rows[row_of]
+    idx = (picked <= u[:, None]).sum(axis=1)
+    return np.minimum(idx, cdf_rows.shape[1] - 1).astype(np.int64)
+
+
+@st.composite
+def plan_cdf_rows(draw):
+    """CDF rows as an imputation plan builds them: per stratum, the cumsum
+    of non-negative probabilities (zero atoms repeat an entry), scaled so
+    the last entry may round below or above 1.0 as an explicit model's
+    tolerated sum does, and padded with 1.0 to the widest stratum."""
+    width = draw(st.integers(1, 8))
+    rows = np.ones((draw(st.integers(1, 4)), width))
+    for row in rows:
+        size = draw(st.integers(1, width))
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+                           dtype=float)
+        weights[draw(st.integers(0, size - 1))] += 1
+        scale = draw(st.sampled_from([1.0, 1 - 2**-52, 1 + 2**-51, 1 - 1e-10, 1 + 1e-10]))
+        row[:size] = np.cumsum(weights / weights.sum() * scale)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_cdf_rows(), st.integers(0, 2**32 - 1))
+def test_draw_positions_equals_the_gather_build(cdf_rows, seed):
+    """Uniforms from ``Generator.random``, plus 0 and every CDF entry below
+    1 (a uniform equal to an entry counts that entry), on every row."""
+    generator = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    special = np.unique(np.append(cdf_rows[cdf_rows < 1.0], 0.0))
+    u = np.concatenate([generator.random(64), np.tile(special, len(cdf_rows))])
+    row_of = np.concatenate([generator.integers(0, len(cdf_rows), 64),
+                             np.repeat(np.arange(len(cdf_rows)), len(special))])
+    pos = K.draw_positions(cdf_rows, row_of, u)
+    assert pos.dtype == np.int64
+    assert pos.tolist() == gather_draw_positions(cdf_rows, row_of, u).tolist()

@@ -410,6 +410,19 @@ class TestImputationPlan:
         with pytest.raises(UnfittableStratum, match="'b'"):
             draw_completion(target, fitted, seed=1)
 
+    def test_zero_probability_atom_is_never_drawn(self):
+        # the atom 0.5 has probability 0, so its CDF entry repeats the one
+        # before it; the comparison is u <= entry, so a u equal to 0.25
+        # steps past both entries to the atom 1.0
+        t = outcome_table([1.0, None, None, None], OutcomeDomain(0.0, 1.0))
+        model = ImputationModel.explicit_outcome({"a": {0.0: 0.25, 0.5: 0.0, 1.0: 0.75}})
+        plan = ImputationPlan(t, fit_model(model, t))
+        assert plan.cdf_mat.tolist() == [[0.25, 0.25, 1.0]]
+        u = np.array([[0.0, 0.2499, 0.25], [0.5, 0.25, np.nextafter(1.0, 0.0)]])
+        assert plan.imputed_block(u).tolist() == [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+        grid = np.linspace(0.0, 1.0, 3000, endpoint=False).reshape(1000, 3)
+        assert set(plan.imputed_block(grid).ravel().tolist()) == {0.0, 1.0}
+
     def test_empty_pooled_cell_is_tagged_with_its_draw(self):
         # nothing is observed at (a, o): the pooled cell holds the one
         # missing record exactly when a draw imputes o for it
