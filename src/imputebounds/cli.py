@@ -137,8 +137,8 @@ def ingest_csv(path, cfg):
     count, outcome not a number, outcome out of domain, sentinel in an x
     column (in column order). A read error (a field over the csv module's
     size limit, bytes that are not UTF-8) comes after the record errors of
-    the rows read before it; it names the file and the line where reading
-    stopped (see :func:`_unreadable`). Then come errors in a covariate's levels (none
+    the rows read before it; it names the file and the line of the fault
+    (see :func:`_unreadable`). Then come errors in a covariate's levels (none
     seen, duplicates declared), then unknown declared levels, in row order
     with x columns before w columns. An error names the physical line on
     which its record starts, the header being line 1.
@@ -224,15 +224,20 @@ def ingest_csv(path, cfg):
 
 def _unreadable(path, reader, error):
     """The :class:`MalformedRow` for a CSV that ``reader`` could not read
-    past some point, naming the file and the physical line where reading
-    stopped. A field over the size limit stops the line on which the csv
-    module finds it. The file is decoded in chunks, so a byte that is not
-    UTF-8 stops the line being read when its chunk fails: the byte is on
-    that line or a later one."""
+    past some point, naming the file and the physical line of the fault. A
+    field over the size limit is named on the line where the csv module
+    finds it. The file is decoded in chunks. When a chunk fails,
+    ``reader.line_num`` lines have been read and the next is unfinished, so
+    a byte that is not UTF-8 lies on line ``reader.line_num + 1`` plus the
+    line breaks in its chunk before it. That is exact for ``\\n`` and
+    ``\\r\\n`` line ends; a lone ``\\r`` that ends the previous chunk is held
+    back by the decoder, and the line named is then one before the byte's."""
     if isinstance(error, UnicodeDecodeError):
-        return MalformedRow(reader.line_num + 1, (
-            f"cannot read {path}: byte 0x{error.object[error.start]:02x} at or "
-            f"after this line is not UTF-8 ({error.reason})"))
+        head = error.object[:error.start]
+        breaks = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return MalformedRow(reader.line_num + 1 + breaks, (
+            f"cannot read {path}: byte 0x{error.object[error.start]:02x} is not "
+            f"UTF-8 ({error.reason})"))
     return MalformedRow(reader.line_num, f"cannot read {path}: {error}")
 
 

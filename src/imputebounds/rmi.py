@@ -24,8 +24,7 @@ Philox generator per run, then makes its draws in blocks. For a block of
 of uniforms, inverts the whole matrix with one kernel call
 (:meth:`ImputationPlan.imputed_block`), and reads the ``b`` estimates off the
 drawn values. The rekey builds one generator state per block and changes
-only its key's stream word per draw; the kernel counts one CDF column at a
-time, so neither makes a matrix larger than the block's uniforms.
+only its key's stream word per draw.
 :meth:`ImputationPlan.complete` is the one-draw block written into a fresh
 copy of the imputed column, and :func:`draw_completion` is one completion
 from a fresh plan. Because Philox is counter-based, a record's
@@ -353,8 +352,7 @@ class EstimatorSpec:
 
 #: the largest working matrix a block of pooled draws may make, in cells:
 #: a block holds as many draws as fit when each costs the larger of its
-#: missing records by support width (the cells the kernel compares; it
-#: holds only a few record-length vectors at once) and its tiled cell
+#: kernel matrix (missing records by support width) and its tiled cell
 BLOCK_CELLS = 2**14
 
 

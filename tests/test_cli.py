@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -369,19 +370,15 @@ class TestErrorPaths:
         assert code == 3
 
     @pytest.mark.parametrize("content, line, reason", [
-        (b"y,g\n1,a\n0,\xff\n", 1,
-         "byte 0xff at or after this line is not UTF-8 (invalid start byte)"),
-        (b"y,\xffg\n1,a\n", 1,
-         "byte 0xff at or after this line is not UTF-8 (invalid start byte)"),
-        (b"y,g\n1," + b"a" * 200000 + b"\n", 2,
-         "field larger than field limit (131072)"),
+        (b"y,g\n1,a\n0,\xff\n", 3, "byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"y,\xffg\n1,a\n", 1, "byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"y,g\n1," + b"a" * 200000 + b"\n", 2, "field larger than field limit (131072)"),
     ], ids=["body", "header", "long_field"])
     def test_unreadable_csv_exits_3(self, content, line, reason, tmp_path,
                                     outcome_fixture, capsys):
         """A byte that is not UTF-8, or a field over the csv module's size
-        limit, is a one-line data error naming the file and the line where
-        reading stopped, not a traceback. The small files here decode in one
-        chunk, so a bad byte stops reading at line 1."""
+        limit, is a one-line data error naming the file and the line of the
+        fault, not a traceback."""
         _, config = outcome_fixture
         data = tmp_path / "bad.csv"
         data.write_bytes(content)
@@ -591,6 +588,21 @@ class TestSentinel:
                 f"string, got {sentinel!r}") in cap.err
 
 
+def unreadable(path, reader, error):
+    """A read error as the reference names it: a field over the size limit
+    on the line where the csv module stops, and a byte that is not UTF-8 on
+    the line that its offset in the whole file falls on."""
+    if isinstance(error, UnicodeDecodeError):
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = 1 + len(re.findall(rb"\r\n?|\n", raw[:e.start]))
+            return MalformedRow(line, (f"cannot read {path}: byte 0x{raw[e.start]:02x} "
+                                       f"is not UTF-8 ({e.reason})"))
+    return MalformedRow(reader.line_num, f"cannot read {path}: {error}")
+
+
 def row_loop_ingest(path, cfg):
     """CSV ingest as a loop over the records: the reference the column-wise
     ``ingest_csv`` must match in arrays, domains and errors."""
@@ -601,7 +613,7 @@ def row_loop_ingest(path, cfg):
         except StopIteration:
             raise MalformedRow(1, "empty file; header row required") from None
         except (csv.Error, UnicodeDecodeError) as e:
-            raise cli._unreadable(path, reader, e) from None
+            raise unreadable(path, reader, e) from None
         idx_y = cli._column_index(header, cfg.outcome_column)
         idx_x = [cli._column_index(header, c) for c in cfg.x_columns]
         idx_w = [cli._column_index(header, c) for c in cfg.w_columns]
@@ -614,7 +626,7 @@ def row_loop_ingest(path, cfg):
             except StopIteration:
                 break
             except (csv.Error, UnicodeDecodeError) as e:
-                raise cli._unreadable(path, reader, e) from None
+                raise unreadable(path, reader, e) from None
             line, start = start, reader.line_num + 1
             if len(row) != len(header):
                 raise MalformedRow(
@@ -778,25 +790,40 @@ class TestIngest:
 
     def test_short_row_beats_a_later_undecodable_byte(self, tmp_path):
         """The file is decoded in chunks, so the byte sits past the first
-        one; the error surfaces where the reader meets it, on a line at or
-        before the byte's line 20003."""
+        one; the error surfaces where the reader meets it and names the
+        byte's line 20003."""
         path = tmp_path / "data.csv"
         cfg = DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",))
-        for row in (b"0\n", b"0,b\n"):
+        for row, message in ((b"0\n", "line 2: expected 2 fields, got 1"),
+                             (b"0,b\n", f"line 20003: cannot read {path}: byte 0xff "
+                                         "is not UTF-8 (invalid start byte)")):
             path.write_bytes(b"y,g\n" + row + b"1,a\n" * 20000 + b"1,\xff\n")
-            messages = set()
             for ingest in (ingest_csv, row_loop_ingest):
                 with pytest.raises(MalformedRow) as exc:
                     ingest(str(path), cfg)
-                messages.add(str(exc.value))
-            (message,) = messages
-            if row == b"0\n":
-                assert message == "line 2: expected 2 fields, got 1"
-            else:
-                line, reason = message.split(": ", 1)
-                assert 2 < int(line.removeprefix("line ")) <= 20003
-                assert reason == (f"cannot read {path}: byte 0xff at or after "
-                                  "this line is not UTF-8 (invalid start byte)")
+                assert str(exc.value) == message
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("start", [8000, 8192, 8193, 8194, 90000])
+    def test_undecodable_byte_names_its_line(self, eol, start, tmp_path):
+        """The file is decoded in 8 KiB chunks, and the bad byte's line
+        starts at byte ``start``: inside the first chunk, at the start of
+        the second, or one or two bytes into it (so that the second chunk
+        starts inside the line end before, splitting a ``\\r\\n``), or
+        many chunks in. The error names the byte's line every time."""
+        path = tmp_path / "data.csv"
+        cfg = DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",))
+        head, row = b"y,g" + eol, b"1,a" + eol
+        k = (start - len(head) - 10) // len(row)
+        pad = start - len(head) - k * len(row) - len(b"1,") - len(eol)
+        data = head + row * k + b"1," + b"a" * pad + eol
+        assert len(data) == start
+        path.write_bytes(data + b"1,a\xfe" + eol + b"0,a" + eol)
+        for ingest in (ingest_csv, row_loop_ingest):
+            with pytest.raises(MalformedRow) as exc:
+                ingest(str(path), cfg)
+            assert str(exc.value) == (f"line {k + 3}: cannot read {path}: byte 0xfe "
+                                      "is not UTF-8 (invalid start byte)")
 
     def test_undeclared_levels_are_sorted(self, tmp_path):
         table = ingest_text(tmp_path, "y,g,m\n1,c,p\n0,a,\n1,b,o\n0,a,z\n",

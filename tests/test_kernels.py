@@ -65,14 +65,16 @@ def plan_cdf_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(plan_cdf_rows(), st.integers(0, 2**32 - 1))
-def test_draw_positions_equals_the_gather_build(cdf_rows, seed):
+@given(plan_cdf_rows(), st.sampled_from([16, 2048]), st.integers(0, 2**32 - 1))
+def test_draw_positions_equals_the_gather_build(cdf_rows, records, seed):
     """Uniforms from ``Generator.random``, plus 0 and every CDF entry below
-    1 (a uniform equal to an entry counts that entry), on every row."""
+    1 (a uniform equal to an entry counts that entry), on every row. Calls
+    with 16 random records take the gather build at every width above 1,
+    and calls with 2048 the column count at every width."""
     generator = np.random.Generator(np.random.Philox(key=[seed, 0]))
     special = np.unique(np.append(cdf_rows[cdf_rows < 1.0], 0.0))
-    u = np.concatenate([generator.random(64), np.tile(special, len(cdf_rows))])
-    row_of = np.concatenate([generator.integers(0, len(cdf_rows), 64),
+    u = np.concatenate([generator.random(records), np.tile(special, len(cdf_rows))])
+    row_of = np.concatenate([generator.integers(0, len(cdf_rows), records),
                              np.repeat(np.arange(len(cdf_rows)), len(special))])
     pos = K.draw_positions(cdf_rows, row_of, u)
     assert pos.dtype == np.int64
