@@ -70,18 +70,19 @@ def fill_streams(generator, seed, first, out):
     ``stream(seed, first + j).random(out.shape[1])``, bit for bit.
 
     ``generator`` is a Philox generator, such as one from :func:`stream`,
-    that is rekeyed for each row: the key ``(seed, first + j)`` is written
-    into its state with the counter zeroed and the output buffer marked
-    spent. That is the state ``Philox(key=...)`` starts in, so nothing of
-    the previous key carries over. Setting the state copies it into the
+    that is rekeyed for each row: its whole state is set to the one
+    ``Philox(key=(seed, first + j))`` starts in, with the counter and the
+    output buffer zeroed and the buffer marked spent, so nothing of the
+    previous key carries over. Setting the state copies it into the
     generator, so one state dict serves every row and only its key's
-    stream word changes between rows."""
+    stream word changes between rows. The dict holds plain ints, masked
+    to 64 bits as :func:`_key` masks them, which the state setter converts
+    faster than numpy scalars."""
+    key = [int(seed) & _MASK64, int(first) & _MASK64]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bits = generator.bit_generator
-    state = bits.state
-    key = _key(seed, first)
-    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
     for j, row in enumerate(out):
         key[1] = (first + j) & _MASK64
         bits.state = state

@@ -20,6 +20,7 @@ Exit codes: 2 usage, 3 data errors, 4 infeasible/guard errors.
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -143,14 +144,15 @@ def ingest_csv(path, cfg):
     with x columns before w columns. An error names the physical line on
     which its record starts, the header being line 1.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    chunks = _Chunks(io.FileIO(path))
+    with io.TextIOWrapper(chunks, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise MalformedRow(1, "empty file; header row required") from None
         except (csv.Error, UnicodeDecodeError) as e:
-            raise _unreadable(path, reader, e) from None
+            raise _unreadable(path, reader, e, chunks.before) from None
         idx_y = _column_index(header, cfg.outcome_column)
         idx_x = [_column_index(header, c) for c in cfg.x_columns]
         idx_w = [_column_index(header, c) for c in cfg.w_columns]
@@ -159,7 +161,7 @@ def ingest_csv(path, cfg):
         try:
             rows.extend(reader)
         except (csv.Error, UnicodeDecodeError) as e:
-            unread = _unreadable(path, reader, e)
+            unread = _unreadable(path, reader, e, chunks.before)
         line_of = _line_of(rows, first, reader.line_num)
 
     # (record, position in the row, error for a line) of the first offender
@@ -222,20 +224,40 @@ def ingest_csv(path, cfg):
     return ObservationTable(cfg.outcome, x_domains, w_domains, y, x, w)
 
 
-def _unreadable(path, reader, error):
+class _Chunks(io.BufferedReader):
+    """A binary file that counts the line breaks (``\\n``, ``\\r\\n``, lone
+    ``\\r``) in the chunks it hands out: ``before`` is the number before
+    the last chunk, where a ``\\r\\n`` split between two chunks counts in
+    the second."""
+
+    before = _through = 0
+    _cr = False
+
+    def read1(self, size=-1):
+        chunk = super().read1(size)
+        self.before = self._through - (self._cr and chunk.startswith(b"\n"))
+        self._through = self.before + _breaks(chunk)
+        self._cr = chunk.endswith(b"\r")
+        return chunk
+
+
+def _breaks(data):
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _unreadable(path, reader, error, before):
     """The :class:`MalformedRow` for a CSV that ``reader`` could not read
     past some point, naming the file and the physical line of the fault. A
     field over the size limit is named on the line where the csv module
-    finds it. The file is decoded in chunks. When a chunk fails,
-    ``reader.line_num`` lines have been read and the next is unfinished, so
-    a byte that is not UTF-8 lies on line ``reader.line_num + 1`` plus the
-    line breaks in its chunk before it. That is exact for ``\\n`` and
-    ``\\r\\n`` line ends; a lone ``\\r`` that ends the previous chunk is held
-    back by the decoder, and the line named is then one before the byte's."""
+    finds it. A byte that is not UTF-8 is named by the line breaks before
+    it: ``before`` in the chunks before the failing one (see
+    :class:`_Chunks`), and those before it in the failing decoder input,
+    which may start with bytes of a character left unfinished by the chunk
+    before, never with a line break. Bytes are counted as they are read,
+    so a pipe is named as exactly as a file, and a lone ``\\r`` that ends
+    a chunk counts although the text decoder holds it back."""
     if isinstance(error, UnicodeDecodeError):
-        head = error.object[:error.start]
-        breaks = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return MalformedRow(reader.line_num + 1 + breaks, (
+        return MalformedRow(1 + before + _breaks(error.object[:error.start]), (
             f"cannot read {path}: byte 0x{error.object[error.start]:02x} is not "
             f"UTF-8 ({error.reason})"))
     return MalformedRow(reader.line_num, f"cannot read {path}: {error}")

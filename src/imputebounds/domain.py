@@ -456,6 +456,8 @@ class FinitePopulation:
             support.add(y_val)
             if w_domains and w_val is None:
                 raise DataError("population cells must carry a w value")
+            if int(z) not in (0, 1):
+                raise DataError("z must be 0 or 1")
             key = (y_val, flat_value(x_domains, x_val),
                    flat_value(w_domains, w_val), int(z))
             staged[key] = staged.get(key, 0.0) + float(m)

@@ -23,8 +23,9 @@ Philox generator per run, then makes its draws in blocks. For a block of
 (:func:`imputebounds._rng.fill_streams`) to fill a ``(b, missing)`` matrix
 of uniforms, inverts the whole matrix with one kernel call
 (:meth:`ImputationPlan.imputed_block`), and reads the ``b`` estimates off the
-drawn values. The rekey builds one generator state per block and changes
-only its key's stream word per draw.
+drawn values. The rekey builds one generator state of plain ints per block
+and changes only its key's stream word per draw, and every draw of a block
+reads the plan's ``row_of`` as it is, untiled.
 :meth:`ImputationPlan.complete` is the one-draw block written into a fresh
 copy of the imputed column, and :func:`draw_completion` is one completion
 from a fresh plan. Because Philox is counter-based, a record's
@@ -218,11 +219,9 @@ class ImputationPlan:
     def imputed_block(self, u):
         """The imputed values of ``len(u)`` draws, one row per draw: row
         ``j`` inverts the uniforms ``u[j]``, one per missing record in
-        record order, and the whole block is one kernel call."""
-        b, n = u.shape
-        rows = np.tile(self.row_of, b)
-        pos = _kernels.draw_positions(self.cdf_mat, rows, u.ravel())
-        return self.val_mat[rows, pos].reshape(b, n)
+        record order: one kernel call on ``row_of``, one flat ``take``."""
+        pos = _kernels.draw_positions(self.cdf_mat, self.row_of, u)
+        return self.val_mat.ravel().take(self.row_of * self.val_mat.shape[1] + pos)
 
     def complete(self, rng):
         """One draw, one uniform of ``rng`` per missing record in record

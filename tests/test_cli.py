@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imputebounds import (
     CategoricalDomain,
@@ -824,6 +825,46 @@ class TestIngest:
                 ingest(str(path), cfg)
             assert str(exc.value) == (f"line {k + 3}: cannot read {path}: byte 0xfe "
                                       "is not UTF-8 (invalid start byte)")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([b"a", "\u00e9".encode(), "\u20ac".encode()]),
+                              st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                    min_size=1, max_size=40),
+           st.integers(1, 2), st.integers(0, 40), st.integers(0, 3), st.booleans())
+    @example([(b"a", b"\r"), ("\u00e9".encode(), b"\n")], 1, 5, 0, False)
+    def test_undecodable_byte_names_its_line_at_any_line_end(self, lines, chunk, back,
+                                                             at, pipe):
+        """Short lines with mixed ``\\n``, ``\\r\\n`` and lone ``\\r`` ends,
+        and labels of one to three UTF-8 bytes, start ``back`` bytes before
+        the end of 8 KiB decode chunk ``chunk``, so that a chunk ends on
+        each kind of line end, inside a ``\\r\\n`` or a character, or right
+        before the bad byte. A line starts with its label, so a chunk may
+        end on a lone ``\\r`` and the first byte of a character (as in the
+        example). The error names the line that the byte's offset in the
+        whole file falls on, whether the file is read from disk or from a
+        pipe, which cannot be read twice."""
+        head = b"g,y\n" + b"a" * (chunk * 8192 - back - 7) + b",1\n"
+        tail = b"".join(label + b",1" + eol for label, eol in lines)
+        bad = b"a,1"[:at] + b"\xfe" + b"a,1"[at:] + b"\na,0\n"
+        data = head + tail + bad
+        line = 1 + len(re.findall(rb"\r\n?|\n", data[:data.index(b"\xfe")]))
+        cfg = DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",))
+        with contextlib.ExitStack() as stack:
+            if pipe and os.path.isdir("/dev/fd"):
+                read_end, write_end = os.pipe()
+                stack.callback(os.close, read_end)
+                os.set_blocking(write_end, False)  # fail, not hang, on a small pipe
+                assert os.write(write_end, data) == len(data)
+                os.close(write_end)
+                path = f"/dev/fd/{read_end}"
+            else:
+                path = os.path.join(stack.enter_context(tempfile.TemporaryDirectory()),
+                                    "data.csv")
+                Path(path).write_bytes(data)
+            with pytest.raises(MalformedRow) as exc:
+                ingest_csv(path, cfg)
+        assert str(exc.value) == (f"line {line}: cannot read {path}: byte 0xfe "
+                                  "is not UTF-8 (invalid start byte)")
 
     def test_undeclared_levels_are_sorted(self, tmp_path):
         table = ingest_text(tmp_path, "y,g,m\n1,c,p\n0,a,\n1,b,o\n0,a,z\n",

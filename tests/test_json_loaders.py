@@ -187,13 +187,16 @@ def test_loads_or_raises_a_data_error(kind, data, files):
     ("spec", dict(VALID["spec"][0], seed=1.5)),
     ("spec", dict(VALID["spec"][0], seed="1")),
     ("config", dict(VALID["config"][0], levels={"y": []})),
+    ("population", dict(POPULATIONS[0], cells=[
+        dict(POPULATIONS[0]["cells"][0], z=128)])),
 ])
 def test_rejected_with_exit_3(kind, doc, files):
-    """Inputs that once ended in a traceback or in exit 4 (the first four,
-    found by the fuzz), loaded with a string split into its characters, or
-    ran with a number the spec does not allow (a NaN tolerance failed only
-    when the report was written, a fractional or boolean count or seed was
-    truncated) or with levels declared for no covariate."""
+    """Inputs that once ended in a traceback or in exit 4 (the first four
+    and the last, found by the fuzz), loaded with a string split into its
+    characters, or ran with a number the spec does not allow (a NaN
+    tolerance failed only when the report was written, a fractional or
+    boolean count or seed was truncated) or with levels declared for no
+    covariate."""
     doc_path = files / f"found_{kind}.json"
     doc_path.write_text(json.dumps(doc))
     with pytest.raises(DataError):

@@ -79,3 +79,26 @@ def test_draw_positions_equals_the_gather_build(cdf_rows, records, seed):
     pos = K.draw_positions(cdf_rows, row_of, u)
     assert pos.dtype == np.int64
     assert pos.tolist() == gather_draw_positions(cdf_rows, row_of, u).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_cdf_rows(), st.sampled_from([2, 700]), st.integers(0, 2**32 - 1))
+def test_draw_positions_on_a_block_equals_the_flat_call(cdf_rows, draws, seed):
+    """A ``(draws, records)`` block of uniforms, record ``i`` of every draw
+    on row ``row_of[i]``, gives the 1-D call on the tiled rows and the
+    flattened block, reshaped. Each draw has 3 random records plus 0 and
+    every CDF entry below 1 on every row, at most ``16 * width + 7``
+    records, so blocks of 2 draws hold fewer than
+    :data:`RECORDS_PER_COLUMN` uniforms per compared column and take the
+    gather at every width above 1, and blocks of 700 hold more and take
+    the column count at every width."""
+    generator = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    special = np.unique(np.append(cdf_rows[cdf_rows < 1.0], 0.0))
+    row_of = np.concatenate([generator.integers(0, len(cdf_rows), 3),
+                             np.repeat(np.arange(len(cdf_rows)), len(special))])
+    u = np.tile(np.tile(special, len(cdf_rows)), (draws, 1))
+    u = np.concatenate([generator.random((draws, 3)), u], axis=1)
+    pos = K.draw_positions(cdf_rows, row_of, u)
+    flat = K.draw_positions(cdf_rows, np.tile(row_of, draws), u.ravel())
+    assert pos.dtype == np.int64 and pos.shape == u.shape
+    assert pos.tolist() == flat.reshape(u.shape).tolist()

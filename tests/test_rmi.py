@@ -445,7 +445,7 @@ def kernel_blocks(monkeypatch):
     kernel = _kernels.draw_positions
 
     def recorded(cdf_rows, row_of, u):
-        sizes.append(len(u))
+        sizes.append(u.size)
         return kernel(cdf_rows, row_of, u)
 
     monkeypatch.setattr(_kernels, "draw_positions", recorded)
@@ -530,6 +530,31 @@ class TestBlocks:
             run_multiple_imputation(t, model, 20, spec, seed=seed)
 
 
+@pytest.mark.parametrize("cell", ["a", "b"])
+def test_wide_support_draws_match_completed_tables(monkeypatch, cell):
+    """A real-valued outcome has one atom per distinct donor value: 240 at
+    x = a make a support 240 wide, so a draw of the 100 missing records
+    fills more than BLOCK_CELLS cells, each block holds one draw, and the
+    kernel takes the gather build. The 5 donors at x = b make a short row,
+    padded to that width, which the estimator at b reads."""
+    values = stream(41, 0).random(245)
+    t = ObservationTable.from_records(
+        [(y, "a", None) for y in values[:240]] + [(y, "b", None) for y in values[240:]]
+        + [(None, "ab"[k % 4 == 0], None) for k in range(100)],
+        OutcomeDomain(0.0, 1.0), X2)
+    model, estimator = ImputationModel.mar_outcome(), EstimatorSpec(
+        "imputation_mean", CellSelector(cell))
+    plan = ImputationPlan(t, fit_model(model, t))
+    assert plan.cdf_mat.shape == (2, 240)
+    m, seed = 300, 2**64 - 5
+    sizes = kernel_blocks(monkeypatch)
+    res = run_multiple_imputation(t, model, m, estimator, seed)
+    assert sizes == [100] * m
+    assert sizes[0] < _kernels.RECORDS_PER_COLUMN * (plan.cdf_mat.shape[1] - 1)
+    assert list(res.per_draw_estimates) == [
+        estimator.apply(plan.complete(stream(seed, k + 1))) for k in range(m)]
+
+
 def philox_key(seed, index):
     return stream(seed, index).bit_generator.state["state"]["key"].tolist()
 
@@ -555,11 +580,14 @@ FILLS = st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 2**33),
 @given(st.lists(FILLS, min_size=1, max_size=4), st.integers(0, 13))
 @example([(2**63 + 5, 1, 3, False), (2**63 + 6, 1, 2, True)], 5)
 @example([(2**64 - 1, 2**32 - 1, 4, True), (2**64 - 1, 2**32, 1, False)], 7)
+@example([(5, 2**64 - 2, 4, False), (2**64 - 1, 2**64 - 1, 2, True)], 3)
+@example([(2**64 - 1, 2**64 - 2, 4, True)], 6)
 def test_fill_streams_equals_fresh_streams(fills, n):
     """Every row of every fill of one reused generator equals a fresh
     stream's uniforms bit for bit, and the generator ends where the last
     row's fresh stream ends: no state of an earlier key, a partly spent
-    output buffer or a cached 32-bit half, leaks into the next."""
+    output buffer or a cached 32-bit half, leaks into the next. Stream
+    words past 2**64 wrap through 0 as :func:`stream` masks them."""
     generator = stream(0, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
