@@ -132,37 +132,48 @@ def ingest_csv(path, cfg):
     config when declared, otherwise they are the sorted distinct values seen
     (for w, in the rows where w is observed).
 
-    The file is read in one pass and then checked a column at a time, but
-    errors come out as a loop over the records would raise them. Record
-    errors come first, in row order, and within a row in this order: field
-    count, outcome not a number, outcome out of domain, sentinel in an x
-    column (in column order). A read error (a field over the csv module's
-    size limit, bytes that are not UTF-8) comes after the record errors of
-    the rows read before it; it names the file and the line of the fault
-    (see :func:`_unreadable`). Then come errors in a covariate's levels (none
-    seen, duplicates declared), then unknown declared levels, in row order
-    with x columns before w columns. An error names the physical line on
-    which its record starts, the header being line 1.
+    The file is read and decoded whole, then parsed in one pass and checked
+    a column at a time, but errors come out as a loop over the records
+    would raise them. Record errors come first, in row order, and within a
+    row in this order: field count, outcome not a number, outcome out of
+    domain, sentinel in an x column (in column order). A read error (a
+    field over the csv module's size limit, a byte that is not UTF-8) comes
+    after the record errors of the records that end before the record that
+    holds the fault; it names the file and the line of the fault. Then come
+    errors in a covariate's levels (none seen, duplicates declared), then
+    unknown declared levels, in row order with x columns before w columns.
+    An error names the physical line on which its record starts, the
+    header being line 1.
     """
-    chunks = _Chunks(io.FileIO(path))
-    with io.TextIOWrapper(chunks, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, "empty file; header row required") from None
-        except (csv.Error, UnicodeDecodeError) as e:
-            raise _unreadable(path, reader, e, chunks.before) from None
-        idx_y = _column_index(header, cfg.outcome_column)
-        idx_x = [_column_index(header, c) for c in cfg.x_columns]
-        idx_w = [_column_index(header, c) for c in cfg.w_columns]
-        first = reader.line_num + 1
-        rows, unread = [], None
-        try:
-            rows.extend(reader)
-        except (csv.Error, UnicodeDecodeError) as e:
-            unread = _unreadable(path, reader, e, chunks.before)
-        line_of = _line_of(rows, first, reader.line_num)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text, unread = data.decode("utf-8-sig"), None
+    except UnicodeDecodeError as e:
+        # parse the text before the bad byte; the record that holds the
+        # byte is then the last one, cut short by the stand-in character
+        text = e.object[:e.start].decode() + "\ufffd"
+        unread = MalformedRow(1 + _breaks(text), (
+            f"cannot read {path}: byte 0x{e.object[e.start]:02x} is not "
+            f"UTF-8 ({e.reason})"))
+    del data
+    reader = csv.reader(io.StringIO(text, newline=""))
+    del text
+    rows = []
+    try:
+        rows.extend(reader)
+    except csv.Error as e:
+        unread = MalformedRow(reader.line_num, f"cannot read {path}: {e}")
+    else:
+        if unread is not None:
+            rows.pop()
+    if not rows:
+        raise unread or MalformedRow(1, "empty file; header row required")
+    line_of = _line_of(rows, reader.line_num)
+    header = rows.pop(0)
+    idx_y = _column_index(header, cfg.outcome_column)
+    idx_x = [_column_index(header, c) for c in cfg.x_columns]
+    idx_w = [_column_index(header, c) for c in cfg.w_columns]
 
     # (record, position in the row, error for a line) of the first offender
     # of each check; a short or long row ends the rows that are checked, so
@@ -224,56 +235,20 @@ def ingest_csv(path, cfg):
     return ObservationTable(cfg.outcome, x_domains, w_domains, y, x, w)
 
 
-class _Chunks(io.BufferedReader):
-    """A binary file that counts the line breaks (``\\n``, ``\\r\\n``, lone
-    ``\\r``) in the chunks it hands out: ``before`` is the number before
-    the last chunk, where a ``\\r\\n`` split between two chunks counts in
-    the second."""
-
-    before = _through = 0
-    _cr = False
-
-    def read1(self, size=-1):
-        chunk = super().read1(size)
-        self.before = self._through - (self._cr and chunk.startswith(b"\n"))
-        self._through = self.before + _breaks(chunk)
-        self._cr = chunk.endswith(b"\r")
-        return chunk
+def _breaks(text):
+    """The number of line breaks (``\\n``, ``\\r\\n``, lone ``\\r``) in ``text``."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
-def _breaks(data):
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-
-
-def _unreadable(path, reader, error, before):
-    """The :class:`MalformedRow` for a CSV that ``reader`` could not read
-    past some point, naming the file and the physical line of the fault. A
-    field over the size limit is named on the line where the csv module
-    finds it. A byte that is not UTF-8 is named by the line breaks before
-    it: ``before`` in the chunks before the failing one (see
-    :class:`_Chunks`), and those before it in the failing decoder input,
-    which may start with bytes of a character left unfinished by the chunk
-    before, never with a line break. Bytes are counted as they are read,
-    so a pipe is named as exactly as a file, and a lone ``\\r`` that ends
-    a chunk counts although the text decoder holds it back."""
-    if isinstance(error, UnicodeDecodeError):
-        return MalformedRow(1 + before + _breaks(error.object[:error.start]), (
-            f"cannot read {path}: byte 0x{error.object[error.start]:02x} is not "
-            f"UTF-8 ({error.reason})"))
-    return MalformedRow(reader.line_num, f"cannot read {path}: {error}")
-
-
-def _line_of(rows, first, lines_read):
-    """``line_of(k)``: the physical line where data record ``k`` starts, the
-    first one starting on line ``first``. The line breaks inside each row's
-    quoted fields are counted only if there are any, that is if more lines
-    than records were read."""
-    if lines_read == first - 1 + len(rows):
-        return lambda k: first + k
-    breaks = [sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-              for row in rows]
-    before = np.cumsum([0, *breaks])
-    return lambda k: first + k + int(before[k])
+def _line_of(records, lines_read):
+    """``line_of(k)``: the physical line where data record ``k`` starts,
+    ``records`` holding the header, on line 1, and then the data records.
+    The line breaks inside each record's quoted fields are counted only if
+    more lines than records were read."""
+    if lines_read == len(records):
+        return lambda k: 2 + k
+    before = np.cumsum([0, *(sum(map(_breaks, record)) for record in records)])
+    return lambda k: 2 + k + int(before[k + 1])
 
 
 def _raise_first(line_of, offenders):

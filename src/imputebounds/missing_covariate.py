@@ -27,6 +27,7 @@ from .domain import (
     require_finite,
     total_size,
     value_labels,
+    yx_codes,
 )
 from .errors import (
     DataError,
@@ -357,9 +358,8 @@ def mixture_joint_estimate(table, q):
     if n == 0:
         raise EmptyCell("empty table")
     share = 1.0 / n
-    n_x, n_w = total_size(table.x_domains), total_size(table.w_domains)
-    y_levels, y_index = np.unique(table.y, return_inverse=True)
-    stratum = y_index * n_x + table.x
+    n_w = total_size(table.w_domains)
+    stratum, decode = yx_codes(table)
     observed = np.asarray(table.z_w)
     atoms, counts = np.unique(stratum[observed] * n_w + table.w[observed],
                               return_counts=True)
@@ -369,7 +369,8 @@ def mixture_joint_estimate(table, q):
     # strata in the order their first record appears, so an undefined
     # stratum is reported as a record-by-record pass would meet it
     for j in np.argsort(first, kind="stable"):
-        y_val, xf = float(y_levels[strata[j] // n_x]), int(strata[j] % n_x)
+        y_val, xf = decode(strata[j])
+        y_val, xf = float(y_val), int(xf)
         if (y_val, xf) not in q_strata:
             raise QUndefinedForStratum(f"q has no stratum (y={y_val}, "
                                        f"x={value_labels(table.x_domains, xf)!r})")
@@ -381,11 +382,12 @@ def mixture_joint_estimate(table, q):
     mass = np.bincount(atom_of, weights=np.concatenate(masses).astype(np.float64),
                        minlength=len(atoms))
     stratum_of, w_i = np.divmod(atoms, n_w)
+    y, x_i = decode(stratum_of)
     return WeightedJointMeasure(
         x_domains=table.x_domains,
         w_domains=table.w_domains,
-        y=y_levels[stratum_of // n_x],
-        x_i=stratum_of % n_x,
+        y=y,
+        x_i=x_i,
         w_i=w_i,
         mass=mass,
     )

@@ -48,8 +48,8 @@ from .domain import (
     COVARIATE_REGIME,
     OUTCOME_REGIME,
     CompletedTable,
-    total_size,
     value_labels,
+    yx_codes,
 )
 from .errors import (
     DataError,
@@ -114,19 +114,17 @@ def _imputed_column(table, target):
 
 def _stratum_codes(table, rows, target, kind):
     """Integer stratum codes of the records ``rows``, and a function mapping
-    a code back to its stratum key: ``x``, or ``(y, x)`` coded as
-    ``y_index * |X| + x`` with ``y_index`` over the outcomes of ``rows``."""
-    x = table.x[rows]
+    a code back to its stratum key: ``x``, or ``(y, x)`` coded by
+    :func:`~imputebounds.domain.yx_codes`."""
     if target == "outcome" or kind == models.ECOLOGICAL:
-        return x, int
-    y_levels, y_index = np.unique(table.y[rows], return_inverse=True)
-    n_x = total_size(table.x_domains)
+        return table.x[rows], int
+    codes, decode = yx_codes(table, rows)
 
     def key(code):
-        y_at, xf = divmod(int(code), n_x)
-        return (float(y_levels[y_at]), xf)
+        y_val, xf = decode(code)
+        return (float(y_val), int(xf))
 
-    return y_index * n_x + x, key
+    return codes, key
 
 
 def _stratum_name(table, key):

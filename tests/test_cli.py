@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import json
@@ -790,9 +791,8 @@ class TestIngest:
         assert str(exc.value) == "line 4: outcome 7.0 outside declared domain"
 
     def test_short_row_beats_a_later_undecodable_byte(self, tmp_path):
-        """The file is decoded in chunks, so the byte sits past the first
-        one; the error surfaces where the reader meets it and names the
-        byte's line 20003."""
+        """A short row before the bad byte wins; with no short row, the
+        error names the byte's line 20003."""
         path = tmp_path / "data.csv"
         cfg = DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",))
         for row, message in ((b"0\n", "line 2: expected 2 fields, got 1"),
@@ -804,14 +804,47 @@ class TestIngest:
                     ingest(str(path), cfg)
                 assert str(exc.value) == message
 
+    def test_short_row_beats_an_undecodable_byte_in_a_small_file(self, tmp_path):
+        """Errors follow their position in the file however small it is: a
+        short row before the bad byte's row wins."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"y,g\n1,a\n0\n1,a\n1,\xff\n")
+        with pytest.raises(MalformedRow) as exc:
+            ingest_csv(str(path), DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",)))
+        assert str(exc.value) == "line 3: expected 2 fields, got 1"
+
+    def test_undecodable_byte_in_a_quoted_field_is_a_read_error(self, tmp_path):
+        """The record cut short at the bad byte is not checked, so its
+        missing field is no error of its own."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'y,g\n1,a\n"0\n\xff",a\n')
+        with pytest.raises(MalformedRow) as exc:
+            ingest_csv(str(path), DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",)))
+        assert str(exc.value) == (f"line 4: cannot read {path}: byte 0xff "
+                                  "is not UTF-8 (invalid start byte)")
+
+    @pytest.mark.parametrize("content, line, byte", [
+        (b"y,g\n1,a\n0,\xff\n", 3, 0xff),
+        (b"y,\xfeg\n1,a\n", 1, 0xfe),
+        (b"y,g\r\n1,a\r\n0,a\xfe\r\n1,a\r\n", 3, 0xfe),
+    ], ids=["body", "header", "crlf"])
+    def test_undecodable_byte_after_a_byte_order_mark(self, content, line, byte,
+                                                      tmp_path):
+        """The mark is not counted: the error names the bad byte and its line
+        as in the same file without it."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(codecs.BOM_UTF8 + content)
+        with pytest.raises(MalformedRow) as exc:
+            ingest_csv(str(path), DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",)))
+        assert str(exc.value) == (f"line {line}: cannot read {path}: byte 0x{byte:02x} "
+                                  "is not UTF-8 (invalid start byte)")
+
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("start", [8000, 8192, 8193, 8194, 90000])
     def test_undecodable_byte_names_its_line(self, eol, start, tmp_path):
-        """The file is decoded in 8 KiB chunks, and the bad byte's line
-        starts at byte ``start``: inside the first chunk, at the start of
-        the second, or one or two bytes into it (so that the second chunk
-        starts inside the line end before, splitting a ``\\r\\n``), or
-        many chunks in. The error names the byte's line every time."""
+        """The bad byte's line starts at byte ``start``, near and far from
+        the start of the file, right after a ``\\n`` or a ``\\r\\n``.
+        The error names the byte's line every time."""
         path = tmp_path / "data.csv"
         cfg = DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",))
         head, row = b"y,g" + eol, b"1,a" + eol
@@ -836,11 +869,8 @@ class TestIngest:
                                                              at, pipe):
         """Short lines with mixed ``\\n``, ``\\r\\n`` and lone ``\\r`` ends,
         and labels of one to three UTF-8 bytes, start ``back`` bytes before
-        the end of 8 KiB decode chunk ``chunk``, so that a chunk ends on
-        each kind of line end, inside a ``\\r\\n`` or a character, or right
-        before the bad byte. A line starts with its label, so a chunk may
-        end on a lone ``\\r`` and the first byte of a character (as in the
-        example). The error names the line that the byte's offset in the
+        byte ``chunk * 8192`` of the file, and the bad byte may follow any
+        of them. The error names the line that the byte's offset in the
         whole file falls on, whether the file is read from disk or from a
         pipe, which cannot be read twice."""
         head = b"g,y\n" + b"a" * (chunk * 8192 - back - 7) + b",1\n"
