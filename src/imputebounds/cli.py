@@ -157,13 +157,17 @@ def ingest_csv(path, cfg):
             f"cannot read {path}: byte 0x{e.object[e.start]:02x} is not "
             f"UTF-8 ({e.reason})"))
     del data
-    reader = csv.reader(io.StringIO(text, newline=""))
+    source = io.StringIO(text, newline="")
     del text
+    reader = csv.reader(source)
     rows = []
     try:
         rows.extend(reader)
     except csv.Error as e:
-        unread = MalformedRow(reader.line_num, f"cannot read {path}: {e}")
+        # the stand-in alone takes a field of exactly the size limit over
+        # it; the fault is then the bad byte
+        if unread is None or not _parses(source.getvalue()[:-1]):
+            unread = MalformedRow(reader.line_num, f"cannot read {path}: {e}")
     else:
         if unread is not None:
             rows.pop()
@@ -238,6 +242,16 @@ def ingest_csv(path, cfg):
 def _breaks(text):
     """The number of line breaks (``\\n``, ``\\r\\n``, lone ``\\r``) in ``text``."""
     return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _parses(text):
+    """Whether the csv module reads ``text`` without an error."""
+    try:
+        for _ in csv.reader(io.StringIO(text, newline="")):
+            pass
+    except csv.Error:
+        return False
+    return True
 
 
 def _line_of(records, lines_read):

@@ -342,19 +342,19 @@ class ObservationTable:
         return COMPLETE_REGIME
 
 
-def yx_codes(table, rows=slice(None)):
-    """The (y, x) stratum codes ``y_index * |X| + x`` of the records
-    ``rows`` of ``table``, with ``y_index`` over the distinct outcomes of
-    those records, and the function that decodes codes (one or an array)
-    back to their outcomes and flat ``x`` codes."""
-    y_levels, y_index = np.unique(table.y[rows], return_inverse=True)
+def yx_codes(table):
+    """The (y, x) stratum codes ``y_index * |X| + x`` of every record of
+    ``table``, with ``y_index`` over its distinct outcomes, and the function
+    that decodes codes (one or an array) back to their outcomes and flat
+    ``x`` codes."""
+    y_levels, y_index = np.unique(table.y, return_inverse=True)
     n_x = total_size(table.x_domains)
 
     def decode(codes):
         y_at, x = np.divmod(codes, n_x)
         return y_levels[y_at], x
 
-    return y_index * n_x + table.x[rows], decode
+    return y_index * n_x + table.x, decode
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,15 @@ pooled value is the plain mean of the per-draw estimates. Pooling does not
 change what the estimator converges to; it only averages away the draw
 noise of a single completion.
 
-Strata are integer codes computed once per table with numpy: ``x`` for
-models keyed by the covariate alone, ``y_index * |X| + x`` for models keyed
-by outcome and covariate. Fitted models count their donors over these
-codes; explicit models take their strata from
-:func:`imputebounds.models.coded_strata`, the one place where a model's
-label keys become cell codes. An :class:`ImputationPlan` holds everything a
-draw needs that does not depend on the draw: the missing records, each
-one's stratum row, and the padded CDF and value matrices.
+Strata are integer codes: ``x`` for models keyed by the covariate alone,
+``y_index * |X| + x`` for models keyed by outcome and covariate. An
+:class:`ImputationPlan` is the one place that codes a table, once per
+record: it fits the model on the observed records' codes (explicit models
+on :func:`imputebounds.models.coded_strata`) and takes the coverage check
+and each missing record's stratum row from one ``np.unique`` of the
+missing records' codes. It keeps the fitted model and what every draw
+reads (the missing records, their stratum rows, the padded CDF and value
+matrices), not the codes; :func:`fit_model` is the plan's fitted model.
 
 The pooled runner builds the plan and the estimator's cell once and one
 Philox generator per run, then makes its draws in blocks. For a block of
@@ -88,11 +89,14 @@ class FittedImputationModel:
     """A model resolved against concrete domains: per stratum, the atoms
     and cumulative probabilities that completion draws invert. Strata are
     keyed by the flat ``x`` code, or by ``(y, x)`` for ``mar_covariate``
-    and ``explicit_covariate_q``."""
+    and ``explicit_covariate_q``. ``domains`` holds the ``(role, domain)``
+    pairs those codes and atoms were read against: ``x``, then ``w`` for a
+    covariate model or ``outcome`` for an outcome model."""
 
     kind: str
     target: str
     strata: dict
+    domains: tuple
 
     def stratum(self, key):
         return self.strata.get(key)
@@ -112,13 +116,13 @@ def _imputed_column(table, target):
     return table.w, np.asarray(table.z_w)
 
 
-def _stratum_codes(table, rows, target, kind):
-    """Integer stratum codes of the records ``rows``, and a function mapping
-    a code back to its stratum key: ``x``, or ``(y, x)`` coded by
+def _stratum_codes(table, target, kind):
+    """The integer stratum code of every record, and a function mapping a
+    code back to its stratum key: ``x``, or ``(y, x)`` coded by
     :func:`~imputebounds.domain.yx_codes`."""
     if target == "outcome" or kind == models.ECOLOGICAL:
-        return table.x[rows], int
-    codes, decode = yx_codes(table, rows)
+        return table.x, int
+    codes, decode = yx_codes(table)
 
     def key(code):
         y_val, xf = decode(code)
@@ -152,64 +156,65 @@ def _fit_empirical(codes, key, values):
 
 
 def fit_model(model, table):
-    """Resolve an imputation model against a table.
-
-    Fitted variants take the empirical conditional distribution of their
-    observed donors; explicit variants read their assumed distribution off
+    """Resolve an imputation model against a table: the ``fitted`` of
+    ``ImputationPlan(table, model)``. Fitted variants take the empirical
+    conditional distribution of their observed donors; explicit variants
+    read their assumed distribution off
     :func:`~imputebounds.models.coded_strata`. Raises
-    :class:`UnfittableStratum` when a stratum that needs imputation has no
-    donors (or no assumed distribution).
+    :class:`RegimeMismatch`, and :class:`UnfittableStratum` when a stratum
+    that needs imputation has no donors (or no assumed distribution).
     """
-    _check_regime(model, table)
-    if model.kind in (models.EXPLICIT_OUTCOME_Q, models.EXPLICIT_COVARIATE_Q):
-        strata = {key: (atoms, np.cumsum(probs))
-                  for key, (atoms, probs) in models.coded_strata(model, table).items()}
-    else:
-        column, observed = _imputed_column(table, model.target)
-        donors = np.flatnonzero(observed)
-        codes, key = _stratum_codes(table, donors, model.target, model.kind)
-        strata = _fit_empirical(codes, key, column[donors])
-    fitted = FittedImputationModel(model.kind, model.target, strata)
-    _missing_strata(table, fitted)
-    return fitted
-
-
-def _missing_strata(table, fitted):
-    """The records that need imputation, the keys of their strata, and each
-    record's position in those keys. Raises :class:`UnfittableStratum`
-    naming the first uncovered stratum in string order."""
-    _, observed = _imputed_column(table, fitted.target)
-    missing = np.flatnonzero(~observed)
-    codes, key = _stratum_codes(table, missing, fitted.target, fitted.kind)
-    required, row_of = np.unique(codes, return_inverse=True)
-    keys = [key(code) for code in required]
-    for k in sorted(keys, key=str):
-        if k not in fitted.strata:
-            raise UnfittableStratum(
-                f"no distribution to impute from at {_stratum_name(table, k)}")
-    return missing, keys, row_of
+    return ImputationPlan(table, model).fitted
 
 
 class ImputationPlan:
-    """Everything a completion draw of ``table`` under ``fitted`` needs that
-    does not depend on the draw, built once: the missing records, each
-    one's stratum row, and the padded CDF and value matrices. Nothing
-    writes to a plan once it is built; a draw lives in the arrays that
-    :meth:`imputed_block` and :meth:`complete` return.
+    """Everything a completion draw of ``table`` under ``model`` (fitted
+    or not) needs that does not depend on the draw, built from one coding
+    of every record: the ``fitted`` model, the missing records, each one's
+    stratum row, and the padded CDF and value matrices. A fitted model
+    drawn on other domains than its own is a :class:`DataError` naming the
+    role. Nothing writes to a plan once it is built; a draw lives in the
+    arrays that :meth:`imputed_block` and :meth:`complete` return.
     """
 
-    def __init__(self, table, fitted):
+    def __init__(self, table, model):
+        _check_regime(model, table)
+        column, observed = _imputed_column(table, model.target)
+        codes, key = _stratum_codes(table, model.target, model.kind)
+        self.missing = np.flatnonzero(~observed)
+        # split the coding, so that the fit's sorts do not run beside all of it
+        donor_codes, missing_codes = codes[observed], codes[self.missing]
+        del codes
+        domains = (("x", table.x_domains), ("outcome", table.outcome)
+                   if model.target == "outcome" else ("w", table.w_domains))
+        if isinstance(model, FittedImputationModel):
+            for (role, fitted_on), (_, own) in zip(model.domains, domains):
+                if fitted_on != own:
+                    raise DataError(f"model fitted on other {role} domains than the table's")
+            self.fitted = model
+        else:
+            if model.kind in (models.EXPLICIT_OUTCOME_Q, models.EXPLICIT_COVARIATE_Q):
+                strata = {k: (atoms, np.cumsum(probs)) for k, (atoms, probs)
+                          in models.coded_strata(model, table).items()}
+            else:
+                strata = _fit_empirical(donor_codes, key, column[observed])
+            self.fitted = FittedImputationModel(model.kind, model.target, strata, domains)
+        strata = self.fitted.strata
         self.table = table
-        self.target = fitted.target
-        self.missing, keys, self.row_of = _missing_strata(table, fitted)
-        column, _ = _imputed_column(table, fitted.target)
+        self.target = model.target
+        required, self.row_of = np.unique(missing_codes, return_inverse=True)
+        keys = [key(code) for code in required]
+        for k in sorted(keys, key=str):
+            if k not in strata:
+                raise UnfittableStratum(
+                    f"no distribution to impute from at {_stratum_name(table, k)}")
         self.imputed = np.zeros(table.n, dtype=bool)
         self.imputed[self.missing] = True
-        width = max((len(fitted.strata[k][1]) for k in keys), default=1)
+        width = max((len(strata[k][1]) for k in keys), default=1)
         self.cdf_mat = np.ones((len(keys), width))
         self.val_mat = np.zeros((len(keys), width), dtype=column.dtype)
         for j, k in enumerate(keys):
-            atoms, cdf = fitted.strata[k]
+            atoms, cdf = strata[k]
             self.cdf_mat[j, :len(cdf)] = cdf
             self.val_mat[j, :len(atoms)] = atoms
             self.val_mat[j, len(atoms):] = atoms[-1]
@@ -242,9 +247,7 @@ class ImputationPlan:
 def draw_completion(table, fitted, seed):
     """One completed dataset: every missing value replaced by an
     independent draw from its stratum's distribution, deterministic in
-    ``seed``. Observed values are untouched."""
-    if isinstance(fitted, ImputationModel):
-        fitted = fit_model(fitted, table)
+    ``seed``. Observed values are untouched. ``fitted`` may be unfitted."""
     return ImputationPlan(table, fitted).complete(stream(seed, STREAM_COMPLETION))
 
 
@@ -374,22 +377,22 @@ def _tag_draw(error, k):
 def run_multiple_imputation(table, model, m, estimator, seed):
     """Complete the table ``m`` times, estimate on each completion, pool.
 
-    Draw ``k`` (0-based) uses the stream keyed ``(seed, k + 1)``, so results
-    are reproducible and independent of scheduling; ``m = 1`` reproduces
-    :func:`draw_completion` exactly. The plan, the estimator's cell and one
-    Philox generator are built once. Draws are made in blocks of at most
-    :data:`BLOCK_CELLS` working cells: the generator is rekeyed to each
-    draw's stream, and a block's uniforms are inverted in one kernel call.
-    Estimator errors that do not depend on the draw are tagged ``draw 0``,
-    and an empty pooled cell on draw ``k`` is tagged ``draw k``. The pooled
-    value is the arithmetic mean of the per-draw estimates; the dispersion
-    is their sample standard deviation (0 when ``m = 1``) and is reported
-    for diagnostics only.
+    ``model`` may be fitted. Draw ``k`` (0-based) uses the stream keyed
+    ``(seed, k + 1)``, so results are reproducible and independent of
+    scheduling; ``m = 1`` reproduces :func:`draw_completion` exactly. The
+    plan, the estimator's cell and one Philox generator are built once.
+    Draws are made in blocks of at most :data:`BLOCK_CELLS` working cells:
+    the generator is rekeyed to each draw's stream, and a block's uniforms
+    are inverted in one kernel call. Estimator errors that do not depend
+    on the draw are tagged ``draw 0``, and an empty pooled cell on draw
+    ``k`` is tagged ``draw k``. The pooled value is the arithmetic mean of
+    the per-draw estimates; the dispersion is their sample standard
+    deviation (0 when ``m = 1``) and is reported for diagnostics only.
     """
     m = int(m)
     if m < 1:
         raise DataError(f"m must be >= 1, got {m}")
-    plan = ImputationPlan(table, fit_model(model, table))
+    plan = ImputationPlan(table, model)
     rng = stream(seed, STREAM_COMPLETION)
     estimates = []
     try:

@@ -823,6 +823,25 @@ class TestIngest:
         assert str(exc.value) == (f"line 4: cannot read {path}: byte 0xff "
                                   "is not UTF-8 (invalid start byte)")
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"y,g\n1," + b"a" * 131072 + b"\xff\n", "byte 0xff is not UTF-8 (invalid start byte)"),
+        (b'y,g\n1,"' + b"a" * 131072 + b'\xff"\n',
+         "byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"y,g\n1," + b"a" * 131073 + b"\xff\n", "field larger than field limit (131072)"),
+        (b"y,g\n1," + b"a" * 131073 + b"\n1,\xff\n",
+         "field larger than field limit (131072)"),
+    ], ids=["at_limit", "quoted_at_limit", "over_limit", "over_limit_earlier"])
+    def test_undecodable_byte_after_a_field_at_the_size_limit(self, content, reason,
+                                                              tmp_path):
+        """A field of exactly the csv module's size limit before a bad byte
+        is no read error of its own; a field over the limit before the bad
+        byte, in its record or an earlier one, is the first fault."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        with pytest.raises(MalformedRow) as exc:
+            ingest_csv(str(path), DataConfig("y", OutcomeDomain(0.0, 1.0), ("g",)))
+        assert str(exc.value) == f"line 2: cannot read {path}: {reason}"
+
     @pytest.mark.parametrize("content, line, byte", [
         (b"y,g\n1,a\n0,\xff\n", 3, 0xff),
         (b"y,\xfeg\n1,a\n", 1, 0xfe),

@@ -386,6 +386,94 @@ def test_pooled_draws_match_completed_tables(run):
         draw_completion(table, model, seed))
 
 
+def run_or_error(table, model, m, estimator, seed):
+    """The per-draw estimates of a pooled run, or the class and message of
+    the error it raises."""
+    try:
+        return run_multiple_imputation(table, model, m, estimator, seed).per_draw_estimates
+    except ImputeBoundsError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(imputation_runs())
+def test_runner_takes_a_fitted_model(run):
+    """A fitted model gives the runner the draws of the model it was fitted
+    from, bit for bit, and the plan built from it the same arrays."""
+    table, model, estimator, m, seed = run
+    try:
+        fitted = fit_model(model, table)
+    except UnfittableStratum:
+        return
+    assert (run_or_error(table, fitted, m, estimator, seed)
+            == run_or_error(table, model, m, estimator, seed))
+    plan, refit = ImputationPlan(table, model), ImputationPlan(table, fitted)
+    for name in ("missing", "row_of", "cdf_mat", "val_mat"):
+        a, b = getattr(plan, name), getattr(refit, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_pooled_run_codes_the_table_once(monkeypatch):
+    """A mar_covariate run codes (y, x) strata once, and sorts four times:
+    the outcome levels, the donors' atoms and (stratum, atom) pairs, and
+    the missing records' strata."""
+    pop = random_population(21, x_sizes=(2,), w_sizes=(3,), regime="covariate")
+    table = sample_table(pop, 500, seed=22)
+    calls = {"yx_codes": 0, "unique": 0}
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rmi, "yx_codes")
+    counted(np, "unique")
+    run_multiple_imputation(table, ImputationModel.mar_covariate(), 3,
+                            EstimatorSpec("long_mean", CellSelector("a", "a")), 5)
+    assert calls == {"yx_codes": 1, "unique": 4}
+
+
+class TestForeignDomains:
+    """A fitted model keys its strata and atoms by the flat codes of the
+    table it was fitted on, so drawing it on a table with other domains is
+    refused, naming the role that differs."""
+
+    def test_x_levels_in_another_order(self):
+        fit_on = ObservationTable.from_records(
+            [(1.0, "a", None), (0.0, "b", None), (None, "a", None)],
+            OutcomeDomain.binary_01(), X2)
+        other = ObservationTable.from_records(
+            [(None, "a", None), (1.0, "b", None)], OutcomeDomain.binary_01(),
+            (CategoricalDomain("g", ("b", "a")),))
+        fitted = fit_model(ImputationModel.mar_outcome(), fit_on)
+        with pytest.raises(DataError, match="other x domains"):
+            draw_completion(other, fitted, seed=1)
+        with pytest.raises(DataError, match="other x domains"):
+            run_multiple_imputation(other, fitted, 4, EstimatorSpec(
+                "imputation_mean", CellSelector("a")), seed=1)
+
+    def test_fewer_w_levels(self):
+        w3 = (CategoricalDomain("m", ("o", "p", "q")),)
+        fit_on = ObservationTable.from_records(
+            [(1.0, "a", "q"), (1.0, "a", None)], OutcomeDomain.binary_01(), X1, w3)
+        other = ObservationTable.from_records(
+            [(1.0, "a", "o"), (1.0, "a", None)], OutcomeDomain.binary_01(), X1, W2)
+        fitted = fit_model(ImputationModel.mar_covariate(), fit_on)
+        with pytest.raises(DataError, match="other w domains"):
+            draw_completion(other, fitted, seed=1)
+
+    def test_other_outcome_domain(self):
+        fitted = fit_model(ImputationModel.mar_outcome(), outcome_table([1, None]))
+        other = outcome_table([1, None], OutcomeDomain(0.0, 2.0))
+        with pytest.raises(DataError, match="other outcome domains"):
+            draw_completion(other, fitted, seed=1)
+
+
 class TestImputationPlan:
     def test_completions_do_not_share_the_working_copy(self):
         t = outcome_table([1, 0, None, None, None, None])
