@@ -169,23 +169,25 @@ def apply_mechanism(base, mech):
 
 def sample_table(pop, n, seed):
     """Draw ``n`` i.i.d. records; the variable governed by z (per the
-    population's regime) is blanked where z = 0. Deterministic in ``seed``."""
+    population's regime) is blanked where z = 0. Deterministic in ``seed``;
+    ``n`` is a whole number >= 0.
+
+    Values are looked up and blanked per population cell, so each column
+    is one gather over the records."""
+    n = _whole(n, "n", 0)
     validate_population(pop)
     cdf = np.cumsum(pop.mass)
     cdf /= cdf[-1]
-    u = stream(seed, STREAM_SAMPLE).random(int(n))
-    idx = _kernels.sample_cells(cdf, u)
-    y = pop.outcome_values[pop.y_i[idx]]
-    x = pop.x_i[idx]
-    w = pop.w_i[idx]
-    hidden = pop.z[idx] == 0
+    # the uniforms die with the call, before the columns are gathered
+    idx = _kernels.sample_cells(cdf, stream(seed, STREAM_SAMPLE).random(n))
+    y = pop.outcome_values[pop.y_i]
+    w = pop.w_i
     if pop.regime == OUTCOME_REGIME:
-        y = y.copy()
-        y[hidden] = np.nan
+        y = np.where(pop.z == 0, np.nan, y)
     else:
-        w = w.copy()
-        w[hidden] = -1
-    return ObservationTable(pop.outcome, pop.x_domains, pop.w_domains, y, x, w)
+        w = np.where(pop.z == 0, -1, w)
+    return ObservationTable(pop.outcome, pop.x_domains, pop.w_domains,
+                            y.take(idx), pop.x_i.take(idx), w.take(idx))
 
 
 def _letters(n):
@@ -217,6 +219,8 @@ def random_population(seed, *, outcome_values=(0.0, 1.0), x_sizes=(2,),
     nx = max(int(np.prod(x_sizes)), 1)
     nw = max(int(np.prod(w_sizes)), 1) if w_sizes else 1
     n_cells = len(values) * nx * nw * 2
+    if not floor >= 0.0:
+        raise DataError(f"floor must be a number >= 0, got {floor!r}")
     if n_cells * floor >= 1.0:
         raise DataError(f"floor {floor} too large for {n_cells} cells")
     rng = stream(seed, STREAM_POPULATION)

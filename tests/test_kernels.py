@@ -3,7 +3,7 @@ support, clamp the top edge, and follow the distribution they invert."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imputebounds import _kernels as K
 
@@ -16,6 +16,50 @@ def test_sample_cells_top_edge_clamped():
     cdf = np.array([0.5, 1.0 - 1e-12])
     u = np.array([0.999999999999, 0.0, 0.5])
     assert K.sample_cells(cdf, u).tolist() == [1, 0, 1]
+
+
+def binary_search_cells(cdf, u):
+    """The reference lookup: a binary search of the CDF, clamped."""
+    idx = np.searchsorted(cdf, u, side="right")
+    return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+
+
+@st.composite
+def population_cdfs(draw):
+    """Masses as populations hold them: runs of zero-mass cells, at times
+    one dominant cell or a single cell, cumulated and normalised by the
+    last entry (trailing zero masses repeat 1.0), and at times scaled so
+    the last entry lies just below 1.0."""
+    masses = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 0.25]),
+                           min_size=1, max_size=300))
+    masses[draw(st.integers(0, len(masses) - 1))] += draw(
+        st.sampled_from([1.0, 1e3, 1e9]))
+    scale = draw(st.sampled_from([1.0, 1.0 - 2**-52, 1.0 - 1e-12]))
+    return masses, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(population_cdfs(), st.integers(0, 2**32 - 1))
+@example(([1e9] + [1.0] * 20 + [0.0] * 3, 1.0), 0)
+def test_sample_cells_equals_the_binary_search(masses_scale, seed):
+    """Uniforms from ``Generator.random``, plus 0, every CDF entry below 1
+    and its two float neighbours, and the largest double below 1. The
+    example crowds 20 entries into the top bucket, more than the
+    :data:`GUIDE_STEPS` every uniform takes."""
+    masses, scale = masses_scale
+    cdf = np.cumsum(masses)
+    cdf = cdf / cdf[-1] * scale
+    entries = cdf[cdf < 1.0]
+    u = np.concatenate([
+        np.random.Generator(np.random.Philox(key=[seed, 2])).random(64),
+        [0.0, 1.0 - 2**-53], entries,
+        np.nextafter(entries, 0.0), np.nextafter(entries, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    pos = K.sample_cells(cdf, u)
+    assert pos.dtype == np.int64
+    assert pos.tolist() == binary_search_cells(cdf, u).tolist()
+    empty = K.sample_cells(cdf, np.empty(0))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_draw_positions_top_edge_clamped():

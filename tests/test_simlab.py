@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from imputebounds.simlab import (
     apply_mechanism,
     convergence_experiment,
     experiment_from_json,
+    default_domains,
     joint_population,
     load_experiment,
     random_population,
@@ -116,6 +118,60 @@ class TestSampleTable:
         assert not t.z_w.any()
         assert t.z_y.all()
 
+    @pytest.mark.parametrize("n", [-1, 2.5, "5", True, None])
+    def test_bad_n_rejected(self, mnar_pop, n):
+        with pytest.raises(DataError):
+            sample_table(mnar_pop, n, seed=1)
+
+    def test_zero_records(self, mnar_pop):
+        t = sample_table(mnar_pop, 0, seed=1)
+        assert t.n == 0 and t.y.dtype == np.float64 and t.w.dtype == np.int64
+
+
+def zero_mass_outcome_pop():
+    """Outcome regime, three outcome values, 10 of 18 cells without mass:
+    the middle outcome value has none, and x = a and x = c are never
+    missing, so zero-mass cells come in runs and end the cell list."""
+    cells = {}
+    for y_val, p_y in ((0.0, 0.2), (0.5, 0.0), (1.0, 0.8)):
+        for x_val, p_x in (("a", 0.5), ("b", 0.3), ("c", 0.2)):
+            cells[(y_val, x_val, None)] = p_y * p_x
+    base = joint_population(cells, outcome=OutcomeDomain(0.0, 1.0),
+                            x_domains=default_domains("x", (3,)))
+    return apply_mechanism(base, MissingnessMechanism.by_x({"a": 0.0, "b": 0.4, "c": 0.0}))
+
+
+#: sha256 of the ``y``, ``x`` and ``w`` bytes of ``sample_table(pop, n,
+#: 2024 + n)``, recorded from the binary-search sampler with per-record
+#: blanking that preceded the guide-table search
+SAMPLE_DIGESTS = {
+    ("outcome_zero_mass", 1):
+        "725c4777db328932b197731b1c986c84913a069a2090deb3667b697624551c8b",
+    ("outcome_zero_mass", 1000):
+        "cb9c5aeca78dff4e206a0410c9cb3b513e3cf03e3a8e5473148d7ce79196f83a",
+    ("outcome_zero_mass", 200000):
+        "548233fe9c4462944bde8822a0306a35acdc829ab9397d15d0e4abf7fd755a18",
+    ("covariate", 1):
+        "a227259515c7872ea14931d21bc8fb05e1f8fa1ffbcaee497fe8214eeab1a760",
+    ("covariate", 1000):
+        "3fa28ab1f76968853e27fc7ca326902d8f63e274d4a308e475fc191878ee27a7",
+    ("covariate", 200000):
+        "3f1bd4d8fe5a9738066fa507f0bc29d7777c210e8159ed772325cb80c959b88a",
+}
+
+
+@pytest.mark.parametrize("case, n", sorted(SAMPLE_DIGESTS))
+def test_sampled_tables_are_pinned(case, n):
+    if case == "outcome_zero_mass":
+        pop = zero_mass_outcome_pop()
+    else:
+        pop = random_population(11, x_sizes=(3, 2), w_sizes=(4,), regime="covariate")
+    t = sample_table(pop, n, 2024 + n)
+    digest = hashlib.sha256()
+    for column in (t.y, t.x, t.w):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == SAMPLE_DIGESTS[case, n]
+
 
 class TestRandomPopulation:
     def test_valid_and_deterministic(self):
@@ -131,6 +187,14 @@ class TestRandomPopulation:
     def test_floor_too_large_rejected(self):
         with pytest.raises(DataError):
             random_population(0, floor=0.2, x_sizes=(4,))
+
+    @pytest.mark.parametrize("floor", [float("nan"), -0.2, -1e-300])
+    def test_nan_or_negative_floor_rejected(self, floor):
+        with pytest.raises(DataError, match="floor must be"):
+            random_population(0, floor=floor)
+
+    def test_zero_floor_allowed(self):
+        validate_population(random_population(0, floor=0.0))
 
 
 class TestExperimentSpec:
