@@ -22,6 +22,7 @@ from functools import cached_property
 from itertools import repeat
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -282,19 +283,22 @@ class ObservationTable:
         w = np.asarray(self.w, dtype=np.int64)
         if not (len(y) == len(x) == len(w)):
             raise DataError("column lengths differ")
-        if np.any((x < 0) | (x >= total_size(self.x_domains))):
+        # ranges from reductions, so no check makes a mask of the records
+        if x.size and (x.min() < 0 or x.max() >= total_size(self.x_domains)):
             raise DataError("x code out of range")
-        if np.any((w < -1) | (w >= total_size(self.w_domains))):
+        w_min = w.min() if w.size else 0
+        if w.size and (w_min < -1 or w.max() >= total_size(self.w_domains)):
             raise DataError("w code out of range")
-        present = ~np.isnan(y)
-        vals = y[present]
+        absent = np.isnan(y)
+        y_missing = bool(absent.any())
+        vals = y[~absent] if y_missing else y
         if np.any(np.isinf(vals)):
             raise OutcomeOutOfDomain("outcome values must be finite")
         if not self.outcome.contains(vals):
             raise OutcomeOutOfDomain(
                 f"outcome values outside domain [{self.outcome.lo}, {self.outcome.hi}]"
             )
-        if (~present).any() and (w < 0).any():
+        if y_missing and w_min < 0:
             raise RegimeMismatch(
                 "table mixes missing outcomes and missing covariates; "
                 "exactly one missingness regime may be active"
@@ -344,17 +348,30 @@ class ObservationTable:
 
 def yx_codes(table):
     """The (y, x) stratum codes ``y_index * |X| + x`` of every record of
-    ``table``, with ``y_index`` over its distinct outcomes, and the function
-    that decodes codes (one or an array) back to their outcomes and flat
-    ``x`` codes."""
-    y_levels, y_index = np.unique(table.y, return_inverse=True)
+    ``table``, the function that decodes codes (one or an array) back to
+    their outcomes and flat ``x`` codes, and the number of codes, so every
+    code is below it.
+
+    ``table`` has no missing outcome: a covariate model or the mixture
+    estimate meets an outcome-regime table only after it has raised
+    :class:`RegimeMismatch`. On a binary outcome domain ``y`` is its own
+    index over the levels ``[0.0, 1.0]``, whether or not both occur; any
+    other outcome is indexed over its distinct values by ``np.unique``.
+    Either way the codes rise with ``(y, x)``, so the codes that occur sort
+    in the same order and decode to the same keys."""
+    if table.outcome.binary:
+        y_levels, codes = np.array([0.0, 1.0]), table.y.astype(np.int64)
+    else:
+        y_levels, codes = np.unique(table.y, return_inverse=True)
     n_x = total_size(table.x_domains)
+    codes *= n_x
+    codes += table.x
 
     def decode(codes):
         y_at, x = np.divmod(codes, n_x)
         return y_levels[y_at], x
 
-    return y_index * n_x + table.x, decode
+    return codes, decode, len(y_levels) * n_x
 
 
 @dataclass(frozen=True)
@@ -658,6 +675,17 @@ def json_keys(what):
         raise DataError(f"{what} has a value of the wrong shape or type: {e}") from None
 
 
+def _whole(value, what, least):
+    """``value`` as an ``int``: an integer or an integral float, never a
+    boolean, and at least ``least`` unless that is None."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DataError(f"{what} must be >= {least}, got {value!r}")
+    return int(value)
+
+
 def json_list(value, what):
     """``value``, read inside :func:`json_keys`, as a tuple: a JSON value
     that is not a list is of the wrong type, so a string is never split
@@ -670,8 +698,10 @@ def json_list(value, what):
 def population_from_json(obj):
     with json_keys("population JSON"):
         dom = obj.get("outcome_domain", {})
-        outcome = OutcomeDomain(dom.get("lo", 0.0), dom.get("hi", 1.0),
-                                bool(dom.get("binary", False)))
+        binary = dom.get("binary", False)
+        if not isinstance(binary, bool):
+            raise TypeError(f"'binary' must be true or false, got {binary!r}")
+        outcome = OutcomeDomain(dom.get("lo", 0.0), dom.get("hi", 1.0), binary)
         x_domains = tuple(CategoricalDomain(n, json_list(lv, f"the levels of {n!r}"))
                           for n, lv in obj.get("x_domains", {}).items())
         w_domains = tuple(CategoricalDomain(n, json_list(lv, f"the levels of {n!r}"))
@@ -681,7 +711,7 @@ def population_from_json(obj):
             w_val = cell.get("w")
             key = (float(cell["y"]), json_list(cell["x"], "a cell's 'x'"),
                    None if w_val is None else json_list(w_val, "a cell's 'w'"),
-                   int(cell["z"]))
+                   _whole(cell["z"], "a cell's 'z'", None))
             cells[key] = cells.get(key, 0.0) + float(cell["mass"])
         regime = obj.get("regime", OUTCOME_REGIME)
     return FinitePopulation.from_cells(

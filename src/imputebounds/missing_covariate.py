@@ -359,7 +359,7 @@ def mixture_joint_estimate(table, q):
         raise EmptyCell("empty table")
     share = 1.0 / n
     n_w = total_size(table.w_domains)
-    stratum, decode = yx_codes(table)
+    stratum, decode, _ = yx_codes(table)
     observed = np.asarray(table.z_w)
     atoms, counts = np.unique(stratum[observed] * n_w + table.w[observed],
                               return_counts=True)

@@ -13,10 +13,13 @@ Strata are integer codes: ``x`` for models keyed by the covariate alone,
 :class:`ImputationPlan` is the one place that codes a table, once per
 record: it fits the model on the observed records' codes (explicit models
 on :func:`imputebounds.models.coded_strata`) and takes the coverage check
-and each missing record's stratum row from one ``np.unique`` of the
-missing records' codes. It keeps the fitted model and what every draw
-reads (the missing records, their stratum rows, the padded CDF and value
-matrices), not the codes; :func:`fit_model` is the plan's fitted model.
+and each missing record's stratum row from one count of the missing
+records' codes. Codes are counted, not sorted (:func:`_count`): a count
+over the space of possible codes gives what ``np.unique`` would, unless
+that space is far larger than the records. The plan keeps the fitted
+model and what every draw reads (the missing records, their stratum rows,
+the padded CDF and value matrices), not the codes; :func:`fit_model` is
+the plan's fitted model.
 
 The pooled runner builds the plan and the estimator's cell once and one
 Philox generator per run, then makes its draws in blocks. For a block of
@@ -49,6 +52,7 @@ from .domain import (
     COVARIATE_REGIME,
     OUTCOME_REGIME,
     CompletedTable,
+    total_size,
     value_labels,
     yx_codes,
 )
@@ -117,18 +121,18 @@ def _imputed_column(table, target):
 
 
 def _stratum_codes(table, target, kind):
-    """The integer stratum code of every record, and a function mapping a
+    """The integer stratum code of every record, a function mapping a
     code back to its stratum key: ``x``, or ``(y, x)`` coded by
-    :func:`~imputebounds.domain.yx_codes`."""
+    :func:`~imputebounds.domain.yx_codes`, and the number of codes."""
     if target == "outcome" or kind == models.ECOLOGICAL:
-        return table.x, int
-    codes, decode = yx_codes(table)
+        return table.x, int, total_size(table.x_domains)
+    codes, decode, space = yx_codes(table)
 
     def key(code):
         y_val, xf = decode(code)
         return (float(y_val), int(xf))
 
-    return codes, key
+    return codes, key, space
 
 
 def _stratum_name(table, key):
@@ -138,13 +142,38 @@ def _stratum_name(table, key):
     return f"x={value_labels(table.x_domains, key)!r}"
 
 
-def _fit_empirical(codes, key, values):
-    """Per stratum code, the empirical distribution of ``values``: its
-    sorted atoms and their cumulative probabilities."""
+def _count(codes, space):
+    """``np.unique(codes, return_inverse=True, return_counts=True)`` of
+    ``int64`` codes in ``[0, space)``: the codes that occur, each code's
+    place among them, and how often each occurs, with the same values and
+    dtypes. When ``space <= max(4 * len(codes), 2**16)`` they come from one
+    ``np.bincount`` over the whole space and a running count of the codes
+    that occur, with no sort. A larger space (a real-valued outcome makes
+    up to ``n * |X|`` (y, x) codes) is sorted by ``np.unique``, so no count
+    is much longer than the codes it counts."""
+    if space > max(4 * len(codes), 2**16):
+        return np.unique(codes, return_inverse=True, return_counts=True)
+    counts = np.bincount(codes, minlength=space)
+    occur = np.flatnonzero(counts)
+    place = np.cumsum(counts > 0)
+    place -= 1
+    return occur, place.take(codes), counts.take(occur)
+
+
+def _fit_empirical(codes, space, key, values, levels):
+    """Per stratum code below ``space``, the empirical distribution of
+    ``values``: its sorted atoms and their cumulative probabilities.
+    ``values`` are real outcomes when ``levels`` is None, else codes below
+    ``levels`` (the flat ``w`` codes), which are their own atoms: each
+    stratum keeps only the atoms its donors take, so either way its atoms
+    and counts are those of its donors."""
     if not len(values):
         return {}
-    atoms, atom_of = np.unique(values, return_inverse=True)
-    pairs, counts = np.unique(codes * len(atoms) + atom_of, return_counts=True)
+    if levels is None:
+        atoms, atom_of = np.unique(values, return_inverse=True)
+    else:
+        atoms, atom_of = np.arange(levels), values
+    pairs, _, counts = _count(codes * len(atoms) + atom_of, space * len(atoms))
     stratum_of = pairs // len(atoms)
     starts = np.flatnonzero(np.diff(stratum_of, prepend=-1))
     strata = {}
@@ -171,7 +200,9 @@ class ImputationPlan:
     """Everything a completion draw of ``table`` under ``model`` (fitted
     or not) needs that does not depend on the draw, built from one coding
     of every record: the ``fitted`` model, the missing records, each one's
-    stratum row, and the padded CDF and value matrices. A fitted model
+    stratum row, and the padded CDF and value matrices. The fit's
+    (stratum, atom) pairs and the missing records' strata are counted by
+    :func:`_count`; only a real outcome's atoms are sorted. A fitted model
     drawn on other domains than its own is a :class:`DataError` naming the
     role. Nothing writes to a plan once it is built; a draw lives in the
     arrays that :meth:`imputed_block` and :meth:`complete` return.
@@ -180,10 +211,12 @@ class ImputationPlan:
     def __init__(self, table, model):
         _check_regime(model, table)
         column, observed = _imputed_column(table, model.target)
-        codes, key = _stratum_codes(table, model.target, model.kind)
-        self.missing = np.flatnonzero(~observed)
-        # split the coding, so that the fit's sorts do not run beside all of it
-        donor_codes, missing_codes = codes[observed], codes[self.missing]
+        codes, key, space = _stratum_codes(table, model.target, model.kind)
+        self.imputed = ~observed
+        self.missing = np.flatnonzero(self.imputed)
+        donors = np.flatnonzero(observed)
+        # split the coding, so that the fit's counts do not run beside all of it
+        donor_codes, missing_codes = codes.take(donors), codes.take(self.missing)
         del codes
         domains = (("x", table.x_domains), ("outcome", table.outcome)
                    if model.target == "outcome" else ("w", table.w_domains))
@@ -197,19 +230,18 @@ class ImputationPlan:
                 strata = {k: (atoms, np.cumsum(probs)) for k, (atoms, probs)
                           in models.coded_strata(model, table).items()}
             else:
-                strata = _fit_empirical(donor_codes, key, column[observed])
+                levels = None if model.target == "outcome" else total_size(table.w_domains)
+                strata = _fit_empirical(donor_codes, space, key, column.take(donors), levels)
             self.fitted = FittedImputationModel(model.kind, model.target, strata, domains)
         strata = self.fitted.strata
         self.table = table
         self.target = model.target
-        required, self.row_of = np.unique(missing_codes, return_inverse=True)
+        required, self.row_of, _ = _count(missing_codes, space)
         keys = [key(code) for code in required]
         for k in sorted(keys, key=str):
             if k not in strata:
                 raise UnfittableStratum(
                     f"no distribution to impute from at {_stratum_name(table, k)}")
-        self.imputed = np.zeros(table.n, dtype=bool)
-        self.imputed[self.missing] = True
         width = max((len(strata[k][1]) for k in keys), default=1)
         self.cdf_mat = np.ones((len(keys), width))
         self.val_mat = np.zeros((len(keys), width), dtype=column.dtype)

@@ -31,6 +31,7 @@ from .domain import (
     FinitePopulation,
     ObservationTable,
     OutcomeDomain,
+    _whole,
     flat_value,
     json_keys,
     json_list,
@@ -273,17 +274,6 @@ class ExperimentSpec:
         object.__setattr__(self, "reps", _whole(self.reps, "reps", 1))
         object.__setattr__(self, "seed", _whole(self.seed, "seed", None))
         object.__setattr__(self, "tolerance", float(tol))
-
-
-def _whole(value, what, least):
-    """``value`` as an ``int``: an integer or an integral float, never a
-    boolean, and at least ``least`` unless that is None."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())):
-        raise DataError(f"{what} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise DataError(f"{what} must be >= {least}, got {value!r}")
-    return int(value)
 
 
 def experiment_from_json(obj, base_dir="."):

@@ -16,7 +16,9 @@ from imputebounds import (
     ObservationTable,
     OutcomeDomain,
     cli,
+    population_from_json,
     population_to_json,
+    random_population,
     run_multiple_imputation,
 )
 from imputebounds.cli import EXIT_DATA, DataConfig, ingest_csv, main
@@ -525,6 +527,57 @@ class TestMalformedJson:
         code, _, cap = run_cli(loader_argv(loader, bad, data, config), capsys)
         assert code == EXIT_DATA
         assert f"{kind} has a value of the wrong shape or type" in cap.err
+
+
+class TestPopulationTypes:
+    """A population file's ``z`` is read as a whole number and ``binary`` as
+    a JSON boolean: a fractional, text or boolean ``z`` and a ``binary``
+    that is not true or false are data errors, not coerced."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"z": 0.7}, "a cell's 'z' must be an integer, got 0.7"),
+        ({"z": "1"}, "a cell's 'z' must be an integer, got '1'"),
+        ({"z": True}, "a cell's 'z' must be an integer, got True"),
+        ({"binary": "no"}, "'binary' must be true or false, got 'no'"),
+        ({"binary": 1}, "'binary' must be true or false, got 1"),
+    ])
+    @pytest.mark.parametrize("command", ["audit", "simulate"])
+    def test_exits_3(self, edit, message, command, outcome_fixture, tmp_path,
+                     capsys):
+        data, config = outcome_fixture
+        pop = population_to_json(build_mnar_pop())
+        if "z" in edit:
+            pop["cells"][0].update(edit)
+        else:
+            pop["outcome_domain"].update(edit)
+        path = tmp_path / "pop.json"
+        if command == "audit":
+            path.write_text(json.dumps(pop))
+        else:
+            path.write_text(spec_json(population=pop))
+        loader = "population" if command == "audit" else "spec"
+        code, _, cap = run_cli(loader_argv(loader, path, data, config), capsys)
+        assert code == EXIT_DATA
+        assert message in cap.err
+
+    def test_fractional_z_no_longer_merges_cells(self, tmp_path, capsys):
+        """``z`` = 0.7 once loaded as 0, silently merging a z = 1 cell into
+        the z = 0 cell beside it."""
+        pop = population_to_json(random_population(3, x_sizes=(2,)))
+        assert len(pop["cells"]) == 8
+        pop["cells"][0]["z"] = 0.7
+        path = tmp_path / "pop.json"
+        path.write_text(spec_json(population=pop))
+        code, _, cap = run_cli(["simulate", "--spec", str(path)], capsys)
+        assert code == EXIT_DATA
+        assert "a cell's 'z' must be an integer, got 0.7" in cap.err
+
+    def test_integral_float_z_loads(self):
+        pop = population_to_json(build_mnar_pop())
+        for cell in pop["cells"]:
+            cell["z"] = float(cell["z"])
+        assert population_to_json(population_from_json(pop)) == population_to_json(
+            build_mnar_pop())
 
 
 class TestConfigLists:

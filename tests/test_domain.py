@@ -26,7 +26,7 @@ from imputebounds.errors import (
     OutcomeOutOfDomain,
     RegimeMismatch,
 )
-from conftest import X1, build_mnar_pop
+from conftest import W2, X1, build_mnar_pop
 
 
 def make_pop(cells, **kw):
@@ -186,6 +186,55 @@ class TestObservationTable:
         t = outcome_table([1, 0])
         with pytest.raises(ValueError):
             t.y[0] = 0.0
+
+    def test_arrays_are_copies(self):
+        y, x, w = np.array([1.0, 0.0]), np.array([0, 0]), np.array([0, 0])
+        t = ObservationTable(OutcomeDomain.binary_01(), X1, W2, y, x, w)
+        y[0], x[0], w[0] = 0.0, 5, 5
+        assert (t.y.tolist(), t.x.tolist(), t.w.tolist()) == ([1.0, 0.0], [0, 0], [0, 0])
+
+    def test_empty_table_builds(self):
+        t = ObservationTable(OutcomeDomain.binary_01(), X1, W2, [], [], [])
+        assert (t.n, t.regime) == (0, "complete")
+
+    OUT_OF_DOMAIN = "outcome values outside domain [{}, {}]"
+    MIXED = ("table mixes missing outcomes and missing covariates; "
+             "exactly one missingness regime may be active")
+
+    @pytest.mark.parametrize("outcome, y, x, w, error, message", [
+        (None, [1.0, 0.0], [0, -1], [0, 0], DataError, "x code out of range"),
+        (None, [1.0, 0.0], [0, 2], [0, 0], DataError, "x code out of range"),
+        (None, [1.0, 0.0], [0, 0], [-2, 0], DataError, "w code out of range"),
+        (None, [1.0, 0.0], [0, 0], [0, 2], DataError, "w code out of range"),
+        (None, [1.0, np.inf], [0, 0], [0, 0], OutcomeOutOfDomain,
+         "outcome values must be finite"),
+        (None, [np.nan, -np.inf], [0, 0], [0, 0], OutcomeOutOfDomain,
+         "outcome values must be finite"),
+        (None, [np.nan, 1.0], [0, 0], [0, -1], RegimeMismatch, MIXED),
+        ((0.0, 10.0), [np.nan, 10.5], [0, 0], [0, 0], OutcomeOutOfDomain,
+         OUT_OF_DOMAIN.format(0.0, 10.0)),
+        ((0.0, 10.0), [-0.5, 3.0], [0, 0], [0, 0], OutcomeOutOfDomain,
+         OUT_OF_DOMAIN.format(0.0, 10.0)),
+        (None, [0.5, 1.0], [0, 0], [0, 0], OutcomeOutOfDomain,
+         OUT_OF_DOMAIN.format(0.0, 1.0)),
+        # several faults: the checks run x, w, finite, domain, regime
+        (None, [np.inf, 0.5], [-1, 0], [5, 0], DataError, "x code out of range"),
+        (None, [np.inf, np.nan], [0, 0], [5, -1], DataError, "w code out of range"),
+        (None, [np.inf, 0.5], [0, 0], [0, 0], OutcomeOutOfDomain,
+         "outcome values must be finite"),
+        (None, [np.nan, 0.5], [0, 0], [-1, 0], OutcomeOutOfDomain,
+         OUT_OF_DOMAIN.format(0.0, 1.0)),
+    ])
+    def test_each_fault_names_itself(self, outcome, y, x, w, error, message):
+        """Codes just outside |X| and |W| (w = -1 is missing, -2 is not), a
+        non-finite or out-of-domain outcome, and both regimes at once raise
+        their own error, in the order the checks run."""
+        domain = OutcomeDomain(*outcome) if outcome else OutcomeDomain.binary_01()
+        with pytest.raises(error) as raised:
+            ObservationTable(domain, (CategoricalDomain("g", ("a", "b")),), W2,
+                             np.array(y), np.array(x), np.array(w))
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 class TestFlatIndexing:

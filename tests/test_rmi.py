@@ -1,6 +1,7 @@
 import contextlib
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from imputebounds.errors import (
     RegimeMismatch,
     UnfittableStratum,
 )
-from imputebounds.models import model_from_json
+from imputebounds.domain import total_size, yx_codes
+from imputebounds.models import coded_strata, model_from_json
 from imputebounds.rmi import ImputationPlan
 from conftest import X1, W2, build_covariate_pop, build_mnar_pop
 
@@ -415,9 +417,10 @@ def test_runner_takes_a_fitted_model(run):
 
 
 def test_pooled_run_codes_the_table_once(monkeypatch):
-    """A mar_covariate run codes (y, x) strata once, and sorts four times:
-    the outcome levels, the donors' atoms and (stratum, atom) pairs, and
-    the missing records' strata."""
+    """A mar_covariate run on a binary outcome codes (y, x) strata once and
+    sorts nothing: the outcome is its own index, and the donors' atoms,
+    their (stratum, atom) pairs and the missing records' strata are
+    counted."""
     pop = random_population(21, x_sizes=(2,), w_sizes=(3,), regime="covariate")
     table = sample_table(pop, 500, seed=22)
     calls = {"yx_codes": 0, "unique": 0}
@@ -435,7 +438,7 @@ def test_pooled_run_codes_the_table_once(monkeypatch):
     counted(np, "unique")
     run_multiple_imputation(table, ImputationModel.mar_covariate(), 3,
                             EstimatorSpec("long_mean", CellSelector("a", "a")), 5)
-    assert calls == {"yx_codes": 1, "unique": 4}
+    assert calls == {"yx_codes": 1, "unique": 0}
 
 
 class TestForeignDomains:
@@ -697,3 +700,194 @@ def philox_position(generator):
     state = generator.bit_generator.state
     return (state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
             state["buffer_pos"], state["has_uint32"])
+
+
+# ---------------------------------------------------------------------------
+# the plan's counts against the sorts they replace
+
+
+@st.composite
+def counted_codes(draw):
+    """Codes with a space on either side of the dense rule, or small."""
+    n = draw(st.integers(0, 40))
+    rule = max(4 * n, 2**16)
+    space = draw(st.sampled_from([1, 2, n + 1, rule - 1, rule, rule + 1, 3 * rule]))
+    high = draw(st.integers(0, space - 1))
+    codes = draw(st.lists(st.integers(0, high), min_size=n, max_size=n))
+    return np.array(codes, dtype=np.int64), space
+
+
+@settings(max_examples=300, deadline=None)
+@given(counted_codes())
+@example((np.array([], dtype=np.int64), 1))
+@example((np.array([], dtype=np.int64), 2**16 + 1))
+@example((np.array([7], dtype=np.int64), 8))
+@example((np.array([2**16], dtype=np.int64), 2**16 + 1))
+def test_count_equals_unique(case):
+    """``rmi._count`` returns what ``np.unique`` does, in values, dtypes and
+    shapes, and sorts only when the space exceeds ``max(4 n, 2**16)``."""
+    codes, space = case
+    with mock.patch.object(np, "unique", wraps=np.unique) as sorts:
+        got = rmi._count(codes, space)
+    assert sorts.called == (space > max(4 * len(codes), 2**16))
+    expected = np.unique(codes, return_inverse=True, return_counts=True)
+    for mine, theirs in zip(got, expected, strict=True):
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def sorted_plan(table, model):
+    """The plan as the sort-based coding built it: ``np.unique`` for the
+    outcome index, the fit's atoms and (stratum, atom) pairs and the
+    missing records' strata. Returns ``missing, row_of, cdf_mat, val_mat,
+    strata``, or raises what that plan raised."""
+    rmi._check_regime(model, table)
+    if model.target == "outcome":
+        column, observed = table.y, np.asarray(table.z_y)
+    else:
+        column, observed = table.w, np.asarray(table.z_w)
+    if model.target == "outcome" or model.kind == "ecological":
+        codes, key = table.x, int
+    else:
+        y_levels, y_index = np.unique(table.y, return_inverse=True)
+        n_x = total_size(table.x_domains)
+        codes = y_index * n_x + table.x
+
+        def key(code):
+            return (float(y_levels[code // n_x]), int(code % n_x))
+    missing = np.flatnonzero(~observed)
+    if model.kind in ("explicit_outcome_q", "explicit_covariate_q"):
+        strata = {k: (atoms, np.cumsum(probs)) for k, (atoms, probs)
+                  in coded_strata(model, table).items()}
+    else:
+        strata, values = {}, column[observed]
+        if len(values):
+            atoms, atom_of = np.unique(values, return_inverse=True)
+            pairs, counts = np.unique(codes[observed] * len(atoms) + atom_of,
+                                      return_counts=True)
+            stratum_of = pairs // len(atoms)
+            starts = np.flatnonzero(np.diff(stratum_of, prepend=-1))
+            for lo, hi in zip(starts, [*starts[1:], len(pairs)]):
+                c = counts[lo:hi]
+                strata[key(stratum_of[lo])] = (atoms[pairs[lo:hi] % len(atoms)],
+                                               np.cumsum(c / c.sum()))
+    required, row_of = np.unique(codes[missing], return_inverse=True)
+    keys = [key(code) for code in required]
+    for k in sorted(keys, key=str):
+        if k not in strata:
+            raise UnfittableStratum(
+                f"no distribution to impute from at {rmi._stratum_name(table, k)}")
+    width = max((len(strata[k][1]) for k in keys), default=1)
+    cdf_mat = np.ones((len(keys), width))
+    val_mat = np.zeros((len(keys), width), dtype=column.dtype)
+    for j, k in enumerate(keys):
+        atoms, cdf = strata[k]
+        cdf_mat[j, :len(cdf)] = cdf
+        val_mat[j, :len(atoms)] = atoms
+        val_mat[j, len(atoms):] = atoms[-1]
+    return missing, row_of, cdf_mat, val_mat, strata
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_plan_matches_sorted(table, model):
+    try:
+        expected = sorted_plan(table, model)
+    except ImputeBoundsError as e:
+        with pytest.raises(type(e)) as raised:
+            ImputationPlan(table, model)
+        assert str(raised.value) == str(e)
+        return
+    missing, row_of, cdf_mat, val_mat, strata = expected
+    plan = ImputationPlan(table, model)
+    for mine, theirs in ((plan.missing, missing), (plan.row_of, row_of),
+                         (plan.cdf_mat, cdf_mat), (plan.val_mat, val_mat)):
+        assert same_bytes(mine, theirs)
+    assert list(plan.fitted.strata) == list(strata)
+    for k, (atoms, cdf) in strata.items():
+        assert same_bytes(plan.fitted.strata[k][0], atoms)
+        assert same_bytes(plan.fitted.strata[k][1], cdf)
+
+
+KINDS = ("mar_outcome", "explicit_outcome_q", "mar_covariate",
+         "explicit_covariate_q", "ecological")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KINDS),
+       st.sampled_from([(0.0, 1.0), (0.0, 0.5, 2.0), (-1.0, 0.25, 0.5, 3.0, 7.5)]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       st.integers(2, 4), st.integers(0, 80), st.integers(0, 2**32 - 1))
+def test_plan_equals_the_sorted_plan(kind, values, x_sizes, n_w, n, seed):
+    """Every kind, binary and real outcomes, tables from empty to ones with
+    strata that lack donors: the counted plan has the sorted plan's bytes,
+    or raises its error naming the same stratum."""
+    covariate = kind in ("mar_covariate", "explicit_covariate_q", "ecological")
+    pop = random_population(seed, outcome_values=values, x_sizes=tuple(x_sizes),
+                            w_sizes=(n_w,), regime="covariate" if covariate else "outcome")
+    table = sample_table(pop, n, seed + 1)
+    model = {"mar_outcome": ImputationModel.mar_outcome(),
+             "explicit_outcome_q": true_outcome_model(pop),
+             "mar_covariate": ImputationModel.mar_covariate(),
+             "explicit_covariate_q": true_covariate_model(pop),
+             "ecological": ImputationModel.ecological()}[kind]
+    assert_plan_matches_sorted(table, model)
+
+
+class TestCountedPlanEdges:
+    X3 = (CategoricalDomain("g", ("a", "b", "c")),)
+
+    @pytest.mark.parametrize("present", [0.0, 1.0])
+    @pytest.mark.parametrize("model", [ImputationModel.mar_covariate(),
+                                       ImputationModel.ecological()])
+    def test_binary_outcome_with_one_level(self, present, model):
+        """y is its own index, so a binary table holding only y = 1 codes
+        (1, x) as 1 * |X| + x, where the sorted coding made it 0 * |X| + x;
+        the rows, CDFs and keys are the same."""
+        table = ObservationTable(
+            OutcomeDomain.binary_01(), self.X3, W2, np.full(6, present),
+            np.array([0, 2, 2, 0, 2, 1]), np.array([0, 1, -1, -1, 0, 1]))
+        assert_plan_matches_sorted(table, model)
+        codes, decode, space = yx_codes(table)
+        assert space == 6
+        assert decode(codes)[0].tolist() == [present] * 6
+
+    def test_real_outcome_takes_the_sorted_route(self):
+        """A real outcome with many levels and many x levels makes a (y, x)
+        space too large to count densely: each (y, x) stratum holds one
+        donor and one missing record."""
+        x_domains = (CategoricalDomain("g", tuple(f"v{i}" for i in range(400))),)
+        rng = np.random.default_rng(3)
+        y = np.repeat(rng.permutation(200) / 7.0, 2)
+        x = np.repeat(rng.integers(0, 400, 200), 2)
+        w = np.tile([1, -1], 200)
+        table = ObservationTable(OutcomeDomain(0.0, 30.0), x_domains, W2, y, x, w)
+        assert yx_codes(table)[2] > max(4 * table.n, 2**16)
+        with mock.patch.object(np, "unique", wraps=np.unique) as sorts:
+            plan = ImputationPlan(table, ImputationModel.mar_covariate())
+        # the outcome index, the fit's pairs and the missing strata
+        assert sorts.call_count == 3
+        assert plan.cdf_mat.tolist() == [[1.0]] * 200
+        assert_plan_matches_sorted(table, ImputationModel.mar_covariate())
+
+    @pytest.mark.parametrize("model", [ImputationModel.mar_outcome(),
+                                       ImputationModel.mar_covariate()])
+    def test_table_without_missing_records(self, model):
+        table = ObservationTable(OutcomeDomain.binary_01(), self.X3, W2,
+                                 [0.0, 1.0, 1.0], [0, 1, 2], [0, 1, 1])
+        plan = ImputationPlan(table, model)
+        assert (len(plan.missing), plan.cdf_mat.shape) == (0, (0, 1))
+        assert_plan_matches_sorted(table, model)
+
+    def test_unfittable_stratum_names_the_first_in_string_order(self):
+        """Strata (1.0, x=c) and (0.0, x=b) lack donors; the error names
+        the first in the string order of their keys, as it always did."""
+        table = ObservationTable(
+            OutcomeDomain.binary_01(), self.X3, W2,
+            [1.0, 0.0, 1.0, 0.0, 1.0], [2, 1, 0, 0, 0], [-1, -1, 0, 1, -1])
+        with pytest.raises(UnfittableStratum, match=r"\(y=0\.0, x=\('b',\)\)"):
+            ImputationPlan(table, ImputationModel.mar_covariate())
+        assert_plan_matches_sorted(table, ImputationModel.mar_covariate())
