@@ -37,6 +37,7 @@ from .domain import (
     CellSelector,
     ObservationTable,
     OutcomeDomain,
+    json_bool,
     json_keys,
     json_list,
     load_population,
@@ -94,7 +95,7 @@ class DataConfig:
 def config_from_json(obj):
     with json_keys("data config"):
         out = obj["outcome"]
-        if out.get("binary"):
+        if json_bool(out.get("binary", False), "'binary'"):
             dom = OutcomeDomain.binary_01()
         else:
             dom = OutcomeDomain(float(out["lo"]), float(out["hi"]))

@@ -473,7 +473,7 @@ class FinitePopulation:
 
     @classmethod
     def from_cells(cls, cells, *, outcome, x_domains, w_domains=(),
-                   regime=OUTCOME_REGIME, validate=True):
+                   regime=OUTCOME_REGIME):
         """Build from a mapping ``(y, x_value, w_value, z) -> mass``.
 
         Duplicate keys are summed; cells are stored in canonical order so
@@ -508,8 +508,7 @@ class FinitePopulation:
             mass=np.array([staged[k] for k in order], dtype=np.float64),
             regime=regime,
         )
-        if validate:
-            validate_population(pop)
+        validate_population(pop)
         return pop
 
     @property
@@ -533,6 +532,13 @@ class FinitePopulation:
         if y_value is not None:
             mask &= self.outcome_values[self.y_i] == y_value
         return mask
+
+    def require_regime(self, regime, what):
+        """Raise :class:`RegimeMismatch` unless z governs the variable that
+        ``regime`` names, as ``what`` reads it."""
+        if self.regime != regime:
+            raise RegimeMismatch(f"{what} needs a population in the {regime} "
+                                 f"regime, not the {self.regime} regime")
 
     def mass_where(self, **kw):
         """Total mass over cells matching the given coordinates."""
@@ -695,12 +701,18 @@ def json_list(value, what):
     return tuple(value)
 
 
+def json_bool(value, what):
+    """``value``, read inside :func:`json_keys`, as a JSON boolean: a
+    string such as ``"no"`` is of the wrong type, never truthy."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def population_from_json(obj):
     with json_keys("population JSON"):
         dom = obj.get("outcome_domain", {})
-        binary = dom.get("binary", False)
-        if not isinstance(binary, bool):
-            raise TypeError(f"'binary' must be true or false, got {binary!r}")
+        binary = json_bool(dom.get("binary", False), "'binary'")
         outcome = OutcomeDomain(dom.get("lo", 0.0), dom.get("hi", 1.0), binary)
         x_domains = tuple(CategoricalDomain(n, json_list(lv, f"the levels of {n!r}"))
                           for n, lv in obj.get("x_domains", {}).items())

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NORMALIZATION_TOL, Interval
+from .domain import COVARIATE_REGIME, NORMALIZATION_TOL, Interval
 from .errors import ProbabilityOutOfRange, RegimeMismatch, ZeroCellMass
 
 
@@ -74,6 +74,7 @@ def ecological_plim(pop, sel):
     pooled-cell mean converges to the short mean E(y | x = xi) for every
     omega: the imputation recovers nothing about the long mean.
     """
+    pop.require_regime(COVARIATE_REGIME, "the ecological plim")
     xi_flat, _ = sel.resolve(pop.x_domains, pop.w_domains)
     p_z1 = pop.mass_where(z=1)
     if p_z1 > NORMALIZATION_TOL:

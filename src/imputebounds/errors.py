@@ -69,10 +69,6 @@ class NonBinaryOutcome(GuardError):
     """The operation requires a binary {0, 1} outcome."""
 
 
-class TooManyStrata(GuardError):
-    """The exhaustive oracle refuses instances above its stratum cap."""
-
-
 class ImputedValueOutOfDomain(GuardError):
     """An imputed value lies outside the outcome domain."""
 

@@ -39,14 +39,10 @@ from .errors import (
     NonFiniteMass,
     QUndefinedForStratum,
     RegimeMismatch,
-    TooManyStrata,
     ZeroCellMass,
     ZeroDenominator,
 )
 from .models import QCovariateModel
-
-#: vertex enumeration is capped at 2**12 corners
-ORACLE_STRATA_CAP = 12
 
 __all__ = [
     "QCovariateModel",
@@ -107,74 +103,77 @@ def imputed_long_mean(completed, sel):
     return pooled_cell_mean(completed.y[at_xi], completed.w[at_xi], om, sel)
 
 
-def _omega_weights(pop, model, sel, xi, om):
-    """Per outcome value, the model's chance of imputing w = omega for a
-    missing record in stratum (y, xi): q_k = P(u = omega | y_k, xi, z=0).
-
-    Only strata with positive missing mass are evaluated; others get 0.
-    """
+def _mixture_parts(pop, model, sel):
+    """``(xi, om, obs_mass, obs_ymass, u_mass, u_ymass)``: the cell's flat
+    codes, the (outcome) mass observed at (xi, omega, z=1), and the
+    (outcome) mass the model routes there. The missing mass of stratum
+    (y_k, xi) enters with q_k = P(u = omega | y_k, xi, z=0); the model need
+    not be defined on a stratum with no missing mass."""
+    xi, om = _xi_omega(sel, pop.x_domains, pop.w_domains)
     if model.target != "covariate":
         raise RegimeMismatch(f"model {model.kind!r} does not impute covariates")
-    n_y = len(pop.outcome_values)
-    weights = np.zeros(n_y)
+    pop.require_regime(COVARIATE_REGIME, "the imputed long-cell limit")
     if model.kind == models.ECOLOGICAL:
         p_xi = pop.mass_where(xi=xi)
         if p_xi <= 0.0:
             raise ModelUndefinedOnCell(f"P(x = {sel.xi!r}) = 0")
-        weights[:] = pop.mass_where(xi=xi, omega=om) / p_xi
-        return weights
-    if model.kind == models.EXPLICIT_COVARIATE_Q:
+        eco_q = pop.mass_where(xi=xi, omega=om) / p_xi
+    elif model.kind == models.EXPLICIT_COVARIATE_Q:
         strata = models.coded_strata(model, pop)
+    u_mass = u_ymass = 0.0
     for k, y_val in enumerate(pop.outcome_values):
         m0 = pop.mass_where(xi=xi, y_index=k, z=0)
         if m0 <= 0.0:
             continue
-        if model.kind == models.MAR_COVARIATE:
+        if model.kind == models.ECOLOGICAL:
+            q = eco_q
+        elif model.kind == models.MAR_COVARIATE:
             donor = pop.mass_where(xi=xi, y_index=k, z=1)
             if donor <= 0.0:
                 raise ModelUndefinedOnCell(
                     f"no observed covariates at (y={y_val}, x={sel.xi!r}) to match")
-            weights[k] = pop.mass_where(xi=xi, omega=om, y_index=k, z=1) / donor
+            q = pop.mass_where(xi=xi, omega=om, y_index=k, z=1) / donor
         else:
             stratum = strata.get((float(y_val), xi))
             if stratum is None:
                 raise ModelUndefinedOnCell(
                     f"model has no stratum (y={y_val}, x={sel.xi!r})")
-            weights[k] = sum(p for wf, p in zip(*stratum) if wf == om)
-    return weights
-
-
-def _mixture_parts(pop, model, sel):
-    xi, om = _xi_omega(sel, pop.x_domains, pop.w_domains)
-    q = _omega_weights(pop, model, sel, xi, om)
+            q = sum(p for wf, p in zip(*stratum) if wf == om)
+        u_mass += q * m0
+        u_ymass += float(y_val) * q * m0
     obs_mass = pop.mass_where(xi=xi, omega=om, z=1)
     obs_ymass = pop.ymass_where(xi=xi, omega=om, z=1)
-    u_mass = 0.0
-    u_ymass = 0.0
-    for k, y_val in enumerate(pop.outcome_values):
-        m0 = pop.mass_where(xi=xi, y_index=k, z=0)
-        u_mass += q[k] * m0
-        u_ymass += float(y_val) * q[k] * m0
     return xi, om, obs_mass, obs_ymass, u_mass, u_ymass
+
+
+def _pooled_cell(pop, model, sel):
+    """``(obs_mass, ymass, total)``: the pooled cell's observed, outcome
+    and whole mass in the limit, the last one positive."""
+    _, _, obs_mass, obs_ymass, u_mass, u_ymass = _mixture_parts(pop, model, sel)
+    total = obs_mass + u_mass
+    if total <= 0.0:
+        raise ZeroCellMass("no mass reaches the pooled cell")
+    return obs_mass, obs_ymass + u_ymass, total
 
 
 def plim_imputed_long_mean(pop, model, sel):
     """Probability limit of the imputed long-cell mean: the observed
     (xi, omega, z=1) cell mixed with the mass the model routes into omega
-    from the missing strata."""
-    _, _, obs_mass, obs_ymass, u_mass, u_ymass = _mixture_parts(pop, model, sel)
-    total = obs_mass + u_mass
-    if total <= 0.0:
-        raise ZeroCellMass("no mass reaches the pooled cell")
-    return float((obs_ymass + u_ymass) / total)
+    from the missing strata.
+
+    The ``ecological`` model routes with the population's whole
+    P(w = omega | x = xi), the auxiliary-data reading of the ecological
+    case. A fit on a sample draws from P(w | x, z=1) instead, so its
+    estimate converges to this limit only when w is missing at random
+    given x.
+    """
+    _, ymass, total = _pooled_cell(pop, model, sel)
+    return float(ymass / total)
 
 
 def imputed_cell_share(pop, model, sel):
     """Limit fraction of the pooled cell that is genuinely observed."""
-    _, _, obs_mass, _, u_mass, _ = _mixture_parts(pop, model, sel)
-    total = obs_mass + u_mass
-    if total <= 0.0:
-        raise ZeroCellMass("no mass reaches the pooled cell")
+    obs_mass, _, total = _pooled_cell(pop, model, sel)
     return float(obs_mass / total)
 
 
@@ -211,6 +210,7 @@ def _binary_masses(source, sel):
     table counts: observed target-cell successes A1 and size A, and missing
     successes B1 / failures B0 at xi."""
     if isinstance(source, FinitePopulation):
+        source.require_regime(COVARIATE_REGIME, "bounds")
         if not source.binary_support:
             raise NonBinaryOutcome("bounds require a binary {0,1} outcome")
         xi, om = _xi_omega(sel, source.x_domains, source.w_domains)
@@ -255,14 +255,16 @@ def binary_bounds_closed_form(source, sel):
 def binary_bounds_oracle(pop, sel):
     """Exhaustive-allocation bounds on E(y | x = xi, w = omega), binary y.
 
-    Each (y, x) stratum with missing-covariate mass may place any share of
-    that mass at omega. The pooled-cell mean is a ratio of two affine
-    functions of those shares, hence monotone in each share, so its extrema
-    over the allocation box sit at corners where every stratum allocates
-    all-or-nothing; corners that empty the pooled cell are skipped (the
-    values approached near them are attained at other corners). Enumerates
-    all 2^S corners, S capped at ``ORACLE_STRATA_CAP``.
+    Each (y, xi) stratum with missing-covariate mass may place any share of
+    that mass at omega; strata at other x never reach the cell. The
+    pooled-cell mean is a ratio of two affine functions of those shares,
+    hence monotone in each share, so its extrema over the allocation box
+    sit at corners where every stratum allocates all-or-nothing; corners
+    that empty the pooled cell are skipped (the values approached near
+    them are attained at other corners). A binary outcome has at most two
+    strata at xi, so there are at most four corners.
     """
+    pop.require_regime(COVARIATE_REGIME, "the allocation oracle")
     if not pop.binary_support:
         raise NonBinaryOutcome("oracle requires a binary {0,1} outcome")
     xi, om = _xi_omega(sel, pop.x_domains, pop.w_domains)
@@ -271,19 +273,15 @@ def binary_bounds_oracle(pop, sel):
 
     strata = []
     for k, y_val in enumerate(pop.outcome_values):
-        for xf in range(total_size(pop.x_domains)):
-            m0 = pop.mass_where(xi=xf, y_index=k, z=0)
-            if m0 > 0.0:
-                strata.append((float(y_val), xf, m0))
-    if len(strata) > ORACLE_STRATA_CAP:
-        raise TooManyStrata(
-            f"{len(strata)} missing strata exceed the cap {ORACLE_STRATA_CAP}")
+        m0 = pop.mass_where(xi=xi, y_index=k, z=0)
+        if m0 > 0.0:
+            strata.append((float(y_val), m0))
 
     lo = hi = None
     for corner in itertools.product((0, 1), repeat=len(strata)):
         extra1 = extra0 = 0.0
-        for take, (y_val, xf, m0) in zip(corner, strata):
-            if take and xf == xi:
+        for take, (y_val, m0) in zip(corner, strata):
+            if take:
                 if y_val == 1.0:
                     extra1 += m0
                 else:

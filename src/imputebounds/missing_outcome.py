@@ -15,6 +15,7 @@ from . import models
 from .domain import (
     EQUALITY_TOL,
     COVARIATE_REGIME,
+    OUTCOME_REGIME,
     CompletedTable,
     FinitePopulation,
     Interval,
@@ -72,6 +73,7 @@ def _decomposition(source, sel):
     the missing share P(z=0|xi). On an outcome-regime table, with observed
     fraction pi and observed-cell mean m, they are ``pi*m`` and ``1-pi``."""
     if isinstance(source, FinitePopulation):
+        source.require_regime(OUTCOME_REGIME, "the missing-outcome decomposition")
         xi, p_xi = _cell_stats(source, sel)
         return (source.ymass_where(xi=xi, z=1) / p_xi,
                 source.mass_where(xi=xi, z=0) / p_xi)
@@ -180,6 +182,7 @@ def plim_imputation_mean(pop, model, sel):
 def consistency_condition(pop, model, sel):
     """True iff the model's missing-stratum mean matches the actual
     E(y | x = xi, z = 0); exactly then the imputation estimate is consistent."""
+    pop.require_regime(OUTCOME_REGIME, "the consistency condition")
     xi, _ = _cell_stats(pop, sel)
     denom = pop.mass_where(xi=xi, z=0)
     if denom <= 0.0:

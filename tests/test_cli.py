@@ -216,6 +216,25 @@ class TestAudit:
         assert gap["truth_covered"] is True
         assert isinstance(gap["imputation_point_in_interval"], bool)
 
+    def test_population_with_seven_x_cells_on_omega_cell(self, tmp_path, capsys):
+        """Only the strata at xi enter the allocation oracle, so the number
+        of x cells of the population does not matter."""
+        pop = random_population(0, x_sizes=(7,), w_sizes=(2,), regime="covariate")
+        pop_path = tmp_path / "pop.json"
+        pop_path.write_text(json.dumps(population_to_json(pop)))
+        data = tmp_path / "data.csv"
+        data.write_text("y,x1,w1\n1,a,a\n0,a,a\n1,a,b\n0,a,\n1,a,\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "outcome": {"column": "y", "binary": True}, "x": ["x1"],
+            "w": ["w1"], "levels": {"x1": list("abcdefg")}}))
+        code, report, _ = run_cli(
+            ["audit", "--data", str(data), "--config", str(config),
+             "--model", "marcov", "--xi", "x1=a", "--omega", "w1=a",
+             "--m", "3", "--seed", "5", "--population", str(pop_path)], capsys)
+        assert code == 0
+        assert report["results"]["bias_gap"]["truth_covered"] is True
+
     def test_non_finite_population_mass_is_data_error(self, outcome_fixture,
                                                       tmp_path, capsys):
         data, config = outcome_fixture
@@ -578,6 +597,43 @@ class TestPopulationTypes:
             cell["z"] = float(cell["z"])
         assert population_to_json(population_from_json(pop)) == population_to_json(
             build_mnar_pop())
+
+
+class TestConfigBinary:
+    """A data config's ``outcome.binary`` is a JSON boolean, as in a
+    population file: ``"no"`` once read as true and put the [0, 5] outcome
+    on the binary domain."""
+
+    DATA = "y,g\n1,a\n0,a\n,a\n"
+
+    @pytest.mark.parametrize("binary", ["no", "false", 1])
+    def test_non_boolean_exits_3(self, binary, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(self.DATA)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "outcome": {"column": "y", "binary": binary, "lo": 0, "hi": 5},
+            "x": ["g"]}))
+        code, report, cap = run_cli(
+            ["bounds", "--data", str(data), "--config", str(config), "--xi", "g=a"],
+            capsys)
+        assert (code, report) == (EXIT_DATA, None)
+        assert f"'binary' must be true or false, got {binary!r}" in cap.err
+
+    def test_false_keeps_the_declared_range(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(self.DATA)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "outcome": {"column": "y", "binary": False, "lo": 0, "hi": 5},
+            "x": ["g"]}))
+        code, report, _ = run_cli(
+            ["bounds", "--data", str(data), "--config", str(config), "--xi", "g=a"],
+            capsys)
+        assert code == 0
+        interval = report["results"]["interval"]
+        assert interval["lo"] == pytest.approx(1 / 3)
+        assert interval["hi"] == pytest.approx(2.0)
 
 
 class TestConfigLists:

@@ -29,11 +29,18 @@ from imputebounds.errors import (
 from conftest import W2, X1, build_mnar_pop
 
 
-def make_pop(cells, **kw):
-    kw.setdefault("outcome", OutcomeDomain.binary_01())
-    kw.setdefault("x_domains", X1)
-    kw.setdefault("validate", False)
-    return FinitePopulation.from_cells(cells, **kw)
+def make_pop(cells):
+    """An unchecked binary-domain population at the single x cell of
+    ``X1``, one cell per ``(y, "a", None, z)`` key: the constructor checks
+    indices, not masses, so :func:`validate_population` is left to the
+    test."""
+    keys = sorted(cells)
+    values = sorted({y for y, _, _, _ in keys})
+    return FinitePopulation(
+        outcome=OutcomeDomain.binary_01(), outcome_values=values,
+        x_domains=X1, w_domains=(), y_i=[values.index(y) for y, _, _, _ in keys],
+        x_i=[0] * len(keys), w_i=[0] * len(keys), z=[z for _, _, _, z in keys],
+        mass=[cells[key] for key in keys])
 
 
 def outcome_table(ys, outcome=None):

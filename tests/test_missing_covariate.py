@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from imputebounds import (
     CellSelector,
     CompletedTable,
+    FinitePopulation,
     ImputationModel,
     ObservationTable,
     OutcomeDomain,
@@ -27,18 +28,22 @@ from imputebounds import (
 from imputebounds.simlab import (
     MissingnessMechanism,
     apply_mechanism,
+    bias_gap,
     joint_population,
     random_population,
     sample_table,
 )
 from imputebounds.domain import CategoricalDomain, flat_value, value_labels
 from imputebounds.rmi import draw_completion, fit_model
+from imputebounds.ecological import ecological_plim
 from imputebounds.errors import (
+    ModelUndefinedOnCell,
     NonBinaryOutcome,
     NonFiniteMass,
     QUndefinedForStratum,
-    TooManyStrata,
+    RegimeMismatch,
     ZeroCellMass,
+    ZeroDenominator,
 )
 from conftest import X1, W2, build_routing_pop_and_q
 
@@ -291,10 +296,102 @@ class TestBinaryBoundsOracle:
         iv = binary_bounds_oracle(eco_pop, sel_ao)
         assert (iv.lo, iv.hi) == (0.0, 1.0)
 
-    def test_stratum_cap(self):
+    def test_strata_at_other_x_do_not_count(self):
+        """Only the strata at xi reach the cell, so a population with many
+        x cells has at most four corners to enumerate."""
         pop = random_population(0, x_sizes=(7,), w_sizes=(2,), regime="covariate")
-        with pytest.raises(TooManyStrata):
-            binary_bounds_oracle(pop, CellSelector({"x1": "a"}, {"w1": "a"}))
+        sel = CellSelector({"x1": "a"}, {"w1": "a"})
+        cf = binary_bounds_closed_form(pop, sel)
+        orc = binary_bounds_oracle(pop, sel)
+        assert abs(cf.lo - orc.lo) <= 1e-9
+        assert abs(cf.hi - orc.hi) <= 1e-9
+        gap = bias_gap(pop, ImputationModel.mar_covariate(), sel)
+        assert gap.interval == orc
+
+
+XAB = (CategoricalDomain("g", ("a", "b")),)
+
+
+def two_x_covariate_pop(cells):
+    return FinitePopulation.from_cells(
+        cells, outcome=OutcomeDomain.binary_01(), x_domains=XAB, w_domains=W2,
+        regime="covariate")
+
+
+class TestModelGuards:
+    """Each raise of :class:`ModelUndefinedOnCell` and
+    :class:`ZeroDenominator` on a covariate limit, with its message."""
+
+    def test_ecological_at_an_x_with_no_mass(self):
+        pop = two_x_covariate_pop({
+            (1.0, "a", "o", 1): 0.4, (0.0, "a", "p", 1): 0.3,
+            (1.0, "a", "o", 0): 0.2, (0.0, "a", "p", 0): 0.1})
+        with pytest.raises(ModelUndefinedOnCell) as exc:
+            plim_imputed_long_mean(pop, ImputationModel.ecological(),
+                                   CellSelector("b", "o"))
+        assert str(exc.value) == "P(x = 'b') = 0"
+
+    def test_mar_covariate_stratum_without_donors(self):
+        pop = two_x_covariate_pop({
+            (0.0, "a", "o", 1): 0.4, (0.0, "a", "p", 1): 0.3,
+            (1.0, "a", "o", 0): 0.2, (0.0, "a", "p", 0): 0.1})
+        with pytest.raises(ModelUndefinedOnCell) as exc:
+            plim_imputed_long_mean(pop, ImputationModel.mar_covariate(),
+                                   CellSelector("a", "o"))
+        assert str(exc.value) == "no observed covariates at (y=1.0, x='a') to match"
+
+    def test_explicit_q_lacking_a_stratum(self):
+        pop = two_x_covariate_pop({
+            (1.0, "a", "o", 1): 0.4, (0.0, "a", "p", 1): 0.3,
+            (1.0, "a", "o", 0): 0.2, (0.0, "a", "p", 0): 0.1})
+        q = ImputationModel.explicit_covariate({(1.0, ("a",)): {("o",): 1.0}})
+        with pytest.raises(ModelUndefinedOnCell) as exc:
+            plim_imputed_long_mean(pop, q, CellSelector("a", "o"))
+        assert str(exc.value) == "model has no stratum (y=0.0, x='a')"
+
+    @pytest.mark.parametrize("bounds, message", [
+        (binary_bounds_closed_form, "bound denominator is zero"),
+        (binary_bounds_oracle, "the pooled cell is empty under every allocation"),
+    ], ids=["closed_form", "oracle"])
+    def test_empty_pooled_cell(self, bounds, message):
+        pop = two_x_covariate_pop({
+            (1.0, "b", "o", 1): 0.4, (0.0, "b", "p", 1): 0.3,
+            (1.0, "b", "o", 0): 0.2, (0.0, "b", "p", 0): 0.1})
+        with pytest.raises(ZeroDenominator) as exc:
+            bounds(pop, CellSelector("a", "o"))
+        assert str(exc.value) == message
+
+
+class TestPopulationRegime:
+    """z of an outcome-regime population marks missing outcomes, so every
+    reading of z as covariate missingness refuses it; the truth reads no z."""
+
+    POP = random_population(3, x_sizes=(2,), w_sizes=(2,))
+    SEL = CellSelector("a", "a")
+
+    @pytest.mark.parametrize("reading", [
+        lambda pop, sel: plim_imputed_long_mean(pop, ImputationModel.mar_covariate(), sel),
+        lambda pop, sel: imputed_cell_share(pop, ImputationModel.ecological(), sel),
+        lambda pop, sel: matching_conditions(pop, ImputationModel.mar_covariate(), sel),
+        binary_bounds_closed_form,
+        binary_bounds_oracle,
+    ], ids=["plim", "cell_share", "matching", "closed_form", "oracle"])
+    def test_outcome_regime_population_refused(self, reading):
+        with pytest.raises(RegimeMismatch, match="needs a population in the covariate regime"):
+            reading(self.POP, self.SEL)
+
+    def test_ecological_plim_refuses_an_outcome_regime_population(self):
+        pop = FinitePopulation.from_cells(
+            {(1.0, "a", "o", 0): 0.3, (0.0, "a", "o", 0): 0.2,
+             (1.0, "a", "p", 0): 0.1, (0.0, "a", "p", 0): 0.4},
+            outcome=OutcomeDomain.binary_01(), x_domains=X1, w_domains=W2)
+        with pytest.raises(RegimeMismatch, match="needs a population in the covariate regime"):
+            ecological_plim(pop, CellSelector("a", "o"))
+
+    def test_truth_reads_either_regime(self):
+        assert true_long_mean(self.POP, self.SEL) == true_long_mean(
+            random_population(3, x_sizes=(2,), w_sizes=(2,), regime="covariate"),
+            self.SEL)
 
 
 class TestMidpointLongEstimate:

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imputebounds import (
+    CategoricalDomain,
     CellSelector,
     CompletedTable,
+    FinitePopulation,
     ImputationModel,
     ObservationTable,
     OutcomeDomain,
@@ -34,8 +36,11 @@ from imputebounds.errors import (
     EmptyCell,
     ImputedValueOutOfDomain,
     MeanOutOfDomain,
+    ModelUndefinedOnCell,
+    RegimeMismatch,
     ZeroCellMass,
 )
+from imputebounds.simlab import bias_gap
 from conftest import W2, X1
 
 
@@ -258,6 +263,51 @@ class TestPlimImputationMean:
         assert plim_imputation_mean(pop, model, sel_a) == pytest.approx(
             true_mean(pop, sel_a), abs=1e-12)
         assert consistency_condition(pop, model, sel_a)
+
+
+class TestModelGuards:
+    """Each raise of :class:`ModelUndefinedOnCell` on an outcome limit,
+    with its message: no outcome is observed at x = a."""
+
+    POP_CELLS = {(1.0, "a", None, 0): 0.4, (0.0, "a", None, 0): 0.1,
+                 (1.0, "b", None, 1): 0.3, (0.0, "b", None, 0): 0.2}
+
+    @pytest.mark.parametrize("model, message", [
+        (ImputationModel.mar_outcome(), "no observed outcomes at x = 'a' to match"),
+        (ImputationModel.explicit_outcome([(("b",), [(0.0, 0.5), (1.0, 0.5)])]),
+         "model has no distribution at x = 'a'"),
+    ], ids=["mar_outcome", "explicit_q"])
+    def test_model_undefined_at_xi(self, model, message):
+        pop = FinitePopulation.from_cells(
+            self.POP_CELLS, outcome=OutcomeDomain.binary_01(),
+            x_domains=(CategoricalDomain("g", ("a", "b")),))
+        with pytest.raises(ModelUndefinedOnCell) as exc:
+            plim_imputation_mean(pop, model, CellSelector("a"))
+        assert str(exc.value) == message
+
+
+class TestPopulationRegime:
+    """z of a covariate-regime population marks missing covariates, so
+    every reading of z as outcome missingness refuses it; the truth reads
+    no z."""
+
+    POP = random_population(3, x_sizes=(2,), w_sizes=(2,), regime="covariate")
+    SEL = CellSelector("a")
+
+    @pytest.mark.parametrize("reading", [
+        identification_interval_pop,
+        lambda pop, sel: restricted_interval_pop(pop, sel, RestrictionGamma(0.2, 0.8)),
+        lambda pop, sel: plim_imputation_mean(pop, ImputationModel.mar_outcome(), sel),
+        lambda pop, sel: consistency_condition(pop, ImputationModel.mar_outcome(), sel),
+        lambda pop, sel: bias_gap(pop, ImputationModel.mar_outcome(), sel),
+    ], ids=["interval", "restricted", "plim", "consistency", "bias_gap"])
+    def test_covariate_regime_population_refused(self, reading):
+        with pytest.raises(RegimeMismatch, match="needs a population in the outcome regime"):
+            reading(self.POP, self.SEL)
+
+    def test_truth_reads_either_regime(self):
+        assert true_mean(self.POP, self.SEL) == true_mean(
+            random_population(3, x_sizes=(2,), w_sizes=(2,)), self.SEL)
 
 
 class TestConsistencyCondition:
