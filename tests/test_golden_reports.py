@@ -29,6 +29,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 OUT = ["--data", "out.csv", "--config", "out_config.json"]
 COV = ["--data", "cov.csv", "--config", "cov_config.json"]
+REAL = ["--data", "real.csv", "--config", "real_config.json"]
 
 #: case name -> CLI argv, run in the directory :func:`write_inputs` fills
 CASES = {
@@ -54,7 +55,10 @@ CASES = {
     "audit_marcov_population": ["audit", *COV, "--model", "marcov",
                                 "--xi", "x1=b", "--omega", "w1=a", "--m", "20",
                                 "--seed", "3", "--population", "pop_cov.json"],
+    "estimate_real_wide": ["estimate", *REAL, "--model", "mar", "--xi", "x1=b",
+                           "--m", "40", "--seed", "11"],
     "simulate": ["simulate", "--spec", "spec.json"],
+    "simulate_outcome": ["simulate", "--spec", "spec_out.json"],
     "ecological": ["ecological", "--py", "0.6", "--pw", "0.3"],
     "read_error_bom_bad_byte": ["bounds", "--data", "bom.csv",
                                 "--config", "out_config.json", "--xi", "x1=a"],
@@ -76,6 +80,19 @@ def _write_csv(path, table):
         else:
             fields += value_labels(table.w_domains, int(w))
         lines.append(",".join(fields))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_real_csv(path, n, seed):
+    """``n`` records of a real outcome on [0, 10] in steps of 0.001, about
+    a fifth of them missing, at two x levels: each level's donors take
+    more than 200 distinct values."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 10001, size=n) / 1000
+    missing = rng.random(n) < 0.2
+    x = rng.integers(0, 2, size=n)
+    lines = ["y,x1"] + [f"{'' if gone else f'{v:g}'},{'ab'[k]}"
+                        for v, gone, k in zip(y, missing, x)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -107,6 +124,13 @@ def write_inputs(directory):
         "population": "pop_cov.json", "model": "marcov", "estimator": "long_mean",
         "xi": {"x1": "a"}, "omega": {"w1": "a"}, "n_grid": [200, 400],
         "reps": 2, "seed": 5, "tolerance": 0.5})
+    _write_json(d / "spec_out.json", {
+        "population": "pop_out.json", "model": "mar",
+        "estimator": "imputation_mean", "xi": {"x1": "b"}, "n_grid": [300, 600],
+        "reps": 3, "seed": 12, "tolerance": 0.5})
+    _write_real_csv(d / "real.csv", 720, 1820)
+    _write_json(d / "real_config.json",
+                {"outcome": {"column": "y", "lo": 0, "hi": 10}, "x": ["x1"]})
     (d / "bom.csv").write_bytes(codecs.BOM_UTF8 + b"y,x1\n1,a\n0,\xff\n")
     (d / "wide_field.csv").write_bytes(b"y,x1\n1," + b"a" * 200000 + b"\n")
 
