@@ -40,8 +40,10 @@ from .domain import (
     json_bool,
     json_keys,
     json_list,
+    json_number,
     load_population,
     read_json,
+    sealed,
 )
 from .ecological import ShortDistributions, duncan_davis_bounds
 from .errors import (
@@ -98,7 +100,8 @@ def config_from_json(obj):
         if json_bool(out.get("binary", False), "'binary'"):
             dom = OutcomeDomain.binary_01()
         else:
-            dom = OutcomeDomain(float(out["lo"]), float(out["hi"]))
+            dom = OutcomeDomain(json_number(out["lo"], "'lo'"),
+                                json_number(out["hi"], "'hi'"))
         return DataConfig(
             outcome_column=out["column"],
             outcome=dom,
@@ -237,7 +240,8 @@ def ingest_csv(path, cfg):
     w = np.full(n, -1, dtype=np.int64)
     x = _flat_codes(x_domains, codes[:len(x_domains)], n)
     w[w_given] = _flat_codes(w_domains, codes[len(x_domains):], len(w_rows))
-    return ObservationTable(cfg.outcome, x_domains, w_domains, y, x, w)
+    return ObservationTable(cfg.outcome, x_domains, w_domains,
+                            sealed(y), sealed(x), sealed(w))
 
 
 def _breaks(text):

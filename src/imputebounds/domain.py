@@ -13,7 +13,12 @@ Conventions used throughout the package:
   probability limits, oracles, and simulations are computed against.
 
 All types are immutable after construction (arrays are marked read-only)
-and safe to share across threads.
+and safe to share across threads. A table or population adopts an array
+instead of copying it when its constructor had to convert the input, or
+when the input is already read-only and owns its data (a fresh array
+handed over through :func:`sealed`); anything else is copied. Caveat: a
+writable view made of an array before it was sealed can still write to
+it, and so can its owner by marking it writable again.
 """
 
 from contextlib import contextmanager
@@ -255,10 +260,22 @@ class CellSelector:
 # observation tables
 
 
-def _readonly(arr):
-    arr = np.array(arr, copy=True)
+def sealed(arr):
+    """``arr``, marked read-only in place: a fresh array handed to a table
+    this way is adopted, not copied (see :func:`_readonly`)."""
     arr.setflags(write=False)
     return arr
+
+
+def _readonly(value, dtype):
+    """``value`` as a read-only array of ``dtype``, which no writable array
+    outside shares. An array that ``np.asarray`` had to make by converting
+    ``value`` is sealed in place, and so is ``value`` itself when it is
+    already read-only and owns its data; anything else is copied."""
+    arr = np.asarray(value, dtype=dtype)
+    if not (arr.flags.owndata and (arr is not value or not arr.flags.writeable)):
+        arr = arr.copy()
+    return sealed(arr)
 
 
 @dataclass(frozen=True)
@@ -278,9 +295,9 @@ class ObservationTable:
         object.__setattr__(self, "w_domains", tuple(self.w_domains))
         if total_size(self.x_domains) * total_size(self.w_domains) > MAX_CELLS:
             raise DataError(f"covariate cell count exceeds cap {MAX_CELLS}")
-        y = np.asarray(self.y, dtype=np.float64)
-        x = np.asarray(self.x, dtype=np.int64)
-        w = np.asarray(self.w, dtype=np.int64)
+        y = _readonly(self.y, np.float64)
+        x = _readonly(self.x, np.int64)
+        w = _readonly(self.w, np.int64)
         if not (len(y) == len(x) == len(w)):
             raise DataError("column lengths differ")
         # ranges from reductions, so no check makes a mask of the records
@@ -303,9 +320,9 @@ class ObservationTable:
                 "table mixes missing outcomes and missing covariates; "
                 "exactly one missingness regime may be active"
             )
-        object.__setattr__(self, "y", _readonly(y))
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "w", _readonly(w))
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "w", w)
 
     @classmethod
     def from_records(cls, records, outcome, x_domains, w_domains=()):
@@ -331,11 +348,11 @@ class ObservationTable:
 
     @cached_property
     def z_y(self):
-        return _readonly(~np.isnan(self.y))
+        return sealed(~np.isnan(self.y))
 
     @cached_property
     def z_w(self):
-        return _readonly(self.w >= 0)
+        return sealed(self.w >= 0)
 
     @property
     def regime(self):
@@ -389,11 +406,11 @@ class CompletedTable:
     w_imputed: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
-        x = np.asarray(self.x, dtype=np.int64)
-        w = np.asarray(self.w, dtype=np.int64)
-        yi = np.asarray(self.y_imputed, dtype=bool)
-        wi = np.asarray(self.w_imputed, dtype=bool)
+        y = _readonly(self.y, np.float64)
+        x = _readonly(self.x, np.int64)
+        w = _readonly(self.w, np.int64)
+        yi = _readonly(self.y_imputed, bool)
+        wi = _readonly(self.w_imputed, bool)
         if not (len(y) == len(x) == len(w) == len(yi) == len(wi)):
             raise DataError("column lengths differ")
         if np.any(np.isnan(y)):
@@ -402,7 +419,7 @@ class CompletedTable:
             raise DataError("completed table still has missing covariates")
         for name, arr in (("y", y), ("x", x), ("w", w),
                           ("y_imputed", yi), ("w_imputed", wi)):
-            object.__setattr__(self, name, _readonly(arr))
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "x_domains", tuple(self.x_domains))
         object.__setattr__(self, "w_domains", tuple(self.w_domains))
 
@@ -444,16 +461,16 @@ class FinitePopulation:
             raise DataError("covariate regime requires w domains")
         if total_size(self.x_domains) * total_size(self.w_domains) > MAX_CELLS:
             raise DataError(f"covariate cell count exceeds cap {MAX_CELLS}")
-        vals = np.asarray(self.outcome_values, dtype=np.float64)
+        vals = _readonly(self.outcome_values, np.float64)
         if len(vals) == 0 or np.any(~np.isfinite(vals)):
             raise DataError("outcome support must be non-empty and finite")
         if np.any(np.diff(vals) <= 0):
             raise DataError("outcome support must be sorted and unique")
-        y_i = np.asarray(self.y_i, dtype=np.int64)
-        x_i = np.asarray(self.x_i, dtype=np.int64)
-        w_i = np.asarray(self.w_i, dtype=np.int64)
-        z = np.asarray(self.z, dtype=np.int8)
-        mass = np.asarray(self.mass, dtype=np.float64)
+        y_i = _readonly(self.y_i, np.int64)
+        x_i = _readonly(self.x_i, np.int64)
+        w_i = _readonly(self.w_i, np.int64)
+        z = _readonly(self.z, np.int8)
+        mass = _readonly(self.mass, np.float64)
         if not (len(y_i) == len(x_i) == len(w_i) == len(z) == len(mass)):
             raise DataError("cell arrays differ in length")
         if np.any((y_i < 0) | (y_i >= len(vals))):
@@ -464,12 +481,12 @@ class FinitePopulation:
             raise DataError("w index out of range")
         if np.any((z != 0) & (z != 1)):
             raise DataError("z must be 0 or 1")
-        object.__setattr__(self, "outcome_values", _readonly(vals))
-        object.__setattr__(self, "y_i", _readonly(y_i))
-        object.__setattr__(self, "x_i", _readonly(x_i))
-        object.__setattr__(self, "w_i", _readonly(w_i))
-        object.__setattr__(self, "z", _readonly(z))
-        object.__setattr__(self, "mass", _readonly(mass))
+        object.__setattr__(self, "outcome_values", vals)
+        object.__setattr__(self, "y_i", y_i)
+        object.__setattr__(self, "x_i", x_i)
+        object.__setattr__(self, "w_i", w_i)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "mass", mass)
 
     @classmethod
     def from_cells(cls, cells, *, outcome, x_domains, w_domains=(),
@@ -699,6 +716,17 @@ def json_list(value, what):
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list, got {value!r}")
     return tuple(value)
+
+
+def json_number(value, what):
+    """``value``, read inside :func:`json_keys`, as a finite ``float``: a
+    string such as ``"0"`` or a boolean is of the wrong type, never
+    coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 def json_bool(value, what):

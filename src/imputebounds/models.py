@@ -18,6 +18,7 @@ from .domain import (
     NORMALIZATION_TOL,
     flat_value,
     json_keys,
+    json_number,
     read_json,
     require_finite,
     total_size,
@@ -104,7 +105,8 @@ class QCovariateModel:
 
     @classmethod
     def from_json(cls, obj):
-        return cls([((s["y"], s["x"]), [(a["w"], a["p"]) for a in s["dist"]])
+        return cls([((s["y"], s["x"]), [(a["w"], json_number(a["p"], "'p'"))
+                                        for a in s["dist"]])
                     for s in obj["strata"]])
 
 
@@ -258,7 +260,8 @@ def model_from_json(obj):
         try:
             if kind == "outcome_q":
                 return ImputationModel.explicit_outcome(
-                    [(s["x"], [(a["y"], a["p"]) for a in s["dist"]])
+                    [(s["x"], [(a["y"], json_number(a["p"], "'p'"))
+                               for a in s["dist"]])
                      for s in obj["strata"]])
             if kind == "covariate_q":
                 return ImputationModel.explicit_covariate(

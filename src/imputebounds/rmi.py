@@ -52,6 +52,7 @@ from .domain import (
     COVARIATE_REGIME,
     OUTCOME_REGIME,
     CompletedTable,
+    sealed,
     total_size,
     value_labels,
     yx_codes,
@@ -142,22 +143,28 @@ def _stratum_name(table, key):
     return f"x={value_labels(table.x_domains, key)!r}"
 
 
-def _count(codes, space):
+def _count(codes, space, inverse=True):
     """``np.unique(codes, return_inverse=True, return_counts=True)`` of
     ``int64`` codes in ``[0, space)``: the codes that occur, each code's
-    place among them, and how often each occurs, with the same values and
-    dtypes. When ``space <= max(4 * len(codes), 2**16)`` they come from one
-    ``np.bincount`` over the whole space and a running count of the codes
-    that occur, with no sort. A larger space (a real-valued outcome makes
-    up to ``n * |X|`` (y, x) codes) is sorted by ``np.unique``, so no count
-    is much longer than the codes it counts."""
+    place among them (None unless ``inverse``), and how often each occurs,
+    with the same values and dtypes. When ``space <= max(4 * len(codes),
+    2**16)`` they come from one ``np.bincount`` over the whole space and a
+    running count of the codes that occur, with no sort. A larger space (a
+    real-valued outcome makes up to ``n * |X|`` (y, x) codes) is sorted by
+    ``np.unique``, so no count is much longer than the codes it counts."""
     if space > max(4 * len(codes), 2**16):
-        return np.unique(codes, return_inverse=True, return_counts=True)
+        if inverse:
+            return np.unique(codes, return_inverse=True, return_counts=True)
+        occur, counts = np.unique(codes, return_counts=True)
+        return occur, None, counts
     counts = np.bincount(codes, minlength=space)
     occur = np.flatnonzero(counts)
-    place = np.cumsum(counts > 0)
-    place -= 1
-    return occur, place.take(codes), counts.take(occur)
+    place = None
+    if inverse:
+        place = np.cumsum(counts > 0)
+        place -= 1
+        place = place.take(codes)
+    return occur, place, counts.take(occur)
 
 
 def _fit_empirical(codes, space, key, values, levels):
@@ -166,14 +173,18 @@ def _fit_empirical(codes, space, key, values, levels):
     ``values`` are real outcomes when ``levels`` is None, else codes below
     ``levels`` (the flat ``w`` codes), which are their own atoms: each
     stratum keeps only the atoms its donors take, so either way its atoms
-    and counts are those of its donors."""
+    and counts are those of its donors. ``codes`` is overwritten with the
+    (stratum, atom) pair codes that are counted."""
     if not len(values):
         return {}
     if levels is None:
-        atoms, atom_of = np.unique(values, return_inverse=True)
+        atoms, values = np.unique(values, return_inverse=True)
     else:
-        atoms, atom_of = np.arange(levels), values
-    pairs, _, counts = _count(codes * len(atoms) + atom_of, space * len(atoms))
+        atoms = np.arange(levels)
+    codes *= len(atoms)
+    codes += values
+    del values
+    pairs, _, counts = _count(codes, space * len(atoms), inverse=False)
     stratum_of = pairs // len(atoms)
     starts = np.flatnonzero(np.diff(stratum_of, prepend=-1))
     strata = {}
@@ -212,12 +223,9 @@ class ImputationPlan:
         _check_regime(model, table)
         column, observed = _imputed_column(table, model.target)
         codes, key, space = _stratum_codes(table, model.target, model.kind)
-        self.imputed = ~observed
+        self.imputed = sealed(~observed)
         self.missing = np.flatnonzero(self.imputed)
-        donors = np.flatnonzero(observed)
-        # split the coding, so that the fit's counts do not run beside all of it
-        donor_codes, missing_codes = codes.take(donors), codes.take(self.missing)
-        del codes
+        missing_codes = codes.take(self.missing)
         domains = (("x", table.x_domains), ("outcome", table.outcome)
                    if model.target == "outcome" else ("w", table.w_domains))
         if isinstance(model, FittedImputationModel):
@@ -231,8 +239,15 @@ class ImputationPlan:
                           in models.coded_strata(model, table).items()}
             else:
                 levels = None if model.target == "outcome" else total_size(table.w_domains)
-                strata = _fit_empirical(donor_codes, space, key, column.take(donors), levels)
+                # the donors' codes take the place of the coding, so that the
+                # fit's counts do not run beside all of it
+                donors = np.flatnonzero(observed)
+                codes = codes.take(donors)
+                values = column.take(donors)
+                del donors
+                strata = _fit_empirical(codes, space, key, values, levels)
             self.fitted = FittedImputationModel(model.kind, model.target, strata, domains)
+        del codes
         strata = self.fitted.strata
         self.table = table
         self.target = model.target
@@ -256,7 +271,8 @@ class ImputationPlan:
         ``j`` inverts the uniforms ``u[j]``, one per missing record in
         record order: one kernel call on ``row_of``, one flat ``take``."""
         pos = _kernels.draw_positions(self.cdf_mat, self.row_of, u)
-        return self.val_mat.ravel().take(self.row_of * self.val_mat.shape[1] + pos)
+        pos += self.row_of * self.val_mat.shape[1]
+        return self.val_mat.ravel().take(pos)
 
     def complete(self, rng):
         """One draw, one uniform of ``rng`` per missing record in record
@@ -266,7 +282,8 @@ class ImputationPlan:
         column = np.array(column, copy=True)
         u = rng.random((1, len(self.missing)))
         column[self.missing] = self.imputed_block(u)[0]
-        none = np.zeros(t.n, dtype=bool)
+        sealed(column)
+        none = sealed(np.zeros(t.n, dtype=bool))
         if self.target == "outcome":
             y, w, y_imputed, w_imputed = column, t.w, self.imputed, none
         else:

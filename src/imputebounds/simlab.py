@@ -39,6 +39,7 @@ from .domain import (
     population_from_json,
     read_json,
     require_finite,
+    sealed,
     validate_population,
 )
 from .errors import (
@@ -56,6 +57,16 @@ from .errors import (
 # missingness mechanisms
 
 
+def _rate(value):
+    """A missingness rate as a ``float``; a value ``float`` rejects is a
+    :class:`DataError` naming it. The range is checked per population in
+    :meth:`MissingnessMechanism.probabilities`."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DataError(f"missingness rate must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MissingnessMechanism:
     """Per-cell missingness probabilities P(z = 0 | y, x, w).
@@ -71,22 +82,26 @@ class MissingnessMechanism:
 
     @classmethod
     def constant(cls, rate):
-        return cls("constant", float(rate))
+        return cls("constant", _rate(rate))
 
     @classmethod
     def by_outcome(cls, rates):
         """MNAR: rate chosen by the (possibly missing) outcome value."""
-        return cls("by_outcome", {float(k): float(v) for k, v in rates.items()})
+        return cls("by_outcome", {float(k): _rate(v) for k, v in rates.items()})
 
     @classmethod
     def by_x(cls, rates):
         """MAR given x: rate chosen by the always-observed covariates."""
-        return cls("by_x", dict(rates))
+        return cls("by_x", {k: _rate(v) for k, v in rates.items()})
 
     @classmethod
     def by_cell(cls, rates):
         """Explicit table ``{(y, x_value, w_value): rate}``."""
-        return cls("by_cell", dict(rates))
+        for key in rates:
+            if not (isinstance(key, tuple) and len(key) == 3):
+                raise DataError(f"a by_cell key is a (y, x_value, w_value) "
+                                f"triple, got {key!r}")
+        return cls("by_cell", {k: _rate(v) for k, v in rates.items()})
 
     @classmethod
     def from_callable(cls, fn):
@@ -103,8 +118,7 @@ class MissingnessMechanism:
             except KeyError as e:
                 raise DataError(f"no missingness rate for outcome {e.args[0]}") from None
         elif self.kind == "by_x":
-            table = {flat_value(pop.x_domains, k): float(v)
-                     for k, v in self.payload.items()}
+            table = {flat_value(pop.x_domains, k): v for k, v in self.payload.items()}
             try:
                 probs = np.array([table[int(xf)] for xf in pop.x_i])
             except KeyError:
@@ -114,7 +128,7 @@ class MissingnessMechanism:
             for (y_val, x_val, w_val), rate in self.payload.items():
                 key = (float(y_val), flat_value(pop.x_domains, x_val),
                        flat_value(pop.w_domains, w_val))
-                table[key] = float(rate)
+                table[key] = rate
             try:
                 probs = np.array([
                     table[(float(y_vals[i]), int(pop.x_i[i]), int(pop.w_i[i]))]
@@ -174,7 +188,7 @@ def sample_table(pop, n, seed):
     ``n`` is a whole number >= 0.
 
     Values are looked up and blanked per population cell, so each column
-    is one gather over the records."""
+    is one gather over the records, which the table adopts."""
     n = _whole(n, "n", 0)
     validate_population(pop)
     cdf = np.cumsum(pop.mass)
@@ -188,7 +202,8 @@ def sample_table(pop, n, seed):
     else:
         w = np.where(pop.z == 0, -1, w)
     return ObservationTable(pop.outcome, pop.x_domains, pop.w_domains,
-                            y.take(idx), pop.x_i.take(idx), w.take(idx))
+                            sealed(y.take(idx)), sealed(pop.x_i.take(idx)),
+                            sealed(w.take(idx)))
 
 
 def _letters(n):
@@ -347,6 +362,15 @@ class ConvergenceReport:
         }
 
 
+def _replicate(pop, n, seed, model, estimator):
+    """One replication's estimate: a table of ``n`` records sampled from
+    ``pop`` and singly imputed, both from ``seed``. The table dies on
+    return, before the next one is sampled."""
+    table = sample_table(pop, n, seed)
+    return rmi.run_multiple_imputation(
+        table, model, 1, estimator, seed).per_draw_estimates[0]
+
+
 def convergence_experiment(spec):
     """Run the experiment: per grid size, sample and singly impute ``reps``
     tables, compare the estimator to its exact probability limit.
@@ -366,11 +390,9 @@ def convergence_experiment(spec):
         estimates = []
         skips = 0
         for r in range(spec.reps):
-            rep_seed = derive_seed(spec.seed, j, r)
-            table = sample_table(pop, n, rep_seed)
             try:
-                est = rmi.run_multiple_imputation(
-                    table, spec.model, 1, estimator, rep_seed).per_draw_estimates[0]
+                est = _replicate(pop, n, derive_seed(spec.seed, j, r),
+                                 spec.model, estimator)
             except _SKIPPABLE:
                 skips += 1
                 continue

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from imputebounds import (
     population_to_json,
     validate_population,
 )
-from imputebounds.domain import flat_value, unflatten_index, value_labels
+from imputebounds.domain import _readonly, flat_value, unflatten_index, value_labels
 from imputebounds.errors import (
     DataError,
     EmptyCell,
@@ -199,6 +201,37 @@ class TestObservationTable:
         t = ObservationTable(OutcomeDomain.binary_01(), X1, W2, y, x, w)
         y[0], x[0], w[0] = 0.0, 5, 5
         assert (t.y.tolist(), t.x.tolist(), t.w.tolist()) == ([1.0, 0.0], [0, 0], [0, 0])
+
+    def test_sealed_array_that_owns_its_data_is_adopted(self):
+        y, x, w = np.array([1.0, 0.0]), np.array([0, 0]), np.array([0, 1])
+        for column in (y, x, w):
+            column.setflags(write=False)
+        t = ObservationTable(OutcomeDomain.binary_01(), X1, W2, y, x, w)
+        assert t.y is y and t.x is x and t.w is w
+
+    def test_read_only_view_is_copied(self):
+        base = np.array([0.0, 1.0, 0.0])
+        view = base[1:]
+        view.setflags(write=False)
+        t = ObservationTable(OutcomeDomain.binary_01(), X1, W2, view,
+                             np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))
+        assert not np.shares_memory(t.y, base)
+        base[1] = 0.0
+        assert t.y.tolist() == [1.0, 0.0]
+
+    def test_converted_array_is_sealed_not_copied_twice(self):
+        n = 100_000
+        x = np.zeros(n, dtype=np.int32)
+        tracemalloc.start()
+        try:
+            out = _readonly(x, np.int64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.int64 and not out.flags.writeable
+        assert not np.shares_memory(out, x)
+        # one int64 array of n was made, not a conversion and then a copy
+        assert peak < 1.5 * 8 * n
 
     def test_empty_table_builds(self):
         t = ObservationTable(OutcomeDomain.binary_01(), X1, W2, [], [], [])

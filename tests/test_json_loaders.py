@@ -189,6 +189,15 @@ def test_loads_or_raises_a_data_error(kind, data, files):
     ("config", dict(VALID["config"][0], levels={"y": []})),
     ("population", dict(POPULATIONS[0], cells=[
         dict(POPULATIONS[0]["cells"][0], z=128)])),
+    ("config", dict(VALID["config"][1], outcome={"column": "y", "lo": "0", "hi": 1.0})),
+    ("config", dict(VALID["config"][1], outcome={"column": "y", "lo": True, "hi": 2.0})),
+    ("config", dict(VALID["config"][1], outcome={"column": "y", "lo": 0.0, "hi": "1"})),
+    ("model", {"kind": "outcome_q", "strata": [{"x": ["a"], "dist": [
+        {"y": 0.0, "p": "0.5"}, {"y": 1.0, "p": 0.5}]}]}),
+    ("model", {"kind": "outcome_q", "strata": [{"x": ["a"], "dist": [
+        {"y": 1.0, "p": True}]}]}),
+    ("model", dict(MODELS[1], strata=[dict(MODELS[1]["strata"][0], dist=[
+        {"w": ["o"], "p": "0.25"}, {"w": ["p"], "p": 0.75}])])),
 ])
 def test_rejected_with_exit_3(kind, doc, files):
     """Inputs that once ended in a traceback or in exit 4 (the first four
@@ -196,7 +205,8 @@ def test_rejected_with_exit_3(kind, doc, files):
     characters, or ran with a number the spec does not allow (a NaN
     tolerance failed only when the report was written, a fractional or
     boolean count or seed was truncated) or with levels declared for no
-    covariate."""
+    covariate, or read text or a boolean where a number belongs (``"lo":
+    true`` read as 1.0, ``"p": "0.5"`` as 0.5)."""
     doc_path = files / f"found_{kind}.json"
     doc_path.write_text(json.dumps(doc))
     with pytest.raises(DataError):
