@@ -37,7 +37,6 @@ from .ecological import (
 )
 from .missing_covariate import (
     QCovariateModel,
-    WeightedJointMeasure,
     binary_bounds_closed_form,
     binary_bounds_oracle,
     imputed_cell_share,
@@ -96,9 +95,9 @@ __all__ = [
     "imputation_mean", "midpoint_estimate", "plim_imputation_mean",
     "q_mean_estimate", "restricted_interval_pop", "sample_interval", "true_mean",
     # missing covariates
-    "QCovariateModel", "WeightedJointMeasure", "binary_bounds_closed_form",
-    "binary_bounds_oracle", "imputed_cell_share", "imputed_long_mean",
-    "matching_conditions", "midpoint_long_estimate", "mixture_conditional_mean",
+    "QCovariateModel", "binary_bounds_closed_form", "binary_bounds_oracle",
+    "imputed_cell_share", "imputed_long_mean", "matching_conditions",
+    "midpoint_long_estimate", "mixture_conditional_mean",
     "mixture_joint_estimate", "plim_imputed_long_mean", "true_long_mean",
     # ecological
     "ShortDistributions", "duncan_davis_bounds", "duncan_davis_oracle",

@@ -440,8 +440,10 @@ def _pooled_run(args):
     return table, model, estimator, results, config, per_draw
 
 
-def _estimate_extras(table, model, sel):
-    """q-mean and mixture estimates where the model supplies what they need."""
+def _estimate_extras(table, model, estimator):
+    """q-mean and mixture estimates where the model supplies what they need;
+    the mixture mean is the estimator's truth on the mixture population."""
+    sel = estimator.selector
     q_mean = None
     mixture = None
     if model.kind == "explicit_outcome_q" and sel.omega is None:
@@ -450,15 +452,15 @@ def _estimate_extras(table, model, sel):
         if e_q is not None:
             q_mean = missing_outcome.q_mean_estimate(table, sel, e_q)
     if model.kind == "explicit_covariate_q" and sel.omega is not None:
-        measure = missing_covariate.mixture_joint_estimate(table, model.covariate_q)
-        mixture = missing_covariate.mixture_conditional_mean(measure, sel)
+        mixture = estimator.truth(
+            missing_covariate.mixture_joint_estimate(table, model.covariate_q))
     return q_mean, mixture
 
 
 def _cmd_estimate(args):
     table, model, estimator, results, config, per_draw = _pooled_run(args)
     results["q_mean"], results["mixture_mean"] = _estimate_extras(
-        table, model, estimator.selector)
+        table, model, estimator)
     _emit(_report("estimate", config, args.seed, results), args.out, [per_draw])
     return 0
 

@@ -718,13 +718,13 @@ def json_list(value, what):
     return tuple(value)
 
 
-def json_number(value, what):
-    """``value``, read inside :func:`json_keys`, as a finite ``float``: a
-    string such as ``"0"`` or a boolean is of the wrong type, never
-    coerced."""
+def json_number(value, what, finite=True):
+    """``value``, read inside :func:`json_keys`, as a ``float``, finite
+    unless ``finite`` is false: a string such as ``"0"`` or a boolean is of
+    the wrong type, never coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if finite and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return float(value)
 
@@ -749,10 +749,13 @@ def population_from_json(obj):
         cells = {}
         for cell in obj["cells"]:
             w_val = cell.get("w")
-            key = (float(cell["y"]), json_list(cell["x"], "a cell's 'x'"),
+            key = (json_number(cell["y"], "a cell's 'y'"),
+                   json_list(cell["x"], "a cell's 'x'"),
                    None if w_val is None else json_list(w_val, "a cell's 'w'"),
                    _whole(cell["z"], "a cell's 'z'", None))
-            cells[key] = cells.get(key, 0.0) + float(cell["mass"])
+            # a non-finite mass is left to validate_population's NonFiniteMass
+            cells[key] = cells.get(key, 0.0) + json_number(
+                cell["mass"], "a cell's 'mass'", finite=False)
         regime = obj.get("regime", OUTCOME_REGIME)
     return FinitePopulation.from_cells(
         cells, outcome=outcome, x_domains=x_domains, w_domains=w_domains,

@@ -10,21 +10,19 @@ exhaustive allocation oracle.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
 from .domain import (
     EQUALITY_TOL,
-    NORMALIZATION_TOL,
     COMPLETE_REGIME,
     COVARIATE_REGIME,
     CompletedTable,
     FinitePopulation,
     Interval,
     ObservationTable,
-    require_finite,
+    sealed,
     total_size,
     value_labels,
     yx_codes,
@@ -32,11 +30,8 @@ from .domain import (
 from .errors import (
     DataError,
     EmptyCell,
-    MassNotNormalized,
     ModelUndefinedOnCell,
-    NegativeMass,
     NonBinaryOutcome,
-    NonFiniteMass,
     QUndefinedForStratum,
     RegimeMismatch,
     ZeroCellMass,
@@ -46,7 +41,6 @@ from .models import QCovariateModel
 
 __all__ = [
     "QCovariateModel",
-    "WeightedJointMeasure",
     "true_long_mean",
     "imputed_long_mean",
     "plim_imputed_long_mean",
@@ -307,39 +301,6 @@ def midpoint_long_estimate(table, sel):
 # assumption-based mixture estimator
 
 
-@dataclass(frozen=True)
-class WeightedJointMeasure:
-    """Normalized weighted atoms over (y, x, w); the assumption-completed
-    estimate of the full joint distribution."""
-
-    x_domains: tuple
-    w_domains: tuple
-    y: np.ndarray
-    x_i: np.ndarray
-    w_i: np.ndarray
-    mass: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
-        x_i = np.asarray(self.x_i, dtype=np.int64)
-        w_i = np.asarray(self.w_i, dtype=np.int64)
-        mass = np.asarray(self.mass, dtype=np.float64)
-        if not (len(y) == len(x_i) == len(w_i) == len(mass)):
-            raise DataError("atom arrays differ in length")
-        require_finite(mass, NonFiniteMass, "atom mass")
-        if np.any(mass < 0):
-            raise NegativeMass("atom mass is negative")
-        total = float(mass.sum())
-        if abs(total - 1.0) > max(NORMALIZATION_TOL, 1e-12 * len(mass)):
-            raise MassNotNormalized(f"atom masses sum to {total!r}, not 1")
-        for name, arr in (("y", y), ("x_i", x_i), ("w_i", w_i), ("mass", mass)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "x_domains", tuple(self.x_domains))
-        object.__setattr__(self, "w_domains", tuple(self.w_domains))
-
-
 def mixture_joint_estimate(table, q):
     """Consistent estimate of the joint (y, x, w) distribution under an
     assumed missing-covariate distribution ``q``.
@@ -348,6 +309,11 @@ def mixture_joint_estimate(table, q):
     missing record spreads its 1/N across W according to its (y, x) stratum
     of ``q``. Records are counted per integer (y, x, w) atom and per (y, x)
     stratum code, so ``q`` is looked up once per stratum.
+
+    Returns a covariate-regime :class:`FinitePopulation` on the table's
+    domains with one cell per atom, in ascending (y, x, w) code order, and
+    every z = 1; its outcome support is the table's outcome levels (see
+    :func:`~imputebounds.domain.yx_codes`).
     """
     q_strata = models.coded_strata(models.ImputationModel.explicit_covariate(q), table)
     if table.regime not in (COVARIATE_REGIME, COMPLETE_REGIME):
@@ -357,7 +323,7 @@ def mixture_joint_estimate(table, q):
         raise EmptyCell("empty table")
     share = 1.0 / n
     n_w = total_size(table.w_domains)
-    stratum, decode, _ = yx_codes(table)
+    stratum, decode, space = yx_codes(table)
     observed = np.asarray(table.z_w)
     atoms, counts = np.unique(stratum[observed] * n_w + table.w[observed],
                               return_counts=True)
@@ -380,22 +346,22 @@ def mixture_joint_estimate(table, q):
     mass = np.bincount(atom_of, weights=np.concatenate(masses).astype(np.float64),
                        minlength=len(atoms))
     stratum_of, w_i = np.divmod(atoms, n_w)
-    y, x_i = decode(stratum_of)
-    return WeightedJointMeasure(
+    n_x = total_size(table.x_domains)
+    y_i, x_i = np.divmod(stratum_of, n_x)
+    return FinitePopulation(
+        outcome=table.outcome,
+        # the outcome levels that the stratum codes index
+        outcome_values=sealed(decode(np.arange(0, space, n_x))[0]),
         x_domains=table.x_domains,
         w_domains=table.w_domains,
-        y=y,
-        x_i=x_i,
-        w_i=w_i,
-        mass=mass,
+        y_i=sealed(y_i),
+        x_i=sealed(x_i),
+        w_i=sealed(w_i),
+        z=sealed(np.ones(len(atoms), dtype=np.int8)),
+        mass=sealed(mass),
+        regime=COVARIATE_REGIME,
     )
 
 
-def mixture_conditional_mean(measure, sel):
-    """Mass-weighted mean outcome of the measure on the (xi, omega) slice."""
-    xi, om = _xi_omega(sel, measure.x_domains, measure.w_domains)
-    mask = (measure.x_i == xi) & (measure.w_i == om)
-    denom = float(measure.mass[mask].sum())
-    if denom <= 0.0:
-        raise ZeroCellMass(f"no mass at (x={sel.xi!r}, w={sel.omega!r})")
-    return float((measure.y[mask] * measure.mass[mask]).sum()) / denom
+#: the mixture estimate is a population, so its cell mean is the truth's
+mixture_conditional_mean = true_long_mean

@@ -7,8 +7,6 @@ Every estimator here is exact arithmetic on a table or population; nothing
 is simulated (simulation lives in :mod:`imputebounds.simlab`).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import models
@@ -32,18 +30,8 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class RestrictionGamma:
-    """An assumed interval restriction on the mean of the missing outcomes."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not float(self.lo) <= float(self.hi):
-            raise DataError(f"restriction requires lo <= hi, got [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+#: an assumed interval restriction on the mean of the missing outcomes
+RestrictionGamma = Interval
 
 
 def _xi_only(sel, domains_x, domains_w):

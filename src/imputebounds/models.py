@@ -9,6 +9,7 @@ its text; :func:`coded_strata` is the one place that resolves them to the
 integer cell codes of a table or population.
 """
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -61,9 +62,12 @@ def _strata(pairs, canon_key, normalize):
 
 def _normalize_dist(pairs, what):
     """Canonicalize a finite distribution, a list of (atom, p) pairs, to a
-    sorted tuple of (atom, p)."""
+    sorted tuple of (atom, p); a probability that is not a real number (a
+    string, a boolean) raises :class:`DataError`."""
     dist = []
     for atom, p in pairs:
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise DataError(f"{what}: probability {p!r} is not a number")
         p = float(p)
         require_finite(p, ProbabilityOutOfRange, f"{what}: probability")
         if p < 0:
@@ -105,8 +109,8 @@ class QCovariateModel:
 
     @classmethod
     def from_json(cls, obj):
-        return cls([((s["y"], s["x"]), [(a["w"], json_number(a["p"], "'p'"))
-                                        for a in s["dist"]])
+        return cls([((json_number(s["y"], "'y'"), s["x"]),
+                     [(a["w"], json_number(a["p"], "'p'")) for a in s["dist"]])
                     for s in obj["strata"]])
 
 
@@ -260,8 +264,9 @@ def model_from_json(obj):
         try:
             if kind == "outcome_q":
                 return ImputationModel.explicit_outcome(
-                    [(s["x"], [(a["y"], json_number(a["p"], "'p'"))
-                               for a in s["dist"]])
+                    # a non-finite atom is left to the outcome-atom check
+                    [(s["x"], [(json_number(a["y"], "'y'", finite=False),
+                                json_number(a["p"], "'p'")) for a in s["dist"]])
                      for s in obj["strata"]])
             if kind == "covariate_q":
                 return ImputationModel.explicit_covariate(

@@ -1,7 +1,8 @@
 """Golden CLI reports: each case runs ``cli.main`` in-process, in a
 directory of inputs generated from fixed seeds and named by relative
 paths, and compares stdout, stderr and the exit code with the stored
-``tests/golden/<case>.json``.
+``tests/golden/<case>.json``. A case that writes files under ``out/``
+also stores the text of each one.
 
 A change that alters report bytes on purpose regenerates the goldens and
 says which files changed and why::
@@ -14,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +32,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 OUT = ["--data", "out.csv", "--config", "out_config.json"]
 COV = ["--data", "cov.csv", "--config", "cov_config.json"]
 REAL = ["--data", "real.csv", "--config", "real_config.json"]
+#: the directory a case's ``--out`` names; emptied before and after each case
+OUT_DIR = Path("out")
 
 #: case name -> CLI argv, run in the directory :func:`write_inputs` fills
 CASES = {
@@ -57,11 +61,16 @@ CASES = {
                                 "--seed", "3", "--population", "pop_cov.json"],
     "estimate_real_wide": ["estimate", *REAL, "--model", "mar", "--xi", "x1=b",
                            "--m", "40", "--seed", "11"],
+    "audit_out": ["audit", *OUT, "--model", "mar", "--xi", "x1=b",
+                  "--m", "6", "--seed", "4", "--out", str(OUT_DIR)],
     "simulate": ["simulate", "--spec", "spec.json"],
+    "simulate_out": ["simulate", "--spec", "spec.json", "--out", str(OUT_DIR)],
     "simulate_outcome": ["simulate", "--spec", "spec_out.json"],
     "ecological": ["ecological", "--py", "0.6", "--pw", "0.3"],
     "read_error_bom_bad_byte": ["bounds", "--data", "bom.csv",
                                 "--config", "out_config.json", "--xi", "x1=a"],
+    "read_error_cr_bad_byte": ["bounds", "--data", "cr.csv",
+                               "--config", "out_config.json", "--xi", "x1=a"],
     "read_error_field_limit": ["bounds", "--data", "wide_field.csv",
                                "--config", "out_config.json", "--xi", "x1=a"],
 }
@@ -132,15 +141,25 @@ def write_inputs(directory):
     _write_json(d / "real_config.json",
                 {"outcome": {"column": "y", "lo": 0, "hi": 10}, "x": ["x1"]})
     (d / "bom.csv").write_bytes(codecs.BOM_UTF8 + b"y,x1\n1,a\n0,\xff\n")
+    (d / "cr.csv").write_bytes(b"y,x1\r1,a\r0,b\r1,b\xff\r0,a\r")
     (d / "wide_field.csv").write_bytes(b"y,x1\n1," + b"a" * 200000 + b"\n")
 
 
 def run_case(argv):
-    """``{"exit", "stdout", "stderr"}`` of ``cli.main(argv)`` in-process."""
+    """``{"exit", "stdout", "stderr"}`` of ``cli.main(argv)`` in-process,
+    run in the current directory, and ``"files"``, the text of each file
+    written under :data:`OUT_DIR` by its path there, when there is one."""
+    shutil.rmtree(OUT_DIR, ignore_errors=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    result = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    written = sorted(p for p in OUT_DIR.rglob("*") if p.is_file())
+    if written:
+        result["files"] = {p.relative_to(OUT_DIR).as_posix():
+                           p.read_bytes().decode("utf-8") for p in written}
+    shutil.rmtree(OUT_DIR, ignore_errors=True)
+    return result
 
 
 def _golden_path(case):
@@ -162,6 +181,7 @@ def test_report_matches_golden(case, inputs_dir, monkeypatch):
     assert got["exit"] == expected["exit"]
     assert got["stderr"] == expected["stderr"]
     assert got["stdout"] == expected["stdout"]
+    assert got.get("files") == expected.get("files")
 
 
 def regenerate():

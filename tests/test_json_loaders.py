@@ -198,6 +198,20 @@ def test_loads_or_raises_a_data_error(kind, data, files):
         {"y": 1.0, "p": True}]}]}),
     ("model", dict(MODELS[1], strata=[dict(MODELS[1]["strata"][0], dist=[
         {"w": ["o"], "p": "0.25"}, {"w": ["p"], "p": 0.75}])])),
+    ("model", {"kind": "outcome_q", "strata": [{"x": ["a"], "dist": [
+        {"y": "0", "p": 0.5}, {"y": 1.0, "p": 0.5}]}]}),
+    ("model", {"kind": "outcome_q", "strata": [{"x": ["a"], "dist": [
+        {"y": 0.0, "p": 0.5}, {"y": True, "p": 0.5}]}]}),
+    ("model", dict(MODELS[1], strata=[dict(MODELS[1]["strata"][0], y="0")])),
+    ("model", dict(MODELS[1], strata=[dict(MODELS[1]["strata"][0], y=True)])),
+    ("population", dict(POPULATIONS[0], cells=[
+        dict(cell, mass=str(cell["mass"])) for cell in POPULATIONS[0]["cells"]])),
+    ("population", dict(POPULATIONS[0], cells=[
+        dict(cell, y=str(int(cell["y"]))) for cell in POPULATIONS[0]["cells"]])),
+    ("population", dict(POPULATIONS[0], cells=[
+        dict(cell, y=bool(cell["y"])) for cell in POPULATIONS[0]["cells"]])),
+    ("population", dict(POPULATIONS[0], cells=[
+        dict(POPULATIONS[0]["cells"][0], mass=True)])),
 ])
 def test_rejected_with_exit_3(kind, doc, files):
     """Inputs that once ended in a traceback or in exit 4 (the first four
@@ -206,7 +220,8 @@ def test_rejected_with_exit_3(kind, doc, files):
     tolerance failed only when the report was written, a fractional or
     boolean count or seed was truncated) or with levels declared for no
     covariate, or read text or a boolean where a number belongs (``"lo":
-    true`` read as 1.0, ``"p": "0.5"`` as 0.5)."""
+    true`` read as 1.0, ``"p": "0.5"`` as 0.5, an outcome ``"y": "0"`` as
+    0.0, a cell's ``"mass": "0.25"`` as 0.25)."""
     doc_path = files / f"found_{kind}.json"
     doc_path.write_text(json.dumps(doc))
     with pytest.raises(DataError):

@@ -12,7 +12,6 @@ from imputebounds import (
     ObservationTable,
     OutcomeDomain,
     QCovariateModel,
-    WeightedJointMeasure,
     binary_bounds_closed_form,
     binary_bounds_oracle,
     imputed_cell_share,
@@ -33,13 +32,14 @@ from imputebounds.simlab import (
     random_population,
     sample_table,
 )
-from imputebounds.domain import CategoricalDomain, flat_value, value_labels
+from imputebounds.domain import (
+    CategoricalDomain, flat_value, validate_population, value_labels)
 from imputebounds.rmi import draw_completion, fit_model
 from imputebounds.ecological import ecological_plim
 from imputebounds.errors import (
+    DataError,
     ModelUndefinedOnCell,
     NonBinaryOutcome,
-    NonFiniteMass,
     QUndefinedForStratum,
     RegimeMismatch,
     ZeroCellMass,
@@ -413,15 +413,6 @@ class TestMidpointLongEstimate:
         assert (iv.lo, iv.hi) == (0.0, 1.0)
 
 
-class TestWeightedJointMeasure:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_mass_rejected(self, bad):
-        # NaN passes both the negativity and the normalization check
-        with pytest.raises(NonFiniteMass):
-            WeightedJointMeasure(X1, W2, y=[1.0, 0.0], x_i=[0, 0], w_i=[0, 1],
-                                 mass=[bad, 1.0])
-
-
 class TestMixtureEstimate:
     def test_two_record_example(self, sel_ao):
         t = covariate_table([(1, "o"), (0, None)])
@@ -454,8 +445,16 @@ class TestMixtureEstimate:
         t = covariate_table([(1, "o"), (0, "o")])
         measure = mixture_joint_estimate(
             t, QCovariateModel({(0.0, ("a",)): {("o",): 1.0}}))
-        with pytest.raises(ZeroCellMass):
+        with pytest.raises(ZeroCellMass, match="P\\(x = 'a', w = 'p'\\) = 0"):
             mixture_conditional_mean(measure, sel_ap)
+
+    def test_table_without_w_roles_is_rejected(self):
+        # a population in the covariate regime needs a w role to blank
+        t = ObservationTable.from_records([(1.0, "a"), (0.0, "a")],
+                                          OutcomeDomain.binary_01(), X1, ())
+        q = QCovariateModel({(1.0, ("a",)): {(): 1.0}})
+        with pytest.raises(DataError, match="covariate regime requires w domains"):
+            mixture_joint_estimate(t, q)
 
     def test_empirical_q_reproduces_plim_arithmetic(self, sel_ao):
         t = covariate_table(
@@ -537,7 +536,8 @@ class TestMixtureAgainstRecordLoop:
         table, q = inputs
         measure = mixture_joint_estimate(table, q)
         expected = record_loop_mixture(table, q)
-        got = list(zip(measure.y.tolist(), measure.x_i.tolist(), measure.w_i.tolist()))
+        got = list(zip(measure.outcome_values[measure.y_i].tolist(),
+                       measure.x_i.tolist(), measure.w_i.tolist()))
         assert got == [key for key, _ in expected]
         assert np.abs(measure.mass - [m for _, m in expected]).max() <= 1e-12
 
@@ -549,6 +549,23 @@ class TestMixtureAgainstRecordLoop:
         expected = record_loop_mixture(table, q)
         assert len(measure.mass) == len(expected)
         assert np.abs(measure.mass - [m for _, m in expected]).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixture_inputs())
+    def test_estimate_is_a_valid_population(self, inputs):
+        table, q = inputs
+        measure = mixture_joint_estimate(table, q)
+        validate_population(measure)
+        assert measure.regime == "covariate" and np.all(measure.z == 1)
+        assert (measure.x_domains, measure.w_domains) == (XG, WG)
+        assert measure.outcome_values.tolist() == sorted(set(table.y.tolist()))
+
+    def test_large_random_table_is_a_valid_population(self):
+        pop = random_covariate_pop(29)
+        table = sample_table(pop, 20000, seed=3)
+        measure = mixture_joint_estimate(table, true_covariate_model(pop).covariate_q)
+        validate_population(measure)
+        assert measure.outcome_values.tolist() == [0.0, 1.0]
 
     def test_first_undefined_stratum_in_record_order_is_named(self):
         t = ObservationTable.from_records(

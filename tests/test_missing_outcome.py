@@ -179,6 +179,12 @@ class TestRestrictedInterval:
         iv = restricted_interval_pop(mnar_pop, sel_a, RestrictionGamma(0.9, 0.9))
         assert iv.width == 0.0
 
+    @pytest.mark.parametrize("lo, hi", [(0.6, 0.4), (float("-inf"), 0.5),
+                                        (0.5, float("nan"))])
+    def test_restriction_is_a_checked_interval(self, lo, hi):
+        with pytest.raises(DataError, match="interval"):
+            RestrictionGamma(lo, hi)
+
 
 class TestSampleInterval:
     def test_matches_completion_enumeration(self, sel_a):

@@ -109,6 +109,15 @@ class TestModelValidation:
         with pytest.raises(DataError, match="outcome atom .* is not finite"):
             model_from_json(json.loads(json.dumps(obj)))
 
+    @pytest.mark.parametrize("bad", ["0.5", True])
+    def test_probability_that_is_not_a_number_rejected(self, bad):
+        # text or a flag was once read as the number float() makes of it
+        with pytest.raises(DataError, match="is not a number"):
+            ImputationModel.explicit_outcome({"a": {0.0: bad, 1.0: 0.5}})
+        with pytest.raises(DataError, match="is not a number"):
+            ImputationModel.explicit_covariate(
+                {(1.0, ("a",)): {("o",): bad, ("p",): 0.5}})
+
     def test_non_finite_covariate_probability_rejected(self):
         with pytest.raises(ProbabilityOutOfRange, match="not finite"):
             ImputationModel.explicit_covariate(
