@@ -21,8 +21,6 @@ from .domain import (
     Interval,
     ObservationTable,
     OutcomeDomain,
-    cell_partition,
-    empirical_cond,
     load_population,
     population_from_json,
     population_to_json,
@@ -87,9 +85,9 @@ __all__ = [
     "errors",
     # domain
     "CategoricalDomain", "CellSelector", "CompletedTable", "FinitePopulation",
-    "Interval", "ObservationTable", "OutcomeDomain", "cell_partition",
-    "empirical_cond", "load_population", "population_from_json",
-    "population_to_json", "save_population", "validate_population",
+    "Interval", "ObservationTable", "OutcomeDomain", "load_population",
+    "population_from_json", "population_to_json", "save_population",
+    "validate_population",
     # missing outcomes
     "RestrictionGamma", "consistency_condition", "identification_interval_pop",
     "imputation_mean", "midpoint_estimate", "plim_imputation_mean",

@@ -33,8 +33,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    EmptyCell,
-    EmptyConditioningSet,
     MassNotNormalized,
     NegativeMass,
     NonFiniteMass,
@@ -595,57 +593,6 @@ def validate_population(pop):
 
 
 # ---------------------------------------------------------------------------
-# empirical frequencies and cell partitions
-
-
-def _as_mask(table, pred, name):
-    mask = pred(table) if callable(pred) else pred
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (table.n,):
-        raise DataError(f"{name} predicate has shape {mask.shape}, "
-                        f"expected ({table.n},)")
-    return mask
-
-
-def empirical_cond(table, event, conditioning=None):
-    """Empirical conditional frequency ``#(event & cond) / #cond``.
-
-    ``event`` and ``conditioning`` are boolean record masks or callables
-    mapping a table to one; ``conditioning=None`` means all records.
-    """
-    ev = _as_mask(table, event, "event")
-    if conditioning is None:
-        cond = np.ones(table.n, dtype=bool)
-    else:
-        cond = _as_mask(table, conditioning, "conditioning")
-    denom = int(cond.sum())
-    if denom == 0:
-        raise EmptyConditioningSet("no record satisfies the conditioning predicate")
-    return float((ev & cond).sum()) / denom
-
-
-def cell_partition(table, sel):
-    """Split the records at ``x = xi`` of an outcome-regime or complete
-    :class:`ObservationTable` by whether their outcome is present.
-
-    Returns ``(observed_idx, missing_idx, pi)`` where ``pi`` is the observed
-    fraction. Raises :class:`RegimeMismatch` on a covariate-regime table,
-    :class:`DataError` when ``sel`` names an omega, and :class:`EmptyCell`
-    when no record is at xi.
-    """
-    if table.regime == COVARIATE_REGIME:
-        raise RegimeMismatch("cell_partition needs an outcome-regime table")
-    xi_flat, omega_flat = sel.resolve(table.x_domains, table.w_domains)
-    if omega_flat is not None:
-        raise DataError("missing-outcome operations select on x only")
-    rows = np.flatnonzero(table.x == xi_flat)
-    if not len(rows):
-        raise EmptyCell(f"no records in the selected cell {sel}")
-    observed = table.z_y[rows]
-    return rows[observed], rows[~observed], int(observed.sum()) / len(rows)
-
-
-# ---------------------------------------------------------------------------
 # population (de)serialization
 
 
@@ -709,6 +656,12 @@ def _whole(value, what, least):
     return int(value)
 
 
+def is_real(value):
+    """True when ``value`` is a real number: text such as ``"0"`` and the
+    booleans are not, so no reader coerces them."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def json_list(value, what):
     """``value``, read inside :func:`json_keys`, as a tuple: a JSON value
     that is not a list is of the wrong type, so a string is never split
@@ -722,7 +675,7 @@ def json_number(value, what, finite=True):
     """``value``, read inside :func:`json_keys`, as a ``float``, finite
     unless ``finite`` is false: a string such as ``"0"`` or a boolean is of
     the wrong type, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_real(value):
         raise TypeError(f"{what} must be a number, got {value!r}")
     if finite and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
@@ -741,7 +694,10 @@ def population_from_json(obj):
     with json_keys("population JSON"):
         dom = obj.get("outcome_domain", {})
         binary = json_bool(dom.get("binary", False), "'binary'")
-        outcome = OutcomeDomain(dom.get("lo", 0.0), dom.get("hi", 1.0), binary)
+        # a non-finite endpoint is left to OutcomeDomain's check
+        outcome = OutcomeDomain(
+            json_number(dom.get("lo", 0.0), "'lo'", finite=False),
+            json_number(dom.get("hi", 1.0), "'hi'", finite=False), binary)
         x_domains = tuple(CategoricalDomain(n, json_list(lv, f"the levels of {n!r}"))
                           for n, lv in obj.get("x_domains", {}).items())
         w_domains = tuple(CategoricalDomain(n, json_list(lv, f"the levels of {n!r}"))

@@ -47,10 +47,6 @@ class ProbabilityOutOfRange(GuardError):
 
 # --- empty-cell / zero-mass guards ------------------------------------------
 
-class EmptyConditioningSet(GuardError):
-    """No record satisfies the conditioning predicate."""
-
-
 class EmptyCell(GuardError):
     """The selected cell contains no records."""
 

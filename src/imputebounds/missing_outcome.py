@@ -17,7 +17,6 @@ from .domain import (
     CompletedTable,
     FinitePopulation,
     Interval,
-    cell_partition,
 )
 from .errors import (
     DataError,
@@ -58,15 +57,23 @@ def true_mean(pop, sel):
 def _decomposition(source, sel):
     """``(a, b)`` with E(y | x = xi) = a + b * (mean of the missing
     outcomes): ``a`` is the observed part E(y|xi, z=1) P(z=1|xi) and ``b``
-    the missing share P(z=0|xi). On an outcome-regime table, with observed
-    fraction pi and observed-cell mean m, they are ``pi*m`` and ``1-pi``."""
+    the missing share P(z=0|xi). On a table, with observed fraction pi and
+    observed-cell mean m among the records of :func:`imputation_cell`, they
+    are ``pi*m`` and ``1-pi``. A source whose z marks missing covariates
+    raises :class:`RegimeMismatch`."""
+    what = "the missing-outcome decomposition"
     if isinstance(source, FinitePopulation):
-        source.require_regime(OUTCOME_REGIME, "the missing-outcome decomposition")
+        source.require_regime(OUTCOME_REGIME, what)
         xi, p_xi = _cell_stats(source, sel)
         return (source.ymass_where(xi=xi, z=1) / p_xi,
                 source.mass_where(xi=xi, z=0) / p_xi)
-    obs_idx, _, pi = cell_partition(source, sel)
-    m = float(source.y[obs_idx].mean()) if len(obs_idx) else 0.0
+    if source.regime == COVARIATE_REGIME:
+        raise RegimeMismatch(f"{what} needs a table in the outcome regime, "
+                             f"not the {COVARIATE_REGIME} regime")
+    rows = imputation_cell(source, sel)
+    observed = source.z_y[rows]
+    pi = int(observed.sum()) / len(rows)
+    m = float(source.y[rows[observed]].mean()) if pi else 0.0
     return pi * m, 1.0 - pi
 
 
@@ -101,8 +108,6 @@ def sample_interval(table, sel):
     ``[pi*m + (1-pi)*Y_L, pi*m + (1-pi)*Y_U]``; an all-missing cell yields
     the full outcome domain.
     """
-    if table.regime == COVARIATE_REGIME:
-        raise RegimeMismatch("sample_interval needs an outcome-regime table")
     return _swept(table, sel, table.outcome)
 
 

@@ -373,7 +373,7 @@ class EstimatorSpec:
     selector: object
 
     def __post_init__(self):
-        if self.name not in _READINGS:
+        if not isinstance(self.name, str) or self.name not in _READINGS:
             raise DataError(
                 f"unknown estimator {self.name!r}; "
                 f"expected one of {sorted(_READINGS)}")

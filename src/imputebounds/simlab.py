@@ -9,7 +9,6 @@ scheduling.
 """
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -33,6 +32,7 @@ from .domain import (
     OutcomeDomain,
     _whole,
     flat_value,
+    is_real,
     json_keys,
     json_list,
     load_population,
@@ -58,13 +58,12 @@ from .errors import (
 
 
 def _rate(value):
-    """A missingness rate as a ``float``; a value ``float`` rejects is a
-    :class:`DataError` naming it. The range is checked per population in
-    :meth:`MissingnessMechanism.probabilities`."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DataError(f"missingness rate must be a number, got {value!r}") from None
+    """A missingness rate as a ``float``; a value that is not a real number
+    (a string, a boolean) is a :class:`DataError` naming it. The range is
+    checked per population in :meth:`MissingnessMechanism.probabilities`."""
+    if not is_real(value):
+        raise DataError(f"missingness rate must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,8 @@ class MissingnessMechanism:
     """Per-cell missingness probabilities P(z = 0 | y, x, w).
 
     ``kind`` selects how the payload is read: a constant rate, a rate per
-    outcome value (selection on the outcome itself), a rate per x value, a
-    full per-cell table, or an arbitrary vectorized callable
-    ``f(y, x_flat, w_flat) -> probs``.
+    outcome value (selection on the outcome itself), a rate per x value, or
+    a full per-cell table.
     """
 
     kind: str
@@ -102,10 +100,6 @@ class MissingnessMechanism:
                 raise DataError(f"a by_cell key is a (y, x_value, w_value) "
                                 f"triple, got {key!r}")
         return cls("by_cell", {k: _rate(v) for k, v in rates.items()})
-
-    @classmethod
-    def from_callable(cls, fn):
-        return cls("callable", fn)
 
     def probabilities(self, pop):
         """P(z=0) per population cell, validated to lie in [0, 1]."""
@@ -135,9 +129,6 @@ class MissingnessMechanism:
                     for i in range(pop.n_cells)])
             except KeyError:
                 raise DataError("no missingness rate for some cell") from None
-        elif self.kind == "callable":
-            probs = np.asarray(self.payload(y_vals, pop.x_i, pop.w_i),
-                               dtype=np.float64)
         else:
             raise DataError(f"unknown mechanism kind {self.kind!r}")
         require_finite(probs, ProbabilityOutOfRange, "mechanism probability")
@@ -282,8 +273,7 @@ class ExperimentSpec:
         if not grid:
             raise DataError("n_grid is empty")
         tol = self.tolerance
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not math.isfinite(tol) or tol < 0):
+        if not is_real(tol) or not math.isfinite(tol) or tol < 0:
             raise DataError(f"tolerance must be a finite number >= 0, got {tol!r}")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "reps", _whole(self.reps, "reps", 1))

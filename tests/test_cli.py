@@ -300,6 +300,16 @@ class TestSimulate:
         assert entry["mean_abs_dev"] is None and entry["max_abs_dev"] is None
         assert report["results"]["passed"] is False
 
+    @pytest.mark.parametrize("estimator", [["imputation_mean"], {"a": 1}])
+    def test_estimator_that_is_not_a_string_exits_3(self, estimator, tmp_path,
+                                                     capsys):
+        # an unhashable name once ended in a TypeError traceback (exit 1)
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_json(estimator=estimator))
+        code, _, cap = run_cli(["simulate", "--spec", str(spec)], capsys)
+        assert code == EXIT_DATA
+        assert cap.err.startswith("error: DataError: unknown estimator")
+
 
 class TestDeterminism:
     def test_repeat_run_is_byte_identical(self, outcome_fixture, capsys):

@@ -2,17 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from imputebounds import (
     CategoricalDomain,
-    CellSelector,
     FinitePopulation,
     Interval,
     ObservationTable,
     OutcomeDomain,
-    cell_partition,
-    empirical_cond,
     population_from_json,
     population_to_json,
     validate_population,
@@ -20,8 +16,6 @@ from imputebounds import (
 from imputebounds.domain import _readonly, flat_value, unflatten_index, value_labels
 from imputebounds.errors import (
     DataError,
-    EmptyCell,
-    EmptyConditioningSet,
     MassNotNormalized,
     NegativeMass,
     NonFiniteMass,
@@ -89,68 +83,6 @@ class TestValidatePopulation:
         pop = make_pop({(0.5, "a", None, 1): 1.0})
         with pytest.raises(OutcomeOutOfDomain):
             validate_population(pop)
-
-
-class TestEmpiricalCond:
-    def test_count_ratio(self):
-        t = outcome_table([1, 1, 0, 0])
-        cond = np.array([True, True, False, False])
-        event = np.array([True, False, False, False])
-        assert empirical_cond(t, event, cond) == 0.5
-
-    def test_zero_numerator(self):
-        t = outcome_table([1, 1, 0, 0])
-        assert empirical_cond(t, np.zeros(4, dtype=bool)) == 0.0
-
-    def test_empty_conditioning_set(self):
-        t = outcome_table([1, 0])
-        with pytest.raises(EmptyConditioningSet):
-            empirical_cond(t, np.ones(2, dtype=bool), np.zeros(2, dtype=bool))
-
-    def test_callable_predicates(self):
-        t = outcome_table([1, 0, 1, None])
-        freq = empirical_cond(t, lambda tb: tb.y == 1.0, lambda tb: tb.z_y)
-        assert freq == pytest.approx(2 / 3)
-
-
-class TestCellPartition:
-    def test_observed_fraction(self, sel_a):
-        t = outcome_table([1, 0, 1, 1, 0, 1, None, None])
-        obs, mis, pi = cell_partition(t, sel_a)
-        assert pi == 0.75
-        assert len(obs) == 6 and len(mis) == 2
-        assert len(obs) + len(mis) == 8
-
-    def test_fully_observed(self, sel_a):
-        t = outcome_table([1, 0, 1])
-        _, mis, pi = cell_partition(t, sel_a)
-        assert pi == 1.0 and len(mis) == 0
-
-    def test_empty_cell(self):
-        xd = (CategoricalDomain("g", ("a", "b")),)
-        t = ObservationTable.from_records(
-            [(1.0, "a", None)], OutcomeDomain.binary_01(), xd)
-        with pytest.raises(EmptyCell):
-            cell_partition(t, CellSelector("b"))
-
-    def test_selects_on_x_only_in_the_outcome_regime(self):
-        w2 = (CategoricalDomain("m", ("o", "p")),)
-        outcome = ObservationTable.from_records(
-            [(1.0, "a", "o"), (None, "a", "p")], OutcomeDomain.binary_01(), X1, w2)
-        with pytest.raises(DataError, match="select on x only"):
-            cell_partition(outcome, CellSelector("a", "o"))
-        covariate = ObservationTable.from_records(
-            [(1.0, "a", "o"), (0.0, "a", None)], OutcomeDomain.binary_01(), X1, w2)
-        for sel in (CellSelector("a"), CellSelector("a", "o")):
-            with pytest.raises(RegimeMismatch):
-                cell_partition(covariate, sel)
-
-    @given(st.lists(st.sampled_from([0.0, 1.0, None]), min_size=1, max_size=40))
-    def test_sizes_always_sum_and_pi_in_unit(self, ys):
-        t = outcome_table(ys)
-        obs, mis, pi = cell_partition(t, CellSelector("a"))
-        assert len(obs) + len(mis) == len(ys)
-        assert 0.0 <= pi <= 1.0
 
 
 class TestInterval:

@@ -73,6 +73,8 @@ CASES = {
                                "--config", "out_config.json", "--xi", "x1=a"],
     "read_error_field_limit": ["bounds", "--data", "wide_field.csv",
                                "--config", "out_config.json", "--xi", "x1=a"],
+    "bounds_empty_level": ["bounds", "--data", "one_level.csv",
+                           "--config", "two_levels_config.json", "--xi", "x1=b"],
 }
 
 
@@ -143,6 +145,10 @@ def write_inputs(directory):
     (d / "bom.csv").write_bytes(codecs.BOM_UTF8 + b"y,x1\n1,a\n0,\xff\n")
     (d / "cr.csv").write_bytes(b"y,x1\r1,a\r0,b\r1,b\xff\r0,a\r")
     (d / "wide_field.csv").write_bytes(b"y,x1\n1," + b"a" * 200000 + b"\n")
+    (d / "one_level.csv").write_text("y,x1\n1,a\n,a\n0,a\n", encoding="utf-8")
+    _write_json(d / "two_levels_config.json",
+                {"outcome": {"column": "y", "binary": True}, "x": ["x1"],
+                 "levels": {"x1": ["a", "b"]}})
 
 
 def run_case(argv):

@@ -9,7 +9,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from imputebounds import population_to_json
 from imputebounds.cli import EXIT_DATA, EXIT_GUARD, config_from_json, main
@@ -19,9 +19,11 @@ from imputebounds.models import model_from_json
 from imputebounds.simlab import experiment_from_json
 from conftest import build_covariate_pop, build_mnar_pop
 
-#: any value ``json.load`` can return, NaN and Infinity included
+#: any JSON scalar, NaN and Infinity included
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+#: any value ``json.load`` can return
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    SCALARS,
     lambda children: (st.lists(children, max_size=4)
                       | st.dictionaries(st.text(max_size=8), children, max_size=4)),
     max_leaves=10)
@@ -64,10 +66,25 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _values(doc):
+    """``doc`` and every value inside it."""
+    yield doc
+    children = doc.values() if isinstance(doc, dict) else (
+        doc if isinstance(doc, list) else ())
+    for child in children:
+        yield from _values(child)
+
+
+#: a JSON scalar, or a value that a valid spec or model holds somewhere
+SPEC_VALUES = SCALARS | st.sampled_from(
+    [v for doc in VALID["spec"] + MODELS for v in _values(doc)]
+    + ["marcov", "ecological", "long_mean", "imputation_mean"])
+
+
 @st.composite
-def mutated(draw, docs):
-    """A valid document with one to three of its values replaced by any
-    JSON value or, inside an object, deleted."""
+def mutated(draw, docs, values=JSON):
+    """A valid document with one to three of its values replaced by a
+    draw of ``values`` or, inside an object, deleted."""
     doc = copy.deepcopy(draw(st.sampled_from(docs)))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
@@ -80,7 +97,7 @@ def mutated(draw, docs):
         if isinstance(parent, dict) and draw(st.booleans()):
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(JSON)
+            parent[path[-1]] = copy.deepcopy(draw(values))
     return doc
 
 
@@ -163,6 +180,27 @@ def test_loads_or_raises_a_data_error(kind, data, files):
     assert code in (0, EXIT_DATA, EXIT_GUARD)
 
 
+#: the most records a spec may sample in all for the run below
+SMALL_SPEC_RECORDS = 2000
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(doc=mutated(VALID["spec"], SPEC_VALUES))
+def test_small_loaded_spec_exits_0_3_or_4(doc, files):
+    """Every spec that loads and samples at most ``SMALL_SPEC_RECORDS``
+    records runs to exit 0, 3 or 4, never to an uncaught exception."""
+    try:
+        spec = experiment_from_json(doc, base_dir=str(files))
+    except (DataError, OSError):
+        spec = None
+    assume(spec is not None and spec.reps * sum(spec.n_grid) <= SMALL_SPEC_RECORDS)
+    doc_path = files / "small_spec.json"
+    doc_path.write_text(json.dumps(doc))
+    code, err = _run_cli(["simulate", "--spec", str(doc_path)])
+    assert code in (0, EXIT_DATA, EXIT_GUARD), err
+
+
 @pytest.mark.parametrize("kind, doc", [
     ("config", dict(VALID["config"][0], levels={"g": 1.0})),
     ("model", {"kind": "outcome_q",
@@ -212,6 +250,10 @@ def test_loads_or_raises_a_data_error(kind, data, files):
         dict(cell, y=bool(cell["y"])) for cell in POPULATIONS[0]["cells"]])),
     ("population", dict(POPULATIONS[0], cells=[
         dict(POPULATIONS[0]["cells"][0], mass=True)])),
+    ("population", dict(POPULATIONS[0], outcome_domain=dict(
+        POPULATIONS[0]["outcome_domain"], lo="0", binary=False))),
+    ("population", dict(POPULATIONS[0], outcome_domain=dict(
+        POPULATIONS[0]["outcome_domain"], hi=True, binary=False))),
 ])
 def test_rejected_with_exit_3(kind, doc, files):
     """Inputs that once ended in a traceback or in exit 4 (the first four
@@ -221,7 +263,8 @@ def test_rejected_with_exit_3(kind, doc, files):
     boolean count or seed was truncated) or with levels declared for no
     covariate, or read text or a boolean where a number belongs (``"lo":
     true`` read as 1.0, ``"p": "0.5"`` as 0.5, an outcome ``"y": "0"`` as
-    0.0, a cell's ``"mass": "0.25"`` as 0.25)."""
+    0.0, a cell's ``"mass": "0.25"`` as 0.25, the domain's ``"lo": "0"``
+    as 0.0)."""
     doc_path = files / f"found_{kind}.json"
     doc_path.write_text(json.dumps(doc))
     with pytest.raises(DataError):

@@ -224,6 +224,51 @@ class TestSampleInterval:
         assert iv.contains(pooled, tol=1e-12)
 
 
+class TestTableCell:
+    """The records at x = xi of a table, as the sample interval and the
+    q-mean read them: the interval's width is the missing share of the
+    cell times the domain's width."""
+
+    @pytest.mark.parametrize("dom", [OutcomeDomain.binary_01(), OutcomeDomain(-2.0, 3.0)],
+                             ids=["binary", "real"])
+    def test_width_is_the_missing_share(self, dom, sel_a):
+        t = make_outcome_table([1, 0, 1, 1, 0, 1, None, None], dom)
+        assert sample_interval(t, sel_a).width == pytest.approx(0.25 * (dom.hi - dom.lo))
+        assert q_mean_estimate(t, sel_a, dom.hi) - q_mean_estimate(
+            t, sel_a, dom.lo) == pytest.approx(0.25 * (dom.hi - dom.lo))
+
+    @pytest.mark.parametrize("estimate", [
+        sample_interval, lambda t, sel: q_mean_estimate(t, sel, 0.5)],
+        ids=["sample_interval", "q_mean_estimate"])
+    def test_empty_cell(self, estimate):
+        xd = (CategoricalDomain("g", ("a", "b")),)
+        t = ObservationTable.from_records(
+            [(1.0, "a", None)], OutcomeDomain.binary_01(), xd)
+        with pytest.raises(EmptyCell, match="no records at x = 'b'"):
+            estimate(t, CellSelector("b"))
+
+    @pytest.mark.parametrize("estimate", [
+        sample_interval, midpoint_estimate,
+        lambda t, sel: q_mean_estimate(t, sel, 0.5)],
+        ids=["sample_interval", "midpoint_estimate", "q_mean_estimate"])
+    def test_covariate_table_refused(self, estimate):
+        t = ObservationTable.from_records(
+            [(1.0, "a", "o"), (0.0, "a", None)], OutcomeDomain.binary_01(), X1, W2)
+        for sel in (CellSelector("a"), CellSelector("a", "o")):
+            with pytest.raises(RegimeMismatch, match="needs a table in the outcome regime"):
+                estimate(t, sel)
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, None]), min_size=1, max_size=40),
+           st.sampled_from([OutcomeDomain.binary_01(), OutcomeDomain(0.0, 1.0),
+                            OutcomeDomain(-1.0, 2.0)]))
+    def test_width_within_domain_width_and_interval_inside_domain(self, ys, dom):
+        iv = sample_interval(make_outcome_table(ys, dom), CellSelector("a"))
+        assert 0.0 <= iv.width <= dom.hi - dom.lo
+        assert dom.lo <= iv.lo <= iv.hi <= dom.hi
+        assert iv.width == pytest.approx(
+            ys.count(None) / len(ys) * (dom.hi - dom.lo), abs=1e-12)
+
+
 class TestImputationMean:
     def test_pools_observed_and_imputed(self, sel_a):
         assert imputation_mean(

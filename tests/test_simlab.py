@@ -10,7 +10,6 @@ from imputebounds import (
     ImputationModel,
     OutcomeDomain,
     bias_gap,
-    empirical_cond,
     population_to_json,
     sample_table,
     true_mean,
@@ -69,10 +68,9 @@ class TestApplyMechanism:
         with pytest.raises(ProbabilityOutOfRange, match="not finite"):
             apply_mechanism(simple_joint(), MissingnessMechanism.constant(rate))
 
-    def test_non_finite_callable_rate_rejected(self):
-        mech = MissingnessMechanism.from_callable(
-            lambda y, x, w: np.where(y == 1.0, np.nan, 0.5))
-        with pytest.raises(ProbabilityOutOfRange):
+    def test_non_finite_per_cell_rate_rejected(self):
+        mech = MissingnessMechanism.by_x({"a": float("nan")})
+        with pytest.raises(ProbabilityOutOfRange, match="not finite"):
             mech.probabilities(simple_joint())
 
     def test_covariate_conditional_rate(self):
@@ -123,7 +121,7 @@ class TestSampleTable:
         t = sample_table(mnar_pop, 200000, seed=12)
         missing_share = float((~t.z_y).mean())
         assert missing_share == pytest.approx(mnar_pop.mass_where(z=0), abs=0.01)
-        obs_mean = empirical_cond(t, lambda tb: tb.y == 1.0, lambda tb: tb.z_y)
+        obs_mean = float((t.y[t.z_y] == 1.0).mean())
         pop_obs_mean = mnar_pop.ymass_where(z=1) / mnar_pop.mass_where(z=1)
         assert obs_mean == pytest.approx(pop_obs_mean, abs=0.01)
 
