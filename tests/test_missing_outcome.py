@@ -237,6 +237,12 @@ class TestTableCell:
         assert q_mean_estimate(t, sel_a, dom.hi) - q_mean_estimate(
             t, sel_a, dom.lo) == pytest.approx(0.25 * (dom.hi - dom.lo))
 
+    def test_fully_observed(self, sel_a):
+        t = make_outcome_table([1, 0, 1], OutcomeDomain.binary_01())
+        iv = sample_interval(t, sel_a)
+        assert iv.width == 0.0 and iv.lo == pytest.approx(2 / 3)
+        assert q_mean_estimate(t, sel_a, 0.0) == q_mean_estimate(t, sel_a, 1.0)
+
     @pytest.mark.parametrize("estimate", [
         sample_interval, lambda t, sel: q_mean_estimate(t, sel, 0.5)],
         ids=["sample_interval", "q_mean_estimate"])
