@@ -16,7 +16,6 @@ from . import errors
 from .domain import (
     CategoricalDomain,
     CellSelector,
-    CompletedTable,
     FinitePopulation,
     Interval,
     ObservationTable,
@@ -84,10 +83,9 @@ __all__ = [
     "__version__",
     "errors",
     # domain
-    "CategoricalDomain", "CellSelector", "CompletedTable", "FinitePopulation",
-    "Interval", "ObservationTable", "OutcomeDomain", "load_population",
-    "population_from_json", "population_to_json", "save_population",
-    "validate_population",
+    "CategoricalDomain", "CellSelector", "FinitePopulation", "Interval",
+    "ObservationTable", "OutcomeDomain", "load_population", "population_from_json",
+    "population_to_json", "save_population", "validate_population",
     # missing outcomes
     "RestrictionGamma", "consistency_condition", "identification_interval_pop",
     "imputation_mean", "midpoint_estimate", "plim_imputation_mean",

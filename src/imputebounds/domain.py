@@ -65,7 +65,9 @@ class OutcomeDomain:
     binary: bool = False
 
     def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
+        lo, hi = (as_real(v, "outcome domain endpoint") for v in (self.lo, self.hi))
+        if not isinstance(self.binary, bool):
+            raise DataError(f"outcome domain flag binary={self.binary!r} is not a bool")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DataError("outcome domain endpoints must be finite")
         if not lo < hi:
@@ -203,7 +205,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
+        lo, hi = (as_real(v, "interval endpoint") for v in (self.lo, self.hi))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DataError("interval endpoints must be finite")
         if lo > hi:
@@ -387,43 +389,6 @@ def yx_codes(table):
         return y_levels[y_at], x
 
     return codes, decode, len(y_levels) * n_x
-
-
-@dataclass(frozen=True)
-class CompletedTable:
-    """An observation table whose missing entries were filled in; the
-    imputed positions stay flagged so pooled cells can be decomposed."""
-
-    outcome: OutcomeDomain
-    x_domains: tuple
-    w_domains: tuple
-    y: np.ndarray
-    x: np.ndarray
-    w: np.ndarray
-    y_imputed: np.ndarray
-    w_imputed: np.ndarray
-
-    def __post_init__(self):
-        y = _readonly(self.y, np.float64)
-        x = _readonly(self.x, np.int64)
-        w = _readonly(self.w, np.int64)
-        yi = _readonly(self.y_imputed, bool)
-        wi = _readonly(self.w_imputed, bool)
-        if not (len(y) == len(x) == len(w) == len(yi) == len(wi)):
-            raise DataError("column lengths differ")
-        if np.any(np.isnan(y)):
-            raise DataError("completed table still has missing outcomes")
-        if np.any(w < 0):
-            raise DataError("completed table still has missing covariates")
-        for name, arr in (("y", y), ("x", x), ("w", w),
-                          ("y_imputed", yi), ("w_imputed", wi)):
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "x_domains", tuple(self.x_domains))
-        object.__setattr__(self, "w_domains", tuple(self.w_domains))
-
-    @property
-    def n(self):
-        return len(self.y)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +625,14 @@ def is_real(value):
     """True when ``value`` is a real number: text such as ``"0"`` and the
     booleans are not, so no reader coerces them."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_real(value, what):
+    """``value`` as a ``float``; a value that is not a real number (a
+    string, a boolean) raises :class:`DataError` naming ``what``."""
+    if not is_real(value):
+        raise DataError(f"{what} {value!r} is not a number")
+    return float(value)
 
 
 def json_list(value, what):

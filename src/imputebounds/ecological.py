@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import COVARIATE_REGIME, NORMALIZATION_TOL, Interval
+from .domain import COVARIATE_REGIME, NORMALIZATION_TOL, Interval, as_real
 from .errors import ProbabilityOutOfRange, RegimeMismatch, ZeroCellMass
 
 
@@ -20,8 +20,8 @@ class ShortDistributions:
     p_w_omega_given_xi: float
 
     def __post_init__(self):
-        py = float(self.p_y1_given_xi)
-        pw = float(self.p_w_omega_given_xi)
+        py = as_real(self.p_y1_given_xi, "P(y=1|xi)")
+        pw = as_real(self.p_w_omega_given_xi, "P(w=omega|xi)")
         if not 0.0 <= py <= 1.0:
             raise ProbabilityOutOfRange(f"P(y=1|xi) = {py} outside [0, 1]")
         if not 0.0 < pw <= 1.0:

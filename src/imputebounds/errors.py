@@ -66,7 +66,7 @@ class NonBinaryOutcome(GuardError):
 
 
 class ImputedValueOutOfDomain(GuardError):
-    """An imputed value lies outside the outcome domain."""
+    """An imputation model's support leaves the outcome domain."""
 
 
 class MeanOutOfDomain(GuardError):

@@ -18,7 +18,6 @@ from .domain import (
     EQUALITY_TOL,
     COMPLETE_REGIME,
     COVARIATE_REGIME,
-    CompletedTable,
     FinitePopulation,
     Interval,
     ObservationTable,
@@ -89,9 +88,9 @@ def pooled_cell_mean(y, w, om, sel):
 
 
 def imputed_long_mean(completed, sel):
-    """Average outcome over the pooled cell: records observed at
-    (xi, omega) plus records imputed into it."""
-    if not isinstance(completed, CompletedTable):
+    """Average outcome over the pooled cell of a table in the complete
+    regime: records observed at (xi, omega) plus records imputed into it."""
+    if completed.regime != COMPLETE_REGIME:
         raise RegimeMismatch("imputed_long_mean expects a completed table")
     at_xi, om = long_cell(completed, sel)
     return pooled_cell_mean(completed.y[at_xi], completed.w[at_xi], om, sel)
@@ -217,18 +216,14 @@ def _binary_masses(source, sel):
         raise DataError("source must be a population or an observation table")
     if source.regime not in (COVARIATE_REGIME, COMPLETE_REGIME):
         raise RegimeMismatch("bounds need a covariate-regime table")
-    y, x, w = source.y, source.x, source.w
-    if np.any((y != 0.0) & (y != 1.0)):
+    if np.any((source.y != 0.0) & (source.y != 1.0)):
         raise NonBinaryOutcome("bounds require a binary {0,1} outcome")
-    xi, om = _xi_omega(sel, source.x_domains, source.w_domains)
-    at_xi = x == xi
-    obs = np.asarray(source.z_w)
-    in_cell = at_xi & (w == om)
-    a1 = float(((y == 1.0) & in_cell & obs).sum())
-    a = float((in_cell & obs).sum())
-    b1 = float(((y == 1.0) & at_xi & ~obs).sum())
-    b0 = float(((y == 0.0) & at_xi & ~obs).sum())
-    return a1, a, b1, b0
+    at_xi, om = long_cell(source, sel)
+    success, obs = source.y[at_xi] == 1.0, source.z_w[at_xi]
+    in_cell = obs & (source.w[at_xi] == om)
+    missing = ~obs
+    return (float((success & in_cell).sum()), float(in_cell.sum()),
+            float((success & missing).sum()), float((~success & missing).sum()))
 
 
 def binary_bounds_closed_form(source, sel):

@@ -12,16 +12,15 @@ import numpy as np
 from . import models
 from .domain import (
     EQUALITY_TOL,
+    COMPLETE_REGIME,
     COVARIATE_REGIME,
     OUTCOME_REGIME,
-    CompletedTable,
     FinitePopulation,
     Interval,
 )
 from .errors import (
     DataError,
     EmptyCell,
-    ImputedValueOutOfDomain,
     MeanOutOfDomain,
     ModelUndefinedOnCell,
     RegimeMismatch,
@@ -122,15 +121,11 @@ def imputation_cell(table, sel):
 
 
 def imputation_mean(completed, sel):
-    """Pooled average of observed and imputed outcomes in the xi cell."""
-    if not isinstance(completed, CompletedTable):
+    """Pooled average of observed and imputed outcomes in the xi cell of a
+    table in the complete regime."""
+    if completed.regime != COMPLETE_REGIME:
         raise RegimeMismatch("imputation_mean expects a completed table")
-    rows = imputation_cell(completed, sel)
-    dom = completed.outcome
-    if not dom.contains(completed.y[rows[completed.y_imputed[rows]]]):
-        raise ImputedValueOutOfDomain(
-            f"imputed outcome outside domain [{dom.lo}, {dom.hi}]")
-    return float(completed.y[rows].mean())
+    return float(completed.y[imputation_cell(completed, sel)].mean())
 
 
 def assumed_missing_mean(model, source, xi_flat):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .domain import (
     NORMALIZATION_TOL,
+    as_real,
     flat_value,
-    is_real,
     json_keys,
     json_number,
     read_json,
@@ -60,21 +60,13 @@ def _strata(pairs, canon_key, normalize):
     return canon
 
 
-def _real(value, what):
-    """``value`` as a ``float``; a value that is not a real number (a
-    string, a boolean) raises :class:`DataError` naming ``what``."""
-    if not is_real(value):
-        raise DataError(f"{what} {value!r} is not a number")
-    return float(value)
-
-
 def _normalize_dist(pairs, what):
     """Canonicalize a finite distribution, a list of (atom, p) pairs, to a
     sorted tuple of (atom, p); a probability that is not a real number
     raises :class:`DataError`."""
     dist = []
     for atom, p in pairs:
-        p = _real(p, f"{what}: probability")
+        p = as_real(p, f"{what}: probability")
         require_finite(p, ProbabilityOutOfRange, f"{what}: probability")
         if p < 0:
             raise ProbabilityOutOfRange(f"{what}: negative probability {p}")
@@ -95,7 +87,7 @@ class QCovariateModel:
 
     def __post_init__(self):
         object.__setattr__(self, "strata", _strata(
-            self.strata, lambda key: (_real(key[0], "a stratum's y"),
+            self.strata, lambda key: (as_real(key[0], "a stratum's y"),
                                       _as_value_key(key[1])),
             lambda key, dist: _normalize_dist(
                 [(_as_value_key(w), p) for w, p in dist],
@@ -124,7 +116,7 @@ class QCovariateModel:
 def _normalize_outcome_q(q):
     def normalize(key, dist):
         what = f"Q(y|x={key})"
-        dist = [(_real(y, f"{what}: outcome atom"), p) for y, p in dist]
+        dist = [(as_real(y, f"{what}: outcome atom"), p) for y, p in dist]
         require_finite([y for y, _ in dist], DataError, f"{what}: outcome atom")
         return _normalize_dist(dist, what)
 

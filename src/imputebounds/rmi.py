@@ -31,10 +31,11 @@ drawn values. The rekey builds one generator state of plain ints per block
 and changes only its key's stream word per draw, and every draw of a block
 reads the plan's ``row_of`` as it is, untiled.
 :meth:`ImputationPlan.complete` is the one-draw block written into a fresh
-copy of the imputed column, and :func:`draw_completion` is one completion
-from a fresh plan. Because Philox is counter-based, a record's
-drawn value depends only on its stratum and its uniform, so the per-draw
-estimates do not depend on the block size or the plan's layout.
+copy of the imputed column of an observation table in the complete regime,
+and :func:`draw_completion` is one completion from a fresh plan. Because
+Philox is counter-based, a record's drawn value depends only on its stratum
+and its uniform, so the per-draw estimates do not depend on the block size
+or the plan's layout.
 
 What each estimator reads is one private table keyed by its name, which
 :class:`EstimatorSpec` reads; :meth:`EstimatorSpec.for_cell` is the one
@@ -51,7 +52,7 @@ from ._rng import STREAM_COMPLETION, fill_streams, stream
 from .domain import (
     COVARIATE_REGIME,
     OUTCOME_REGIME,
-    CompletedTable,
+    ObservationTable,
     sealed,
     total_size,
     value_labels,
@@ -223,8 +224,7 @@ class ImputationPlan:
         _check_regime(model, table)
         column, observed = _imputed_column(table, model.target)
         codes, key, space = _stratum_codes(table, model.target, model.kind)
-        self.imputed = sealed(~observed)
-        self.missing = np.flatnonzero(self.imputed)
+        self.missing = np.flatnonzero(~observed)
         missing_codes = codes.take(self.missing)
         domains = (("x", table.x_domains), ("outcome", table.outcome)
                    if model.target == "outcome" else ("w", table.w_domains))
@@ -276,27 +276,24 @@ class ImputationPlan:
 
     def complete(self, rng):
         """One draw, one uniform of ``rng`` per missing record in record
-        order, as a :class:`CompletedTable` of its own."""
+        order, as an :class:`~imputebounds.domain.ObservationTable` in the
+        complete regime: the imputed column is a fresh sealed copy, and
+        ``x`` and the other column are the source table's own arrays."""
         t = self.table
         column, _ = _imputed_column(t, self.target)
         column = np.array(column, copy=True)
-        u = rng.random((1, len(self.missing)))
-        column[self.missing] = self.imputed_block(u)[0]
+        column[self.missing] = self.imputed_block(rng.random((1, len(self.missing))))[0]
         sealed(column)
-        none = sealed(np.zeros(t.n, dtype=bool))
-        if self.target == "outcome":
-            y, w, y_imputed, w_imputed = column, t.w, self.imputed, none
-        else:
-            y, w, y_imputed, w_imputed = t.y, column, none, self.imputed
-        return CompletedTable(
-            outcome=t.outcome, x_domains=t.x_domains, w_domains=t.w_domains,
-            y=y, x=t.x, w=w, y_imputed=y_imputed, w_imputed=w_imputed)
+        y, w = (column, t.w) if self.target == "outcome" else (t.y, column)
+        return ObservationTable(t.outcome, t.x_domains, t.w_domains, y, t.x, w)
 
 
 def draw_completion(table, fitted, seed):
-    """One completed dataset: every missing value replaced by an
-    independent draw from its stratum's distribution, deterministic in
-    ``seed``. Observed values are untouched. ``fitted`` may be unfitted."""
+    """One completed dataset, an observation table in the complete regime:
+    every missing value replaced by an independent draw from its stratum's
+    distribution, deterministic in ``seed``. Observed values are untouched,
+    so the imputed records are the source table's ``~z_y`` (or ``~z_w``).
+    ``fitted`` may be unfitted."""
     return ImputationPlan(table, fitted).complete(stream(seed, STREAM_COMPLETION))
 
 
@@ -306,7 +303,8 @@ def _imputed_in(plan, rows, column):
     None land there when the plan imputes the other column."""
     if plan.target != column:
         rows = rows[:0]
-    at = np.flatnonzero(plan.imputed[rows])
+    _, observed = _imputed_column(plan.table, plan.target)
+    at = np.flatnonzero(~observed[rows])
     return at, np.searchsorted(plan.missing, rows[at])
 
 

@@ -31,6 +31,7 @@ from .domain import (
     ObservationTable,
     OutcomeDomain,
     _whole,
+    as_real,
     flat_value,
     is_real,
     json_keys,
@@ -85,7 +86,8 @@ class MissingnessMechanism:
     @classmethod
     def by_outcome(cls, rates):
         """MNAR: rate chosen by the (possibly missing) outcome value."""
-        return cls("by_outcome", {float(k): _rate(v) for k, v in rates.items()})
+        return cls("by_outcome", {as_real(k, "by_outcome key"): _rate(v)
+                                  for k, v in rates.items()})
 
     @classmethod
     def by_x(cls, rates):
@@ -99,6 +101,7 @@ class MissingnessMechanism:
             if not (isinstance(key, tuple) and len(key) == 3):
                 raise DataError(f"a by_cell key is a (y, x_value, w_value) "
                                 f"triple, got {key!r}")
+            as_real(key[0], f"by_cell key {key!r}: y")
         return cls("by_cell", {k: _rate(v) for k, v in rates.items()})
 
     def probabilities(self, pop):

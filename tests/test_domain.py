@@ -101,6 +101,28 @@ class TestInterval:
         with pytest.raises(DataError):
             Interval(0.0, 0.2).intersect(Interval(0.5, 1.0))
 
+    @pytest.mark.parametrize("lo, hi", [("0", 1.0), (0.0, True), (None, 1.0)])
+    def test_endpoint_that_is_not_a_number_rejected(self, lo, hi):
+        with pytest.raises(DataError, match="interval endpoint .* is not a number"):
+            Interval(lo, hi)
+
+
+class TestOutcomeDomain:
+    @pytest.mark.parametrize("lo, hi", [("0", "1"), (0.0, True), (False, 1.0)])
+    def test_endpoint_that_is_not_a_number_rejected(self, lo, hi):
+        with pytest.raises(DataError, match="outcome domain endpoint .* is not a number"):
+            OutcomeDomain(lo, hi)
+
+    @pytest.mark.parametrize("flag", ["yes", 1, None])
+    def test_binary_flag_that_is_not_a_bool_rejected(self, flag):
+        # population_from_json reads only true or false, so a population
+        # on any other flag would save a file that does not load
+        with pytest.raises(DataError, match="binary=.* is not a bool"):
+            OutcomeDomain(0, 1, binary=flag)
+
+    def test_numbers_of_any_real_type_load(self):
+        assert OutcomeDomain(np.int64(0), np.float64(1.0)) == OutcomeDomain(0.0, 1.0)
+
 
 class TestObservationTable:
     def test_mixed_missingness_rejected(self):

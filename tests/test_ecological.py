@@ -15,7 +15,7 @@ from imputebounds import (
 from imputebounds.domain import OutcomeDomain
 from imputebounds.rmi import draw_completion, fit_model
 from imputebounds.simlab import MissingnessMechanism, apply_mechanism
-from imputebounds.errors import ProbabilityOutOfRange, RegimeMismatch
+from imputebounds.errors import DataError, ProbabilityOutOfRange, RegimeMismatch
 from conftest import X1, W2
 
 
@@ -51,6 +51,11 @@ class TestDuncanDavisBounds:
             ShortDistributions(0.5, 0.0)
         with pytest.raises(ProbabilityOutOfRange):
             ShortDistributions(-0.1, 0.5)
+
+    @pytest.mark.parametrize("py, pw", [("0.5", 0.5), (0.5, True), (None, 0.5)])
+    def test_probability_that_is_not_a_number_rejected(self, py, pw):
+        with pytest.raises(DataError, match="is not a number"):
+            ShortDistributions(py, pw)
 
     def test_matches_oracle_on_grid(self):
         for py in np.linspace(0.0, 1.0, 11):

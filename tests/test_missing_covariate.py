@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from imputebounds import (
     CellSelector,
-    CompletedTable,
     FinitePopulation,
     ImputationModel,
     ObservationTable,
@@ -71,17 +70,9 @@ def covariate_table(records):
 
 
 def completed_cell(observed_pairs, imputed_pairs):
-    """CompletedTable at a single x; pairs are (y, w label index into W2)."""
-    wd = W2[0]
-    ys = [y for y, _ in observed_pairs] + [y for y, _ in imputed_pairs]
-    ws = [wd.code(w) for _, w in observed_pairs] + [wd.code(w) for _, w in imputed_pairs]
-    flags = [False] * len(observed_pairs) + [True] * len(imputed_pairs)
-    n = len(ys)
-    return CompletedTable(
-        outcome=OutcomeDomain.binary_01(), x_domains=X1, w_domains=W2,
-        y=np.array(ys, dtype=float), x=np.zeros(n, dtype=np.int64),
-        w=np.array(ws, dtype=np.int64),
-        y_imputed=np.zeros(n, dtype=bool), w_imputed=np.array(flags))
+    """A complete table at a single x: the observed (y, w label) pairs,
+    then the imputed."""
+    return covariate_table(list(observed_pairs) + list(imputed_pairs))
 
 
 def random_covariate_pop(seed, w_size=2):

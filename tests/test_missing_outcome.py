@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from imputebounds import (
     CategoricalDomain,
     CellSelector,
-    CompletedTable,
     FinitePopulation,
     ImputationModel,
     ObservationTable,
@@ -34,9 +33,9 @@ from imputebounds.rmi import EstimatorSpec, run_multiple_imputation
 from imputebounds.errors import (
     DataError,
     EmptyCell,
-    ImputedValueOutOfDomain,
     MeanOutOfDomain,
     ModelUndefinedOnCell,
+    OutcomeOutOfDomain,
     RegimeMismatch,
     ZeroCellMass,
 )
@@ -91,15 +90,8 @@ def make_outcome_table(ys, outcome=None):
 
 
 def completed_single_cell(observed, imputed, outcome=None):
-    outcome = outcome or OutcomeDomain.binary_01()
-    ys = list(observed) + list(imputed)
-    flags = [False] * len(observed) + [True] * len(imputed)
-    return CompletedTable(
-        outcome=outcome, x_domains=X1, w_domains=(),
-        y=np.array(ys, dtype=float),
-        x=np.zeros(len(ys), dtype=np.int64),
-        w=np.zeros(len(ys), dtype=np.int64),
-        y_imputed=np.array(flags), w_imputed=np.zeros(len(ys), dtype=bool))
+    """A complete table at x = "a": the observed outcomes, then the imputed."""
+    return make_outcome_table(list(observed) + list(imputed), outcome)
 
 
 # --- exact population quantities ----------------------------------------------
@@ -285,10 +277,10 @@ class TestImputationMean:
         c = completed_single_cell([1, 0, 1, 0], [0.5, 0.5], dom)
         assert imputation_mean(c, sel_a) == pytest.approx(0.5)
 
-    def test_out_of_domain_guard(self, sel_a):
-        c = completed_single_cell([1, 0], [1.5], OutcomeDomain(0.0, 1.0))
-        with pytest.raises(ImputedValueOutOfDomain):
-            imputation_mean(c, sel_a)
+    def test_out_of_domain_guard(self):
+        # no completion can hold an outcome outside its domain
+        with pytest.raises(OutcomeOutOfDomain):
+            completed_single_cell([1, 0], [1.5], OutcomeDomain(0.0, 1.0))
 
     def test_decomposition(self, sel_a):
         obs = [1.0, 0.0, 1.0, 1.0]

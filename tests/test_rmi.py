@@ -131,14 +131,14 @@ class TestDrawCompletion:
         a = draw_completion(t, fitted, seed=7)
         b = draw_completion(t, fitted, seed=7)
         assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.y_imputed, b.y_imputed)
+        assert a.regime == b.regime == "complete"
 
     def test_point_mass_model_fills_constant(self):
         t = outcome_table([1, None, None])
         model = ImputationModel.explicit_outcome({"a": {1.0: 1.0}})
         completed = draw_completion(t, model, seed=3)
         assert completed.y.tolist() == [1.0, 1.0, 1.0]
-        assert completed.y_imputed.tolist() == [False, True, True]
+        assert completed.y[~t.z_y].tolist() == [1.0, 1.0]
 
     def test_observed_values_untouched(self):
         t = outcome_table([1, 0, None])
@@ -150,7 +150,7 @@ class TestDrawCompletion:
         t = sample_table(pop, 100000, seed=2)
         fitted = fit_model(ImputationModel.mar_outcome(), t)
         completed = draw_completion(t, fitted, seed=8)
-        drawn = completed.y[completed.y_imputed]
+        drawn = completed.y[~t.z_y]
         atoms, cdf = fitted.stratum(0)
         probs = np.diff(np.concatenate([[0.0], cdf]))
         freq1 = float((drawn == 1.0).mean())
@@ -160,7 +160,40 @@ class TestDrawCompletion:
         t = outcome_table([1, 0])
         completed = draw_completion(t, ImputationModel.mar_outcome(), seed=1)
         assert completed.y.tolist() == [1.0, 0.0]
-        assert not completed.y_imputed.any()
+        assert completed.regime == "complete"
+
+
+class TestCompletionIsATable:
+    """A completion is an observation table in the complete regime; only
+    such a table feeds the two estimators on completed data."""
+
+    def tables(self):
+        def table(records):
+            return ObservationTable.from_records(
+                records, OutcomeDomain.binary_01(), X1, W2)
+
+        outcome = table([(1, "a", "o"), (None, "a", "p"), (0, "a", "o"), (None, "a", "o")])
+        covariate = table([(1, "a", "o"), (0, "a", "p"), (1, "a", None), (0, "a", None)])
+        return ((outcome, ImputationModel.mar_outcome(), "w"),
+                (covariate, ImputationModel.mar_covariate(), "y"))
+
+    def test_completion_shares_the_unimputed_columns(self):
+        for t, model, kept in self.tables():
+            completed = draw_completion(t, model, seed=4)
+            assert type(completed) is ObservationTable
+            assert completed.regime == "complete"
+            assert completed.x is t.x
+            assert getattr(completed, kept) is getattr(t, kept)
+
+    @pytest.mark.parametrize("estimate, sel", [
+        (imputation_mean, CellSelector("a")),
+        (missing_covariate.imputed_long_mean, CellSelector("a", "o")),
+    ], ids=["imputation_mean", "imputed_long_mean"])
+    def test_table_with_missing_entries_refused(self, estimate, sel):
+        for t, model, _ in self.tables():
+            with pytest.raises(RegimeMismatch, match="expects a completed table"):
+                estimate(t, sel)
+            assert 0.0 <= estimate(draw_completion(t, model, seed=4), sel) <= 1.0
 
 
 class TestRunMultipleImputation:
@@ -274,7 +307,7 @@ def pinned_cases():
 
 
 #: ``per_draw_estimates`` (as float.hex) of ``m = 5`` runs of the cases
-#: above, recorded from the per-draw CompletedTable implementation that the
+#: above, recorded from the per-draw completed-table implementation that the
 #: imputation plan replaced; the plan must reproduce them bit for bit
 PINNED_DRAWS = {
     "mar_outcome/5": (

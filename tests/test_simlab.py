@@ -100,6 +100,18 @@ class TestApplyMechanism:
         with pytest.raises(DataError, match="missingness rate must be a number"):
             make()
 
+    @pytest.mark.parametrize("make, key", [
+        (lambda: MissingnessMechanism.by_outcome({"1.0": 0.1, True: 0.2}), "'1.0'"),
+        (lambda: MissingnessMechanism.by_outcome({True: 0.2, 0.0: 0.1}), "True"),
+        (lambda: MissingnessMechanism.by_cell({("1", "a", None): 0.1}), r"\('1', 'a', None\)"),
+        (lambda: MissingnessMechanism.by_cell({(False, "a", None): 0.1}),
+         r"\(False, 'a', None\)"),
+    ])
+    def test_outcome_key_that_is_not_a_number_rejected(self, make, key):
+        # float() would map '1.0' and True to one outcome and drop a rate
+        with pytest.raises(DataError, match=f"key {key}.* is not a number"):
+            make()
+
     def test_base_must_be_fully_observed(self):
         with pytest.raises(DataError):
             apply_mechanism(build_mnar_pop(), MissingnessMechanism.constant(0.1))
