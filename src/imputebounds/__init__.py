@@ -33,7 +33,6 @@ from .ecological import (
     ecological_plim,
 )
 from .missing_covariate import (
-    QCovariateModel,
     binary_bounds_closed_form,
     binary_bounds_oracle,
     imputed_cell_share,
@@ -57,15 +56,18 @@ from .missing_outcome import (
     sample_interval,
     true_mean,
 )
+from .models import (
+    ImputationModel,
+    QCovariateModel,
+    true_covariate_model,
+    true_outcome_model,
+)
 from .rmi import (
     EstimatorSpec,
-    ImputationModel,
     MultipleImputationResult,
     draw_completion,
     fit_model,
     run_multiple_imputation,
-    true_covariate_model,
-    true_outcome_model,
 )
 from .simlab import (
     BiasGapReport,

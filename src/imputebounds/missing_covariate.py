@@ -36,10 +36,8 @@ from .errors import (
     ZeroCellMass,
     ZeroDenominator,
 )
-from .models import QCovariateModel
 
 __all__ = [
-    "QCovariateModel",
     "true_long_mean",
     "imputed_long_mean",
     "plim_imputed_long_mean",

@@ -64,18 +64,8 @@ from .errors import (
     RegimeMismatch,
     UnfittableStratum,
 )
-from .models import (
-    ImputationModel,
-    QCovariateModel,
-    model_from_json,
-    model_to_json,
-    true_covariate_model,
-    true_outcome_model,
-)
 
 __all__ = [
-    "ImputationModel",
-    "QCovariateModel",
     "FittedImputationModel",
     "ImputationPlan",
     "EstimatorSpec",
@@ -83,10 +73,6 @@ __all__ = [
     "fit_model",
     "draw_completion",
     "run_multiple_imputation",
-    "true_outcome_model",
-    "true_covariate_model",
-    "model_to_json",
-    "model_from_json",
 ]
 
 
@@ -415,10 +401,7 @@ class MultipleImputationResult:
 
 
 def _tag_draw(error, k):
-    try:
-        return type(error)(f"draw {k}: {error}")
-    except TypeError:
-        return ImputeBoundsError(f"draw {k}: {error}")
+    return type(error)(f"draw {k}: {error}")
 
 
 def run_multiple_imputation(table, model, m, estimator, seed):

@@ -46,11 +46,8 @@ from .domain import (
 from .errors import (
     DataError,
     EmptyCell,
-    ModelUndefinedOnCell,
     ProbabilityOutOfRange,
     UnfittableStratum,
-    ZeroCellMass,
-    ZeroDenominator,
 )
 
 
@@ -65,6 +62,18 @@ def _rate(value):
     if not is_real(value):
         raise DataError(f"missingness rate must be a number, got {value!r}")
     return float(value)
+
+
+def _rates_by_cell(rates, resolve):
+    """``rates`` keyed by ``resolve(key)``; a key that resolves to the cell
+    of an earlier key is a :class:`DataError` naming it."""
+    table = {}
+    for key, rate in rates.items():
+        cell = resolve(key)
+        if cell in table:
+            raise DataError(f"missingness rate key {key!r} names the same cell as an earlier key")
+        table[cell] = rate
+    return table
 
 
 @dataclass(frozen=True)
@@ -115,17 +124,14 @@ class MissingnessMechanism:
             except KeyError as e:
                 raise DataError(f"no missingness rate for outcome {e.args[0]}") from None
         elif self.kind == "by_x":
-            table = {flat_value(pop.x_domains, k): v for k, v in self.payload.items()}
+            table = _rates_by_cell(self.payload, lambda k: flat_value(pop.x_domains, k))
             try:
                 probs = np.array([table[int(xf)] for xf in pop.x_i])
             except KeyError:
                 raise DataError("no missingness rate for some x cell") from None
         elif self.kind == "by_cell":
-            table = {}
-            for (y_val, x_val, w_val), rate in self.payload.items():
-                key = (float(y_val), flat_value(pop.x_domains, x_val),
-                       flat_value(pop.w_domains, w_val))
-                table[key] = rate
+            table = _rates_by_cell(self.payload, lambda k: (
+                float(k[0]), flat_value(pop.x_domains, k[1]), flat_value(pop.w_domains, k[2])))
             try:
                 probs = np.array([
                     table[(float(y_vals[i]), int(pop.x_i[i]), int(pop.w_i[i]))]
@@ -212,10 +218,15 @@ def default_domains(prefix, sizes):
                  for i, size in enumerate(sizes))
 
 
+#: the mass every cell of a random population keeps, so no stratum vanishes;
+#: it caps a random population below 1000 cells
+MASS_FLOOR = 1e-3
+
+
 def random_population(seed, *, outcome_values=(0.0, 1.0), x_sizes=(2,),
-                      w_sizes=(), regime=OUTCOME_REGIME, floor=1e-3):
+                      w_sizes=(), regime=OUTCOME_REGIME):
     """A seeded random population: Dirichlet(1, ..., 1) masses over all
-    (y, x, w, z) cells, mixed with a per-cell floor so no stratum vanishes.
+    (y, x, w, z) cells, mixed with the per-cell :data:`MASS_FLOOR`.
     The outcome domain is binary when the support is within {0, 1}, else
     the support's range.
     """
@@ -229,13 +240,11 @@ def random_population(seed, *, outcome_values=(0.0, 1.0), x_sizes=(2,),
     nx = max(int(np.prod(x_sizes)), 1)
     nw = max(int(np.prod(w_sizes)), 1) if w_sizes else 1
     n_cells = len(values) * nx * nw * 2
-    if not floor >= 0.0:
-        raise DataError(f"floor must be a number >= 0, got {floor!r}")
-    if n_cells * floor >= 1.0:
-        raise DataError(f"floor {floor} too large for {n_cells} cells")
+    if n_cells * MASS_FLOOR >= 1.0:
+        raise DataError(f"floor {MASS_FLOOR} too large for {n_cells} cells")
     rng = stream(seed, STREAM_POPULATION)
     raw = rng.gamma(1.0, size=n_cells)
-    masses = floor + (1.0 - n_cells * floor) * (raw / raw.sum())
+    masses = MASS_FLOOR + (1.0 - n_cells * MASS_FLOOR) * (raw / raw.sum())
     grid = list(product(range(len(values)), range(nx), range(nw), (1, 0)))
     return FinitePopulation(
         outcome=outcome,
@@ -258,7 +267,8 @@ def random_population(seed, *, outcome_values=(0.0, 1.0), x_sizes=(2,),
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A convergence experiment: population, model, estimator, cell,
-    sample-size grid, replication count, master seed, and tolerance."""
+    sample-size grid, replication count, master seed, and tolerance. An
+    unknown estimator is a :class:`DataError` when the spec is built."""
 
     population: FinitePopulation
     model: object
@@ -282,6 +292,7 @@ class ExperimentSpec:
         object.__setattr__(self, "reps", _whole(self.reps, "reps", 1))
         object.__setattr__(self, "seed", _whole(self.seed, "seed", None))
         object.__setattr__(self, "tolerance", float(tol))
+        rmi.EstimatorSpec(self.estimator, self.selector)
 
 
 def experiment_from_json(obj, base_dir="."):
@@ -310,8 +321,7 @@ def load_experiment(path):
                                 base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-_SKIPPABLE = (EmptyCell, UnfittableStratum, ModelUndefinedOnCell,
-              ZeroCellMass, ZeroDenominator)
+_SKIPPABLE = (EmptyCell, UnfittableStratum)
 
 #: a grid entry fails outright when more than this share of reps skip
 MAX_SKIP_FRACTION = 0.05
@@ -369,9 +379,9 @@ def convergence_experiment(spec):
     tables, compare the estimator to its exact probability limit.
 
     Replication ``r`` at grid position ``j`` derives its seed as
-    ``derive_seed(master, j, r)``. Empty sample cells are recorded as skips;
-    an entry fails when deviations exceed the tolerance or skips exceed
-    ``MAX_SKIP_FRACTION``. The estimate spread across replications is
+    ``derive_seed(master, j, r)``. A sample with an empty cell or a stratum
+    without donors is recorded as a skip; an entry fails when deviations
+    exceed the tolerance or skips exceed ``MAX_SKIP_FRACTION``. The estimate spread across replications is
     reported as a diagnostic only.
     """
     pop = spec.population

@@ -3,9 +3,13 @@ functional of the empirical distribution of (y, x, w, z) cannot depend on
 the order of the records or on how often the whole sample is repeated:
 shuffling a table, or repeating each record k times, leaves it unchanged,
 to 1e-12 where sums run in another order and exactly where only counts
-enter. Nor can a reading depend on the order in which a role lists its
-levels: selecting by the same labels after the levels are permuted and the
-codes remapped gives the same readings."""
+enter. Nor can a reading depend on the order in which an x or w role lists
+its levels: selecting by the same labels after the levels are permuted and
+the codes remapped gives the same readings. And a reading of a real
+outcome follows an increasing affine map ``y -> a + b * y`` of the outcome
+and its domain, to 1e-12 of the mapped values' magnitude."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,12 +18,17 @@ from hypothesis import given, settings, strategies as st
 from imputebounds import (
     CategoricalDomain,
     CellSelector,
+    ImputationModel,
     Interval,
     ObservationTable,
+    OutcomeDomain,
     binary_bounds_closed_form,
+    identification_interval_pop,
     midpoint_estimate,
     mixture_conditional_mean,
     mixture_joint_estimate,
+    plim_imputation_mean,
+    plim_imputed_long_mean,
     q_mean_estimate,
     random_population,
     sample_interval,
@@ -44,23 +53,57 @@ def replicated(table, k):
                             *(np.repeat(c, k) for c in (table.y, table.x, table.w)))
 
 
+def relabel_last(domains, codes, perm):
+    """``domains`` with numeric-looking labels ``"0"``, ``"1"``, ... on
+    their last role, listed in the order ``perm``, and ``codes`` remapped
+    so that every code keeps its label; a missing (negative) code stays."""
+    *rest, last = domains
+    head, tail = np.divmod(codes, last.size)
+    remapped = np.where(codes < 0, codes, head * last.size + np.argsort(perm)[tail])
+    return (*rest, CategoricalDomain(last.name, tuple(str(p) for p in perm))), remapped
+
+
 def relabeled(table, perm):
-    """``table`` with numeric-looking labels ``"0"``, ``"1"``, ... on its
-    last x role, listed in the order ``perm``, and its codes remapped so
-    that every record keeps its label."""
-    *rest, last = table.x_domains
-    x_domains = (*rest, CategoricalDomain(last.name, tuple(str(p) for p in perm)))
-    head, tail = np.divmod(table.x, last.size)
-    x = head * last.size + np.argsort(perm)[tail]
+    """``table`` with its last x role relabeled by :func:`relabel_last`."""
+    x_domains, x = relabel_last(table.x_domains, table.x, perm)
     return ObservationTable(table.outcome, x_domains, table.w_domains, table.y, x, table.w)
+
+
+def w_relabeled(table, perm):
+    """``table`` with its last w role relabeled by :func:`relabel_last`."""
+    w_domains, w = relabel_last(table.w_domains, table.w, perm)
+    return ObservationTable(table.outcome, table.x_domains, w_domains, table.y, table.x, w)
+
+
+def w_relabeled_pop(pop, perm):
+    """``pop`` with its last w role relabeled by :func:`relabel_last`."""
+    w_domains, w_i = relabel_last(pop.w_domains, pop.w_i, perm)
+    return dataclasses.replace(pop, w_domains=w_domains, w_i=w_i)
+
+
+def numeric_label(domains, value):
+    """``value`` with the numeric label :func:`relabel_last` gives the
+    level of its last role."""
+    return (*value[:-1], str(domains[-1].code(value[-1])))
 
 
 def numeric_q(pop):
     """The population's true missing-covariate distribution, keyed by the
     numeric labels :func:`relabeled` gives its last x role."""
-    last = pop.x_domains[-1]
-    return {(y, (*x[:-1], str(last.code(x[-1])))): dict(dist)
+    return {(y, numeric_label(pop.x_domains, x)): dict(dist)
             for (y, x), dist in true_covariate_model(pop).covariate_q.strata.items()}
+
+
+def numeric_w_q(pop):
+    """The population's true missing-covariate distribution, with the
+    numeric labels :func:`w_relabeled` gives its last w role."""
+    return {key: {numeric_label(pop.w_domains, w): p for w, p in dist}
+            for key, dist in true_covariate_model(pop).covariate_q.strata.items()}
+
+
+def affine(outcome, a, b):
+    """The outcome domain mapped by ``y -> a + b * y``."""
+    return OutcomeDomain(a + b * outcome.lo, a + b * outcome.hi)
 
 
 def reading(f, *args):
@@ -177,3 +220,48 @@ def test_covariate_readings_ignore_level_order(seed, n, perm, first):
     q = numeric_q(pop)
     for a, b in zip(covariate_readings(table, q, cells), covariate_readings(other, q, cells)):
         assert_same(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(1, 200), LEVELS, st.sampled_from("ab"), st.sampled_from("ab"),
+       LABELS)
+def test_covariate_readings_ignore_w_level_order(seed, n, perm, xi, first, label):
+    pop = random_population(seed, x_sizes=(2,), w_sizes=(2, 3), regime="covariate")
+    sampled = sample_table(pop, n, seed)
+    table, other = w_relabeled(sampled, range(3)), w_relabeled(sampled, perm)
+    cells = [CellSelector(xi, (first, level)) for level in ("0", 1, "2")]
+    q = numeric_w_q(pop)
+    for a, b in zip(covariate_readings(table, q, cells), covariate_readings(other, q, cells)):
+        assert_same(a, b)
+    model, sel = ImputationModel.mar_covariate(), CellSelector(xi, (first, label))
+    assert_same(reading(plim_imputed_long_mean, w_relabeled_pop(pop, range(3)), model, sel),
+                reading(plim_imputed_long_mean, w_relabeled_pop(pop, perm), model, sel))
+
+
+def population_readings(pop, sel):
+    return [reading(identification_interval_pop, pop, sel),
+            reading(plim_imputation_mean, pop, ImputationModel.mar_outcome(), sel)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(1, 200), st.sampled_from("ab"), st.floats(0.0, 1.0),
+       st.floats(-100.0, 100.0), st.floats(0.01, 100.0))
+def test_outcome_readings_follow_an_affine_map(seed, n, xi, share, a, b):
+    pop = random_population(seed, outcome_values=(-1.0, 0.5, 2.0), x_sizes=(2,))
+    table = sample_table(pop, n, seed)
+    mapped_pop = dataclasses.replace(pop, outcome=affine(pop.outcome, a, b),
+                                     outcome_values=a + b * pop.outcome_values)
+    mapped = ObservationTable(affine(table.outcome, a, b), table.x_domains,
+                              table.w_domains, a + b * table.y, table.x, table.w)
+    sel = CellSelector(xi)
+    e_q = pop.outcome.lo + share * (pop.outcome.hi - pop.outcome.lo)
+    readings = outcome_readings(table, sel, e_q) + population_readings(pop, sel)
+    mapped_readings = (outcome_readings(mapped, sel, a + b * e_q)
+                       + population_readings(mapped_pop, sel))
+    # no reading exceeds the domain [-1, 2], so none maps above |a| + 2 b
+    scale = abs(a) + 2.0 * b
+    for r, r_mapped in zip(readings, mapped_readings):
+        if isinstance(r, type):
+            assert r_mapped is r
+        else:
+            assert r_mapped == pytest.approx([a + b * v for v in r], rel=0, abs=1e-12 * scale)

@@ -112,6 +112,27 @@ class TestApplyMechanism:
         with pytest.raises(DataError, match=f"key {key}.* is not a number"):
             make()
 
+    @pytest.mark.parametrize("make, key", [
+        (lambda: MissingnessMechanism.by_x({"1": 0.1, 1: 0.7, ("1",): 0.3, "2": 0.0}),
+         "1"),
+        (lambda: MissingnessMechanism.by_x({("2",): 0.1, "1": 0.7, "2": 0.3}), "'2'"),
+        (lambda: MissingnessMechanism.by_cell({
+            (1.0, "1", None): 0.1, (0.0, "2", None): 0.0, (1.0, ("1",), None): 0.9}),
+         r"\(1.0, \('1',\), None\)"),
+        (lambda: MissingnessMechanism.by_cell({
+            (0.0, 2, None): 0.1, (1.0, "1", None): 0.0, (0.0, "2", None): 0.9}),
+         r"\(0.0, '2', None\)"),
+    ])
+    def test_keys_naming_one_cell_twice_rejected(self, make, key):
+        # once merged silently, the last rate winning
+        from imputebounds import CategoricalDomain
+
+        xd = (CategoricalDomain("g", ("1", "2")),)
+        joint = joint_population({(1.0, "1", None): 0.5, (0.0, "2", None): 0.5},
+                                 outcome=OutcomeDomain.binary_01(), x_domains=xd)
+        with pytest.raises(DataError, match=f"key {key} names the same cell"):
+            make().probabilities(joint)
+
     def test_base_must_be_fully_observed(self):
         with pytest.raises(DataError):
             apply_mechanism(build_mnar_pop(), MissingnessMechanism.constant(0.1))
@@ -210,16 +231,11 @@ class TestRandomPopulation:
         assert pop.mass.min() >= 1e-3
 
     def test_floor_too_large_rejected(self):
-        with pytest.raises(DataError):
-            random_population(0, floor=0.2, x_sizes=(4,))
-
-    @pytest.mark.parametrize("floor", [float("nan"), -0.2, -1e-300])
-    def test_nan_or_negative_floor_rejected(self, floor):
-        with pytest.raises(DataError, match="floor must be"):
-            random_population(0, floor=floor)
-
-    def test_zero_floor_allowed(self):
-        validate_population(random_population(0, floor=0.0))
+        # the fixed floor of 1e-3 caps a random population below 1000 cells
+        validate_population(random_population(0, outcome_values=tuple(range(499)),
+                                              x_sizes=(1,)))
+        with pytest.raises(DataError, match="floor 0.001 too large for 1000 cells"):
+            random_population(0, outcome_values=tuple(range(500)), x_sizes=(1,))
 
 
 class TestExperimentSpec:
@@ -264,6 +280,14 @@ class TestExperimentSpec:
             "tolerance": 1.0,
         })
         assert spec.model.kind == "explicit_outcome_q"
+
+    def test_unknown_estimator_rejected_when_loaded(self, mnar_pop):
+        with pytest.raises(DataError, match=r"unknown estimator 'nope'; expected one of "
+                                            r"\['imputation_mean', 'long_mean'\]"):
+            experiment_from_json({
+                "population": population_to_json(mnar_pop), "model": "mar",
+                "estimator": "nope", "xi": {"g": "a"}, "n_grid": [100],
+                "reps": 1, "seed": 1, "tolerance": 1.0})
 
 
 class TestConvergenceExperiment:
