@@ -17,7 +17,8 @@ with one row of uniforms per draw, in one call. It has two exact builds
 and picks one from the number of uniforms of its call: a gather of whole
 CDF rows for calls with few uniforms per CDF column, and a count one
 column at a time, which never makes a (uniforms, support) matrix, for the
-rest.
+rest. The gather's matrix is capped at :data:`GATHER_CELLS` comparisons, so
+a call's memory stays bounded however many records and values it has.
 """
 
 import numpy as np
@@ -27,6 +28,11 @@ import numpy as np
 #: column by column: at this many the column count was as fast as the
 #: gather or faster at every support width from 3 to 200 (2-vCPU VM, numpy)
 RECORDS_PER_COLUMN = 256
+
+#: most (uniform, CDF entry) pairs the gather build of :func:`draw_positions`
+#: compares in one call, 9 bytes each: from about 5e6 pairs up the column
+#: count was as fast or faster (2-vCPU VM, numpy)
+GATHER_CELLS = 2**22
 
 #: least number of guide-table buckets in :func:`sample_cells`; above it
 #: the count is the smallest power of two at or above twice the cells
@@ -80,7 +86,8 @@ def draw_positions(cdf_rows, row_of, u):
     row that are ``<= u``, clamped to the last position.
 
     With fewer than :data:`RECORDS_PER_COLUMN` uniforms (``u.size``) per
-    CDF column but the last, each record's whole row is gathered and
+    CDF column but the last, and at most :data:`GATHER_CELLS` pairs of a
+    uniform and a CDF entry, each record's whole row is gathered and
     compared at once. Otherwise the count runs one column at a time,
     gathering only that column for the records and comparing it with
     every draw of the block, and skips the last column: a pass per column
@@ -94,7 +101,7 @@ def draw_positions(cdf_rows, row_of, u):
     and its uniforms come from ``Generator.random``, so they meet it.
     """
     width = cdf_rows.shape[1]
-    if u.size < RECORDS_PER_COLUMN * (width - 1):
+    if u.size < RECORDS_PER_COLUMN * (width - 1) and u.size * width <= GATHER_CELLS:
         idx = (cdf_rows[row_of] <= u[..., None]).sum(axis=-1)
         return np.minimum(idx, width - 1).astype(np.int64)
     idx = np.zeros(u.shape, dtype=np.int64)

@@ -363,6 +363,16 @@ class ObservationTable:
         return COMPLETE_REGIME
 
 
+def require_regime(source, what, regime):
+    """Raise :class:`RegimeMismatch` unless ``source``, a table or a
+    population, fits ``what`` in ``regime``: z governs the variable that
+    ``regime`` names, or ``source`` is a table with no missing value."""
+    if source.regime not in (regime, COMPLETE_REGIME):
+        kind = "table" if isinstance(source, ObservationTable) else "population"
+        raise RegimeMismatch(f"{what} needs a {kind} in the {regime} regime, "
+                             f"not the {source.regime} regime")
+
+
 def yx_codes(table):
     """The (y, x) stratum codes ``y_index * |X| + x`` of every record of
     ``table``, the function that decodes codes (one or an array) back to
@@ -513,13 +523,6 @@ class FinitePopulation:
             mask &= self.outcome_values[self.y_i] == y_value
         return mask
 
-    def require_regime(self, regime, what):
-        """Raise :class:`RegimeMismatch` unless z governs the variable that
-        ``regime`` names, as ``what`` reads it."""
-        if self.regime != regime:
-            raise RegimeMismatch(f"{what} needs a population in the {regime} "
-                                 f"regime, not the {self.regime} regime")
-
     def mass_where(self, **kw):
         """Total mass over cells matching the given coordinates."""
         return float(self.mass[self._mask(**kw)].sum())
@@ -562,8 +565,9 @@ def validate_population(pop):
 
 
 def population_to_json(pop):
-    """JSON-ready dict with fields ``outcome_support``, ``x_domains``,
-    ``w_domains``, ``cells``, plus the outcome domain and sampling regime."""
+    """JSON-ready dict with fields ``x_domains``, ``w_domains``, ``cells``,
+    plus the outcome domain and sampling regime; the cells' ``y`` values are
+    the outcome support."""
     cells = []
     for k in range(pop.n_cells):
         cells.append({
@@ -576,7 +580,6 @@ def population_to_json(pop):
     return {
         "outcome_domain": {"lo": pop.outcome.lo, "hi": pop.outcome.hi,
                            "binary": pop.outcome.binary},
-        "outcome_support": [float(v) for v in pop.outcome_values],
         "x_domains": {d.name: list(d.levels) for d in pop.x_domains},
         "w_domains": {d.name: list(d.levels) for d in pop.w_domains},
         "regime": pop.regime,

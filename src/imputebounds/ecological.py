@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import COVARIATE_REGIME, NORMALIZATION_TOL, Interval, as_real
+from .domain import COVARIATE_REGIME, NORMALIZATION_TOL, Interval, as_real, require_regime
 from .errors import ProbabilityOutOfRange, RegimeMismatch, ZeroCellMass
 
 
@@ -74,7 +74,7 @@ def ecological_plim(pop, sel):
     pooled-cell mean converges to the short mean E(y | x = xi) for every
     omega: the imputation recovers nothing about the long mean.
     """
-    pop.require_regime(COVARIATE_REGIME, "the ecological plim")
+    require_regime(pop, "the ecological plim", COVARIATE_REGIME)
     xi_flat, _ = sel.resolve(pop.x_domains, pop.w_domains)
     p_z1 = pop.mass_where(z=1)
     if p_z1 > NORMALIZATION_TOL:

@@ -21,6 +21,7 @@ from .domain import (
     FinitePopulation,
     Interval,
     ObservationTable,
+    require_regime,
     sealed,
     total_size,
     value_labels,
@@ -32,7 +33,6 @@ from .errors import (
     ModelUndefinedOnCell,
     NonBinaryOutcome,
     QUndefinedForStratum,
-    RegimeMismatch,
     ZeroCellMass,
     ZeroDenominator,
 )
@@ -88,8 +88,7 @@ def pooled_cell_mean(y, w, om, sel):
 def imputed_long_mean(completed, sel):
     """Average outcome over the pooled cell of a table in the complete
     regime: records observed at (xi, omega) plus records imputed into it."""
-    if completed.regime != COMPLETE_REGIME:
-        raise RegimeMismatch("imputed_long_mean expects a completed table")
+    require_regime(completed, "imputed_long_mean", COMPLETE_REGIME)
     at_xi, om = long_cell(completed, sel)
     return pooled_cell_mean(completed.y[at_xi], completed.w[at_xi], om, sel)
 
@@ -101,9 +100,8 @@ def _mixture_parts(pop, model, sel):
     (y_k, xi) enters with q_k = P(u = omega | y_k, xi, z=0); the model need
     not be defined on a stratum with no missing mass."""
     xi, om = _xi_omega(sel, pop.x_domains, pop.w_domains)
-    if model.target != "covariate":
-        raise RegimeMismatch(f"model {model.kind!r} does not impute covariates")
-    pop.require_regime(COVARIATE_REGIME, "the imputed long-cell limit")
+    require_regime(pop, "the imputed long-cell limit", COVARIATE_REGIME)
+    require_regime(pop, f"model {model.kind!r}", model.target)
     if model.kind == models.ECOLOGICAL:
         p_xi = pop.mass_where(xi=xi)
         if p_xi <= 0.0:
@@ -200,8 +198,10 @@ def _binary_masses(source, sel):
     """The four mass terms of the ratio bounds, from a population or from
     table counts: observed target-cell successes A1 and size A, and missing
     successes B1 / failures B0 at xi."""
+    if not isinstance(source, (FinitePopulation, ObservationTable)):
+        raise DataError("source must be a population or an observation table")
+    require_regime(source, "bounds", COVARIATE_REGIME)
     if isinstance(source, FinitePopulation):
-        source.require_regime(COVARIATE_REGIME, "bounds")
         if not source.binary_support:
             raise NonBinaryOutcome("bounds require a binary {0,1} outcome")
         xi, om = _xi_omega(sel, source.x_domains, source.w_domains)
@@ -210,10 +210,6 @@ def _binary_masses(source, sel):
         b1 = source.mass_where(xi=xi, z=0, y_value=1.0)
         b0 = source.mass_where(xi=xi, z=0, y_value=0.0)
         return a1, a, b1, b0
-    if not isinstance(source, ObservationTable):
-        raise DataError("source must be a population or an observation table")
-    if source.regime not in (COVARIATE_REGIME, COMPLETE_REGIME):
-        raise RegimeMismatch("bounds need a covariate-regime table")
     if np.any((source.y != 0.0) & (source.y != 1.0)):
         raise NonBinaryOutcome("bounds require a binary {0,1} outcome")
     at_xi, om = long_cell(source, sel)
@@ -251,7 +247,7 @@ def binary_bounds_oracle(pop, sel):
     them are attained at other corners). A binary outcome has at most two
     strata at xi, so there are at most four corners.
     """
-    pop.require_regime(COVARIATE_REGIME, "the allocation oracle")
+    require_regime(pop, "the allocation oracle", COVARIATE_REGIME)
     if not pop.binary_support:
         raise NonBinaryOutcome("oracle requires a binary {0,1} outcome")
     xi, om = _xi_omega(sel, pop.x_domains, pop.w_domains)
@@ -309,8 +305,7 @@ def mixture_joint_estimate(table, q):
     :func:`~imputebounds.domain.yx_codes`).
     """
     q_strata = models.coded_strata(models.ImputationModel.explicit_covariate(q), table)
-    if table.regime not in (COVARIATE_REGIME, COMPLETE_REGIME):
-        raise RegimeMismatch("mixture estimate needs a covariate-regime table")
+    require_regime(table, "the mixture estimate", COVARIATE_REGIME)
     n = table.n
     if n == 0:
         raise EmptyCell("empty table")

@@ -13,17 +13,16 @@ from . import models
 from .domain import (
     EQUALITY_TOL,
     COMPLETE_REGIME,
-    COVARIATE_REGIME,
     OUTCOME_REGIME,
     FinitePopulation,
     Interval,
+    require_regime,
 )
 from .errors import (
     DataError,
     EmptyCell,
     MeanOutOfDomain,
     ModelUndefinedOnCell,
-    RegimeMismatch,
     ZeroCellMass,
 )
 
@@ -60,15 +59,11 @@ def _decomposition(source, sel):
     observed-cell mean m among the records of :func:`imputation_cell`, they
     are ``pi*m`` and ``1-pi``. A source whose z marks missing covariates
     raises :class:`RegimeMismatch`."""
-    what = "the missing-outcome decomposition"
+    require_regime(source, "the missing-outcome decomposition", OUTCOME_REGIME)
     if isinstance(source, FinitePopulation):
-        source.require_regime(OUTCOME_REGIME, what)
         xi, p_xi = _cell_stats(source, sel)
         return (source.ymass_where(xi=xi, z=1) / p_xi,
                 source.mass_where(xi=xi, z=0) / p_xi)
-    if source.regime == COVARIATE_REGIME:
-        raise RegimeMismatch(f"{what} needs a table in the outcome regime, "
-                             f"not the {COVARIATE_REGIME} regime")
     rows = imputation_cell(source, sel)
     observed = source.z_y[rows]
     pi = int(observed.sum()) / len(rows)
@@ -123,8 +118,7 @@ def imputation_cell(table, sel):
 def imputation_mean(completed, sel):
     """Pooled average of observed and imputed outcomes in the xi cell of a
     table in the complete regime."""
-    if completed.regime != COMPLETE_REGIME:
-        raise RegimeMismatch("imputation_mean expects a completed table")
+    require_regime(completed, "imputation_mean", COMPLETE_REGIME)
     return float(completed.y[imputation_cell(completed, sel)].mean())
 
 
@@ -143,8 +137,8 @@ def model_missing_outcome_mean(pop, model, sel):
     """Exact mean of the imputation distribution on the missing stratum,
     E(u | x = xi, z = 0), computed against the population."""
     xi, _ = _cell_stats(pop, sel)
-    if model.target != "outcome":
-        raise RegimeMismatch(f"model {model.kind!r} does not impute outcomes")
+    require_regime(pop, "the model's missing-outcome mean", OUTCOME_REGIME)
+    require_regime(pop, f"model {model.kind!r}", model.target)
     if model.kind == models.MAR_OUTCOME:
         denom = pop.mass_where(xi=xi, z=1)
         if denom <= 0.0:
@@ -170,7 +164,7 @@ def plim_imputation_mean(pop, model, sel):
 def consistency_condition(pop, model, sel):
     """True iff the model's missing-stratum mean matches the actual
     E(y | x = xi, z = 0); exactly then the imputation estimate is consistent."""
-    pop.require_regime(OUTCOME_REGIME, "the consistency condition")
+    require_regime(pop, "the consistency condition", OUTCOME_REGIME)
     xi, _ = _cell_stats(pop, sel)
     denom = pop.mass_where(xi=xi, z=0)
     if denom <= 0.0:

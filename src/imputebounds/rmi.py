@@ -50,9 +50,8 @@ import numpy as np
 from . import _kernels, missing_covariate, missing_outcome, models
 from ._rng import STREAM_COMPLETION, fill_streams, stream
 from .domain import (
-    COVARIATE_REGIME,
-    OUTCOME_REGIME,
     ObservationTable,
+    require_regime,
     sealed,
     total_size,
     value_labels,
@@ -61,7 +60,6 @@ from .domain import (
 from .errors import (
     DataError,
     ImputeBoundsError,
-    RegimeMismatch,
     UnfittableStratum,
 )
 
@@ -92,13 +90,6 @@ class FittedImputationModel:
 
     def stratum(self, key):
         return self.strata.get(key)
-
-
-def _check_regime(model, table):
-    if model.target == "outcome" and table.regime == COVARIATE_REGIME:
-        raise RegimeMismatch("outcome model on a covariate-missing table")
-    if model.target == "covariate" and table.regime == OUTCOME_REGIME:
-        raise RegimeMismatch("covariate model on an outcome-missing table")
 
 
 def _imputed_column(table, target):
@@ -207,7 +198,7 @@ class ImputationPlan:
     """
 
     def __init__(self, table, model):
-        _check_regime(model, table)
+        require_regime(table, f"model {model.kind!r}", model.target)
         column, observed = _imputed_column(table, model.target)
         codes, key, space = _stratum_codes(table, model.target, model.kind)
         self.missing = np.flatnonzero(~observed)

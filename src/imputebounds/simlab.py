@@ -55,15 +55,6 @@ from .errors import (
 # missingness mechanisms
 
 
-def _rate(value):
-    """A missingness rate as a ``float``; a value that is not a real number
-    (a string, a boolean) is a :class:`DataError` naming it. The range is
-    checked per population in :meth:`MissingnessMechanism.probabilities`."""
-    if not is_real(value):
-        raise DataError(f"missingness rate must be a number, got {value!r}")
-    return float(value)
-
-
 def _rates_by_cell(rates, resolve):
     """``rates`` keyed by ``resolve(key)``; a key that resolves to the cell
     of an earlier key is a :class:`DataError` naming it."""
@@ -90,18 +81,18 @@ class MissingnessMechanism:
 
     @classmethod
     def constant(cls, rate):
-        return cls("constant", _rate(rate))
+        return cls("constant", as_real(rate, "missingness rate"))
 
     @classmethod
     def by_outcome(cls, rates):
         """MNAR: rate chosen by the (possibly missing) outcome value."""
-        return cls("by_outcome", {as_real(k, "by_outcome key"): _rate(v)
-                                  for k, v in rates.items()})
+        return cls("by_outcome", {as_real(k, "by_outcome key"):
+                                  as_real(v, "missingness rate") for k, v in rates.items()})
 
     @classmethod
     def by_x(cls, rates):
         """MAR given x: rate chosen by the always-observed covariates."""
-        return cls("by_x", {k: _rate(v) for k, v in rates.items()})
+        return cls("by_x", {k: as_real(v, "missingness rate") for k, v in rates.items()})
 
     @classmethod
     def by_cell(cls, rates):
@@ -111,7 +102,7 @@ class MissingnessMechanism:
                 raise DataError(f"a by_cell key is a (y, x_value, w_value) "
                                 f"triple, got {key!r}")
             as_real(key[0], f"by_cell key {key!r}: y")
-        return cls("by_cell", {k: _rate(v) for k, v in rates.items()})
+        return cls("by_cell", {k: as_real(v, "missingness rate") for k, v in rates.items()})
 
     def probabilities(self, pop):
         """P(z=0) per population cell, validated to lie in [0, 1]."""

@@ -1,8 +1,11 @@
+import ast
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import imputebounds
 from imputebounds import (
     CategoricalDomain,
     FinitePopulation,
@@ -13,7 +16,8 @@ from imputebounds import (
     population_to_json,
     validate_population,
 )
-from imputebounds.domain import _readonly, flat_value, unflatten_index, value_labels
+from imputebounds.domain import (
+    _readonly, flat_value, require_regime, unflatten_index, value_labels)
 from imputebounds.errors import (
     DataError,
     MassNotNormalized,
@@ -22,7 +26,7 @@ from imputebounds.errors import (
     OutcomeOutOfDomain,
     RegimeMismatch,
 )
-from conftest import W2, X1, build_mnar_pop
+from conftest import W2, X1, build_covariate_pop, build_mnar_pop
 
 
 def make_pop(cells):
@@ -231,6 +235,63 @@ class TestObservationTable:
         assert str(raised.value) == message
 
 
+class TestRequireRegime:
+    @pytest.mark.parametrize("source, fits", [
+        (outcome_table([1, 0]), {"outcome", "covariate", "complete"}),
+        (outcome_table([1, None]), {"outcome"}),
+        (ObservationTable.from_records([(1.0, "a", "o"), (0.0, "a", None)],
+                                       OutcomeDomain.binary_01(), X1, W2), {"covariate"}),
+        (build_mnar_pop(), {"outcome"}),
+        (build_covariate_pop(), {"covariate"}),
+    ], ids=["complete-table", "outcome-table", "covariate-table", "outcome-population",
+            "covariate-population"])
+    def test_source_fits_its_own_regime_and_a_complete_table_every_regime(self, source, fits):
+        kind = "table" if isinstance(source, ObservationTable) else "population"
+        for regime in ("outcome", "covariate", "complete"):
+            if regime in fits:
+                require_regime(source, "an operation", regime)
+                continue
+            message = (f"an operation needs a {kind} in the {regime} regime, "
+                       f"not the {source.regime} regime")
+            with pytest.raises(RegimeMismatch) as raised:
+                require_regime(source, "an operation", regime)
+            assert str(raised.value) == message
+
+
+def regime_raises(package_dir):
+    """``(module file, enclosing class and function)`` of every ``raise
+    RegimeMismatch`` in the modules of ``package_dir``."""
+    found = []
+
+    def visit(node, file, scope):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "RegimeMismatch":
+                found.append((file, ".".join(scope)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, scope)
+
+    for file in sorted(os.listdir(package_dir)):
+        if file.endswith(".py"):
+            with open(os.path.join(package_dir, file), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), file, ())
+    return found
+
+
+def test_regime_mismatch_is_raised_in_one_place():
+    """Whether a table or population fits an operation or a model is
+    decided by :func:`require_regime` alone. The only other raises check
+    other conditions: a table that mixes both regimes, and an ecological
+    plim on a population whose covariates are sometimes observed."""
+    assert regime_raises(os.path.dirname(imputebounds.__file__)) == [
+        ("domain.py", "ObservationTable.__post_init__"),
+        ("domain.py", "require_regime"),
+        ("ecological.py", "ecological_plim"),
+    ]
+
+
 class TestFlatIndexing:
     def test_roundtrip(self):
         domains = (CategoricalDomain("a", ("u", "v")),
@@ -290,5 +351,11 @@ class TestSerialization:
 
     def test_schema_fields(self):
         obj = population_to_json(build_mnar_pop())
-        assert set(obj) >= {"outcome_support", "x_domains", "w_domains", "cells"}
+        assert set(obj) == {"outcome_domain", "x_domains", "w_domains", "regime", "cells"}
         assert {"y", "x", "w", "z", "mass"} <= set(obj["cells"][0])
+
+    def test_outcome_support_key_is_not_read(self):
+        """The cells' ``y`` values are the support: a file that still
+        carries an ``outcome_support`` key loads as it would without it."""
+        obj = dict(population_to_json(build_mnar_pop()), outcome_support=[7.0])
+        assert population_from_json(obj).outcome_values.tolist() == [0.0, 1.0]

@@ -15,7 +15,7 @@ from imputebounds import population_to_json
 from imputebounds.cli import EXIT_DATA, EXIT_GUARD, config_from_json, main
 from imputebounds.domain import population_from_json
 from imputebounds.errors import DataError
-from imputebounds.models import model_from_json
+from imputebounds.models import model_from_json, model_to_json
 from imputebounds.simlab import experiment_from_json
 from conftest import build_covariate_pop, build_mnar_pop
 
@@ -273,3 +273,56 @@ def test_rejected_with_exit_3(kind, doc, files):
         else:
             LOADERS[kind](doc)
     assert _run_cli(_argv(kind, files, doc_path, False))[0] == EXIT_DATA
+
+
+#: where each file holds a covariate value, the role and label it names,
+#: and the forms README says it takes
+COVARIATE_VALUES = {
+    "population cell x": ("population", POPULATIONS[1], ("cells", 0, "x"), "g", "a",
+                          {"list"}),
+    "population cell w": ("population", POPULATIONS[1], ("cells", 0, "w"), "m", "o",
+                          {"list"}),
+    "q stratum x": ("model", MODELS[1], ("strata", 0, "x"), "g", "a", {"list", "label"}),
+    "q atom w": ("model", MODELS[1], ("strata", 0, "dist", 0, "w"), "m", "o",
+                 {"list", "label"}),
+    "spec xi": ("spec", VALID["spec"][1], ("xi",), "g", "a", {"list", "label", "object"}),
+    "spec omega": ("spec", VALID["spec"][1], ("omega",), "m", "o",
+                   {"list", "label", "object"}),
+}
+
+
+def _load_as_written(kind, doc, files):
+    """What a loaded ``doc`` means, in a form that compares with ``==``."""
+    if kind == "spec":
+        spec = experiment_from_json(doc, base_dir=str(files))
+        return spec.selector.resolve(spec.population.x_domains, spec.population.w_domains)
+    if kind == "model":
+        return model_to_json(model_from_json(doc))
+    return population_to_json(population_from_json(doc))
+
+
+@pytest.mark.parametrize("form", ["list", "label", "object"])
+@pytest.mark.parametrize("where", COVARIATE_VALUES)
+def test_covariate_value_forms_are_those_readme_lists(where, form, files):
+    """Each form README documents for a covariate value loads as the list
+    of its labels does; every other form is a data error (exit 3)."""
+    kind, doc, path, role, label, forms = COVARIATE_VALUES[where]
+
+    def written(value):
+        new = copy.deepcopy(doc)
+        parent = new
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return new
+
+    changed = written({"list": [label], "label": label, "object": {role: label}}[form])
+    if form in forms:
+        assert (_load_as_written(kind, changed, files)
+                == _load_as_written(kind, written([label]), files))
+        return
+    with pytest.raises(DataError):
+        _load_as_written(kind, changed, files)
+    doc_path = files / f"form_{kind}.json"
+    doc_path.write_text(json.dumps(changed))
+    assert _run_cli(_argv(kind, files, doc_path, kind == "model"))[0] == EXIT_DATA

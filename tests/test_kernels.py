@@ -1,6 +1,8 @@
 """Kernel semantics: both kernels return integer positions inside the
 support, clamp the top edge, and follow the distribution they invert."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -122,6 +124,29 @@ def test_draw_positions_equals_the_gather_build(cdf_rows, records, seed):
                              np.repeat(np.arange(len(cdf_rows)), len(special))])
     pos = K.draw_positions(cdf_rows, row_of, u)
     assert pos.dtype == np.int64
+    assert pos.tolist() == gather_draw_positions(cdf_rows, row_of, u).tolist()
+
+
+def test_draw_positions_above_the_gather_cap_equals_the_gather_build():
+    """A call with few uniforms per CDF column but more than
+    :data:`GATHER_CELLS` (uniform, CDF entry) pairs counts one column at a
+    time: it gives the gather's positions without the gather's matrix."""
+    width, records = 1000, 5000
+    assert records < K.RECORDS_PER_COLUMN * (width - 1)
+    assert records * width > K.GATHER_CELLS
+    generator = rng()
+    weights = generator.random((2, width))
+    weights[1, width // 2:] = 0.0
+    cdf_rows = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    row_of = generator.integers(0, 2, records)
+    u = np.append(generator.random(records - 2), cdf_rows[:, width // 3])
+    tracemalloc.start()
+    try:
+        pos = K.draw_positions(cdf_rows, row_of, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < records * width
     assert pos.tolist() == gather_draw_positions(cdf_rows, row_of, u).tolist()
 
 

@@ -7,9 +7,16 @@ enter. Nor can a reading depend on the order in which an x or w role lists
 its levels: selecting by the same labels after the levels are permuted and
 the codes remapped gives the same readings. And a reading of a real
 outcome follows an increasing affine map ``y -> a + b * y`` of the outcome
-and its domain, to 1e-12 of the mapped values' magnitude."""
+and its domain, to 1e-12 of the mapped values' magnitude. The CLI keeps
+the first two relations: a CSV with its rows shuffled, or read with each
+role's declared levels reversed, gives the same ``bounds`` report and the
+same ``estimate`` readings but the pooled draws, which follow record
+order."""
 
+import contextlib
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
@@ -35,6 +42,7 @@ from imputebounds import (
     sample_table,
     true_covariate_model,
 )
+from imputebounds import cli
 from imputebounds.errors import GuardError
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -265,3 +273,87 @@ def test_outcome_readings_follow_an_affine_map(seed, n, xi, share, a, b):
             assert r_mapped is r
         else:
             assert r_mapped == pytest.approx([a + b * v for v in r], rel=0, abs=1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# through the CLI
+
+X_LEVELS, W_LEVELS = ("a", "b"), ("p", "q", "r")
+#: every x cell, then every (x, w) cell
+CLI_CELLS = [(x, None) for x in X_LEVELS] + [(x, w) for x in X_LEVELS for w in W_LEVELS]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A function from a variant (``"original"``, ``"shuffled"`` or
+    ``"reversed"``) and a regime (``"outcome"``, ``"covariate"``) to the
+    ``--data`` and ``--config`` flags of 200 seeded records, binary y at
+    two x levels and three w levels, a quarter of them missing y (outcome)
+    or w (covariate); and the path of a q file for the covariate data."""
+    d = tmp_path_factory.mktemp("cli_metamorphic")
+    rng = np.random.default_rng(2024)
+    n = 200
+    y, x, w = rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 3, n)
+    gone = rng.random(n) < 0.25
+    rows = {
+        "outcome": ["y,x1"] + [f"{'' if g else yk},{X_LEVELS[xk]}"
+                               for yk, xk, g in zip(y, x, gone)],
+        "covariate": ["y,x1,w1"] + [f"{yk},{X_LEVELS[xk]},{'' if g else W_LEVELS[wk]}"
+                                    for yk, xk, wk, g in zip(y, x, w, gone)],
+    }
+    order = rng.permutation(n) + 1
+    for regime, lines in rows.items():
+        (d / f"{regime}.csv").write_text("\n".join(lines) + "\n")
+        shuffled_lines = [lines[0]] + [lines[k] for k in order]
+        (d / f"{regime}_shuffled.csv").write_text("\n".join(shuffled_lines) + "\n")
+        roles = {"x1": X_LEVELS} | ({"w1": W_LEVELS} if regime == "covariate" else {})
+        for name, flip in (("config", 1), ("reversed", -1)):
+            (d / f"{regime}_{name}.json").write_text(json.dumps({
+                "outcome": {"column": "y", "binary": True}, "x": ["x1"],
+                "w": ["w1"] if regime == "covariate" else [],
+                "levels": {role: list(levels[::flip]) for role, levels in roles.items()}}))
+    q = d / "q.json"
+    probs = {0.0: (0.5, 0.3, 0.2), 1.0: (0.2, 0.3, 0.5)}
+    q.write_text(json.dumps({"kind": "covariate_q", "strata": [
+        {"y": yv, "x": [xl], "dist": [{"w": [wl], "p": p} for wl, p in zip(W_LEVELS, ps)]}
+        for yv, ps in probs.items() for xl in X_LEVELS]}))
+
+    def flags(variant, regime):
+        data = d / (f"{regime}_shuffled.csv" if variant == "shuffled" else f"{regime}.csv")
+        config = d / (f"{regime}_reversed.json" if variant == "reversed"
+                      else f"{regime}_config.json")
+        return ["--data", str(data), "--config", str(config)]
+
+    return flags, str(q)
+
+
+def cli_results(argv):
+    """The ``results`` of the report ``cli.main(argv)`` prints, which must
+    exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 0, err.getvalue()
+    return json.loads(out.getvalue())["results"]
+
+
+@pytest.mark.parametrize("variant", ["shuffled", "reversed"])
+@pytest.mark.parametrize("xi, omega", CLI_CELLS)
+def test_cli_reports_ignore_record_and_level_order(cli_inputs, variant, xi, omega):
+    flags, q = cli_inputs
+    regime = "outcome" if omega is None else "covariate"
+    cell = ["--xi", f"x1={xi}"] + ([] if omega is None else ["--omega", f"w1={omega}"])
+    base, other = (cli_results(["bounds", *flags(v, regime), *cell])
+                   for v in ("original", variant))
+    assert other["n"] == base["n"] == 200
+    assert 0.0 < base["interval"]["hi"] - base["interval"]["lo"] < 1.0
+    for key in ("lo", "hi", "midpoint"):
+        assert_same(base["interval"][key], other["interval"][key])
+    if omega is None:
+        return
+    base, other = (cli_results(["estimate", *flags(v, regime), "--model", f"q:{q}",
+                                *cell, "--m", "2", "--seed", "3"])
+                   for v in ("original", variant))
+    assert (other["model"], other["m"]) == (base["model"], base["m"]) == (
+        "explicit_covariate_q", 2)
+    assert_same(base["mixture_mean"], other["mixture_mean"])

@@ -384,6 +384,16 @@ class TestPopulationRegime:
             random_population(3, x_sizes=(2,), w_sizes=(2,), regime="covariate"),
             self.SEL)
 
+    @pytest.mark.parametrize("reading", [
+        plim_imputed_long_mean, imputed_cell_share, matching_conditions],
+        ids=["plim", "cell_share", "matching"])
+    def test_outcome_model_refused(self, reading):
+        pop = random_population(3, x_sizes=(2,), w_sizes=(2,), regime="covariate")
+        message = ("model 'mar_outcome' needs a population in the outcome "
+                   "regime, not the covariate regime")
+        with pytest.raises(RegimeMismatch, match=f"^{message}$"):
+            reading(pop, ImputationModel.mar_outcome(), self.SEL)
+
 
 class TestMidpointLongEstimate:
     def test_midpoint_of_worked_instance(self, sel_ao):

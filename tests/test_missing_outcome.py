@@ -358,6 +358,17 @@ class TestPopulationRegime:
         assert true_mean(self.POP, self.SEL) == true_mean(
             random_population(3, x_sizes=(2,), w_sizes=(2,)), self.SEL)
 
+    @pytest.mark.parametrize("model", [
+        ImputationModel.mar_covariate(), ImputationModel.ecological()], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("reading", [plim_imputation_mean, consistency_condition],
+                             ids=["plim", "consistency"])
+    def test_covariate_model_refused(self, reading, model):
+        pop = random_population(3, x_sizes=(2,), w_sizes=(2,))
+        message = (f"model '{model.kind}' needs a population in the covariate "
+                   "regime, not the outcome regime")
+        with pytest.raises(RegimeMismatch, match=f"^{message}$"):
+            reading(pop, model, self.SEL)
+
 
 class TestConsistencyCondition:
     def test_mar_empirical_fails_under_mnar(self, mnar_pop, sel_a):

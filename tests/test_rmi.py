@@ -1,5 +1,6 @@
 import contextlib
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -34,7 +35,7 @@ from imputebounds.errors import (
     RegimeMismatch,
     UnfittableStratum,
 )
-from imputebounds.domain import total_size, yx_codes
+from imputebounds.domain import require_regime, total_size, yx_codes
 from imputebounds.models import coded_strata, model_from_json
 from imputebounds.rmi import ImputationPlan
 from conftest import X1, W2, build_covariate_pop, build_mnar_pop
@@ -87,6 +88,23 @@ class TestFitModel:
         t = outcome_table([1, None])
         with pytest.raises(RegimeMismatch):
             fit_model(ImputationModel.mar_covariate(), t)
+
+    def test_model_fits_its_own_regime_and_a_complete_table(self):
+        outcome_missing = outcome_table([1, None])
+        covariate_missing = ObservationTable.from_records(
+            [(1.0, "a", "o"), (0.0, "a", "p"), (0.0, "a", None)],
+            OutcomeDomain.binary_01(), X1, W2)
+        complete = ObservationTable.from_records(
+            [(1.0, "a", "o"), (0.0, "a", "p")], OutcomeDomain.binary_01(), X1, W2)
+        for model, fits, other in (
+                (ImputationModel.mar_outcome(), outcome_missing, covariate_missing),
+                (ImputationModel.mar_covariate(), covariate_missing, outcome_missing)):
+            fit_model(model, fits)
+            fit_model(model, complete)
+            message = (f"model '{model.kind}' needs a table in the {model.target} "
+                       f"regime, not the {other.regime} regime")
+            with pytest.raises(RegimeMismatch, match=f"^{message}$"):
+                fit_model(model, other)
 
 
 class TestModelValidation:
@@ -191,7 +209,7 @@ class TestCompletionIsATable:
     ], ids=["imputation_mean", "imputed_long_mean"])
     def test_table_with_missing_entries_refused(self, estimate, sel):
         for t, model, _ in self.tables():
-            with pytest.raises(RegimeMismatch, match="expects a completed table"):
+            with pytest.raises(RegimeMismatch, match="needs a table in the complete regime"):
                 estimate(t, sel)
             assert 0.0 <= estimate(draw_completion(t, model, seed=4), sel) <= 1.0
 
@@ -688,6 +706,31 @@ def test_wide_support_draws_match_completed_tables(monkeypatch, cell):
         estimator.apply(plan.complete(stream(seed, k + 1))) for k in range(m)]
 
 
+def test_wide_support_run_keeps_its_memory_bounded():
+    """One draw of 20000 missing outcomes from 5000 distinct donors compares
+    1e8 (uniform, CDF entry) pairs, far above ``_kernels.GATHER_CELLS``: the
+    kernel counts columns, so the run holds no (records, support) matrix,
+    and its estimate is that of a binary search of the donors' CDF."""
+    y = np.concatenate([stream(43, 0).random(5000), np.full(20000, np.nan)])
+    codes = np.zeros(len(y), dtype=np.int64)
+    t = ObservationTable(OutcomeDomain(0.0, 1.0), X1, (), y, codes, codes)
+    model, estimator = ImputationModel.mar_outcome(), EstimatorSpec(
+        "imputation_mean", CellSelector("a"))
+    tracemalloc.start()
+    try:
+        res = run_multiple_imputation(t, model, 1, estimator, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    plan = ImputationPlan(t, model)
+    assert plan.cdf_mat.shape == (1, 5000)
+    pos = np.searchsorted(plan.cdf_mat[0], stream(5, 1).random(20000), side="right")
+    completed = y.copy()
+    completed[plan.missing] = plan.val_mat[0].take(np.minimum(pos, 4999))
+    assert res.per_draw_estimates[0] == completed.mean()
+
+
 def philox_key(seed, index):
     return stream(seed, index).bit_generator.state["state"]["key"].tolist()
 
@@ -783,7 +826,7 @@ def sorted_plan(table, model):
     outcome index, the fit's atoms and (stratum, atom) pairs and the
     missing records' strata. Returns ``missing, row_of, cdf_mat, val_mat,
     strata``, or raises what that plan raised."""
-    rmi._check_regime(model, table)
+    require_regime(table, f"model {model.kind!r}", model.target)
     if model.target == "outcome":
         column, observed = table.y, np.asarray(table.z_y)
     else:
