@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, ne
 
 import numpy as np
@@ -37,10 +37,12 @@ from .domain import (
     CellSelector,
     ObservationTable,
     OutcomeDomain,
+    is_label,
     json_bool,
     json_keys,
     json_list,
     json_number,
+    json_text,
     load_population,
     read_json,
     sealed,
@@ -60,6 +62,8 @@ from .rmi import EstimatorSpec, run_multiple_imputation
 EXIT_USAGE, EXIT_DATA, EXIT_GUARD = 2, 3, 4
 #: candidate point estimates in a ``minimax_bias.csv`` series
 MINIMAX_POINTS = 101
+#: data records that :func:`ingest_csv` parses, checks and codes at a time
+CHUNK_RECORDS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +107,31 @@ def config_from_json(obj):
             dom = OutcomeDomain(json_number(out["lo"], "'lo'"),
                                 json_number(out["hi"], "'hi'"))
         return DataConfig(
-            outcome_column=out["column"],
+            outcome_column=json_text(out["column"], "'column'"),
             outcome=dom,
-            x_columns=json_list(obj.get("x", []), "'x'"),
-            w_columns=json_list(obj.get("w", []), "'w'"),
+            x_columns=_column_names(obj.get("x", []), "'x'"),
+            w_columns=_column_names(obj.get("w", []), "'w'"),
             sentinel=obj.get("missing", ""),
-            declared_levels={col: json_list(levels, f"the levels of {col!r}")
+            declared_levels={col: _level_labels(levels, f"the levels of {col!r}")
                              for col, levels in obj.get("levels", {}).items()},
         )
+
+
+def _column_names(value, what):
+    """``value``, read inside :func:`json_keys`, as a tuple of column names."""
+    return tuple(json_text(name, f"a column name in {what}")
+                 for name in json_list(value, what))
+
+
+def _level_labels(value, what):
+    """``value``, read inside :func:`json_keys`, as a tuple of declared
+    levels, each text or a number (read as its text): a boolean, null or
+    list is of the wrong type."""
+    labels = json_list(value, what)
+    for label in labels:
+        if not is_label(label):
+            raise TypeError(f"{what} must be text or numbers, got {label!r}")
+    return labels
 
 
 def load_config(path):
@@ -136,18 +157,19 @@ def ingest_csv(path, cfg):
     config when declared, otherwise they are the sorted distinct values seen
     (for w, in the rows where w is observed).
 
-    The file is read and decoded whole, then parsed in one pass and checked
-    a column at a time, but errors come out as a loop over the records
-    would raise them. Record errors come first, in row order, and within a
-    row in this order: field count, outcome not a number, outcome out of
-    domain, sentinel in an x column (in column order). A read error (a
-    field over the csv module's size limit, a byte that is not UTF-8) comes
-    after the record errors of the records that end before the record that
-    holds the fault; it names the file and the line of the fault. Then come
-    errors in a covariate's levels (none seen, duplicates declared), then
-    unknown declared levels, in row order with x columns before w columns.
-    An error names the physical line on which its record starts, the
-    header being line 1.
+    The file is read and decoded whole, then parsed, checked and coded
+    :data:`CHUNK_RECORDS` records at a time, a column of a chunk at a time,
+    so no list of all the records or of all the fields is ever held. Errors
+    come out as a loop over the records would raise them. Record errors
+    come first, in row order, and within a row in this order: field count,
+    outcome not a number, outcome out of domain, sentinel in an x column (in
+    column order). A read error (a field over the csv module's size limit,
+    a byte that is not UTF-8) comes after the record errors of the records
+    that end before the record that holds the fault; it names the file and
+    the line of the fault. Then come errors in a covariate's levels (none
+    seen, duplicates declared), then unknown declared levels, in row order
+    with x columns before w columns. An error names the physical line on
+    which its record starts, the header being line 1.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -164,84 +186,52 @@ def ingest_csv(path, cfg):
     source = io.StringIO(text, newline="")
     del text
     reader = csv.reader(source)
-    rows = []
+    columns = None
     try:
-        rows.extend(reader)
+        for records, first, last in _record_chunks(reader, unread is not None):
+            if columns is None:
+                columns = _Columns(cfg, records[0])
+            else:
+                columns.add(records, _line_of(records, first, last))
     except csv.Error as e:
         # the stand-in alone takes a field of exactly the size limit over
         # it; the fault is then the bad byte
         if unread is None or not _parses(source.getvalue()[:-1]):
             unread = MalformedRow(reader.line_num, f"cannot read {path}: {e}")
-    else:
-        if unread is not None:
-            rows.pop()
-    if not rows:
+    # the text buffer, 4 bytes a character, goes before the columns are joined
+    del reader, source
+    if columns is None:
         raise unread or MalformedRow(1, "empty file; header row required")
-    line_of = _line_of(rows, reader.line_num)
-    header = rows.pop(0)
-    idx_y = _column_index(header, cfg.outcome_column)
-    idx_x = [_column_index(header, c) for c in cfg.x_columns]
-    idx_w = [_column_index(header, c) for c in cfg.w_columns]
-
-    # (record, position in the row, error for a line) of the first offender
-    # of each check; a short or long row ends the rows that are checked, so
-    # it and a read error lose to any offender in an earlier row
-    offenders = []
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    bad_width = np.flatnonzero(widths != len(header))
-    if len(bad_width):
-        r = int(bad_width[0])
-        offenders.append((r, 0, partial(
-            MalformedRow, message=f"expected {len(header)} fields, got {len(rows[r])}")))
-        del rows[r:]
-    n = len(rows)
-    sentinel = cfg.sentinel
-    y_fields = list(map(itemgetter(idx_y), rows))
-    x_cols = [list(map(itemgetter(i), rows)) for i in idx_x]
-    w_cols = [list(map(itemgetter(i), rows)) for i in idx_w]
-    del rows
-
-    y = _outcomes(y_fields, cfg, offenders)
-    for pos, (col, fields) in enumerate(zip(cfg.x_columns, x_cols), start=1):
-        if sentinel in fields:
-            offenders.append((fields.index(sentinel), pos, partial(
-                MalformedRow, message=f"missing value in x column {col!r}")))
-    _raise_first(line_of, offenders)
     if unread is not None:
         raise unread
+    return columns.table()
 
-    w_given = np.ones(n, dtype=bool)
-    for fields in w_cols:
-        w_given &= _given(fields, sentinel)
-    w_cols = [list(compress(fields, w_given)) for fields in w_cols]
 
-    def build_domain(col, fields):
-        declared = cfg.declared_levels.get(col)
-        levels = tuple(declared) if declared else tuple(sorted(set(fields)))
-        return CategoricalDomain(col, levels)
-
-    x_domains = tuple(map(build_domain, cfg.x_columns, x_cols))
-    w_domains = tuple(map(build_domain, cfg.w_columns, w_cols))
-    # per column, the records its fields are from: all for x, w-given for w
-    w_rows = np.flatnonzero(w_given)
-    columns = [(d, fields, np.arange(n)) for d, fields in zip(x_domains, x_cols)]
-    columns += [(d, fields, w_rows) for d, fields in zip(w_domains, w_cols)]
-    codes, unknown = [], []
-    for pos, (d, fields, records) in enumerate(columns):
-        codes.append(d.codes(fields))
-        bad = np.flatnonzero(codes[-1] < 0)
-        if len(bad):
-            try:
-                d.code(fields[bad[0]])
-            except DataError as e:
-                unknown.append((int(records[bad[0]]), pos,
-                                partial(MalformedRow, message=str(e))))
-    _raise_first(line_of, unknown)
-    w = np.full(n, -1, dtype=np.int64)
-    x = _flat_codes(x_domains, codes[:len(x_domains)], n)
-    w[w_given] = _flat_codes(w_domains, codes[len(x_domains):], len(w_rows))
-    return ObservationTable(cfg.outcome, x_domains, w_domains,
-                            sealed(y), sealed(x), sealed(w))
+def _record_chunks(reader, drop_last):
+    """``(records, first, last)`` for the header record alone and then for
+    each run of up to :data:`CHUNK_RECORDS` data records, read from
+    physical lines ``first`` to ``last``. With ``drop_last`` the final
+    record, the one cut short by an undecodable byte, is left out, so each
+    chunk is held back until the next one has been read. A ``csv.Error``
+    is raised after the chunks of the records read before it."""
+    ready = []
+    for size in chain([1], repeat(CHUNK_RECORDS)):
+        records, first = [], reader.line_num + 1
+        try:
+            records.extend(islice(reader, size))
+        except csv.Error:
+            ready.append((records, first, reader.line_num))
+            yield from (chunk for chunk in ready if chunk[0])
+            raise
+        if not records:
+            break
+        ready.append((records, first, reader.line_num))
+        if len(ready) > (1 if drop_last else 0):
+            yield ready.pop(0)
+    for records, first, last in ready:  # with drop_last, the chunk read last
+        records.pop()
+        if records:
+            yield records, first, last
 
 
 def _breaks(text):
@@ -259,15 +249,15 @@ def _parses(text):
     return True
 
 
-def _line_of(records, lines_read):
-    """``line_of(k)``: the physical line where data record ``k`` starts,
-    ``records`` holding the header, on line 1, and then the data records.
+def _line_of(records, first, last):
+    """``line_of(k)``: the physical line where record ``k`` of ``records``
+    starts, the records having been read from lines ``first`` to ``last``.
     The line breaks inside each record's quoted fields are counted only if
     more lines than records were read."""
-    if lines_read == len(records):
-        return lambda k: 2 + k
+    if last - first + 1 == len(records):
+        return lambda k: first + k
     before = np.cumsum([0, *(sum(map(_breaks, record)) for record in records)])
-    return lambda k: 2 + k + int(before[k + 1])
+    return lambda k: first + k + int(before[k])
 
 
 def _raise_first(line_of, offenders):
@@ -321,13 +311,137 @@ def _floats(fields):
                 return values, len(values)
 
 
-def _flat_codes(domains, codes, n):
-    """Mixed-radix flat codes of ``n`` rows given one code array per
-    domain (zeros when there are no domains)."""
-    flat = np.zeros(n, dtype=np.int64)
-    for d, c in zip(domains, codes):
-        flat = flat * d.size + c
-    return flat
+class _Columns:
+    """The columns of an observation table, built a chunk of data records
+    at a time from the CSV header and the data config."""
+
+    def __init__(self, cfg, header):
+        self.cfg = cfg
+        self.width = len(header)
+        self.idx_y = _column_index(header, cfg.outcome_column)
+        self.idx_x = [_column_index(header, c) for c in cfg.x_columns]
+        self.idx_w = [_column_index(header, c) for c in cfg.w_columns]
+        levels = cfg.declared_levels
+        self.x = [_Levels(c, levels.get(c)) for c in cfg.x_columns]
+        self.w = [_Levels(c, levels.get(c)) for c in cfg.w_columns]
+        # a file with no data records still concatenates
+        self.y, self.w_given = [np.empty(0)], [np.empty(0, dtype=bool)]
+        #: (position among the x then w columns, line, label) of the first
+        #: label outside its declared levels
+        self.unknown = None
+
+    def add(self, records, line_of):
+        """Check and code a chunk of data records, ``line_of(k)`` being the
+        line where record ``k`` starts, and empty the chunk. The chunk's
+        first record error, if any, is raised."""
+        # (record, position in the row, error for a line) of the first
+        # offender of each check; a short or long row ends the rows that
+        # are checked, so it loses to any offender in an earlier row
+        offenders = []
+        widths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+        bad_width = np.flatnonzero(widths != self.width)
+        if len(bad_width):
+            r = int(bad_width[0])
+            offenders.append((r, 0, partial(
+                MalformedRow, message=f"expected {self.width} fields, got {len(records[r])}")))
+            del records[r:]
+        y_fields = list(map(itemgetter(self.idx_y), records))
+        x_cols = [list(map(itemgetter(i), records)) for i in self.idx_x]
+        w_cols = [list(map(itemgetter(i), records)) for i in self.idx_w]
+        records.clear()
+
+        sentinel = self.cfg.sentinel
+        y = _outcomes(y_fields, self.cfg, offenders)
+        for pos, (col, fields) in enumerate(zip(self.cfg.x_columns, x_cols), start=1):
+            if sentinel in fields:
+                offenders.append((fields.index(sentinel), pos, partial(
+                    MalformedRow, message=f"missing value in x column {col!r}")))
+        _raise_first(line_of, offenders)
+        self.y.append(y)
+
+        w_given = np.ones(len(y), dtype=bool)
+        for fields in w_cols:
+            w_given &= _given(fields, sentinel)
+        self.w_given.append(w_given)
+        w_cols = [list(compress(fields, w_given)) for fields in w_cols]
+        # per column, the records its fields are from: all for x, w-given for w
+        w_rows = np.flatnonzero(w_given)
+        columns = [(c, fields, None) for c, fields in zip(self.x, x_cols)]
+        columns += [(c, fields, w_rows) for c, fields in zip(self.w, w_cols)]
+        unknown = []
+        for pos, (column, fields, rows) in enumerate(columns):
+            codes = column.code(fields)
+            if self.unknown is None and column.declared:
+                bad = np.flatnonzero(codes < 0)
+                if len(bad):
+                    record = int(bad[0] if rows is None else rows[bad[0]])
+                    unknown.append((record, pos, fields[bad[0]]))
+        if unknown:
+            record, pos, label = min(unknown, key=itemgetter(0, 1))
+            self.unknown = pos, line_of(record), label
+
+    def table(self):
+        """The observation table of the records added. A covariate's level
+        errors come first, in column order, then the first unknown label."""
+        w_given = np.concatenate(self.w_given)
+        n = len(w_given)
+        x_domains, x = _flat_codes(self.x, n)
+        w_domains, w_observed = _flat_codes(self.w, int(np.count_nonzero(w_given)))
+        if self.unknown is not None:
+            pos, line, label = self.unknown
+            try:
+                (x_domains + w_domains)[pos].code(label)
+            except DataError as e:
+                raise MalformedRow(line, str(e)) from None
+        w = np.full(n, -1, dtype=np.int64)
+        w[w_given] = w_observed
+        return ObservationTable(self.cfg.outcome, x_domains, w_domains,
+                                sealed(np.concatenate(self.y)), sealed(x), sealed(w))
+
+
+class _Levels:
+    """One covariate column's codes, a chunk of fields at a time: against
+    its declared levels, or else against the labels seen so far, numbered
+    as first seen and renumbered in sorted order at the end."""
+
+    def __init__(self, name, declared):
+        self.name = name
+        self.declared = tuple(declared or ())
+        self.index = {str(lv): i for i, lv in enumerate(self.declared)}
+        self.parts = [np.empty(0, dtype=np.int64)]
+
+    def code(self, fields):
+        """The codes of ``fields``, -1 for a label outside the declared
+        levels."""
+        if not self.declared:
+            for label in dict.fromkeys(fields):
+                self.index.setdefault(label, len(self.index))
+        codes = np.fromiter(map(self.index.get, fields, repeat(-1)),
+                            dtype=np.int64, count=len(fields))
+        self.parts.append(codes)
+        return codes
+
+    def finish(self):
+        """The column's domain, which raises :class:`DataError` with no
+        levels or duplicate declared ones, and the codes of every field."""
+        domain = CategoricalDomain(self.name, self.declared or sorted(self.index))
+        codes = np.concatenate(self.parts)
+        self.parts = None
+        if not self.declared:
+            codes = domain.codes(list(self.index))[codes]
+        return domain, codes
+
+
+def _flat_codes(columns, n):
+    """The domains of ``columns`` and the mixed-radix flat codes of their
+    ``n`` records (zeros when there are no columns)."""
+    domains, flat = [], np.zeros(n, dtype=np.int64)
+    for column in columns:
+        domain, codes = column.finish()
+        flat *= domain.size
+        flat += codes
+        domains.append(domain)
+    return tuple(domains), flat
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,15 @@ def require_regime(source, what, regime):
                              f"not the {source.regime} regime")
 
 
+def require_population(source, what):
+    """Raise :class:`DataError` unless ``source`` is a population: ``what``
+    reads the exact mass table that only a population has."""
+    if not isinstance(source, FinitePopulation):
+        kind = ("an observation table" if isinstance(source, ObservationTable)
+                else f"a {type(source).__name__}")
+        raise DataError(f"{what} needs a population, not {kind}")
+
+
 def yx_codes(table):
     """The (y, x) stratum codes ``y_index * |X| + x`` of every record of
     ``table``, the function that decodes codes (one or an array) back to
@@ -547,6 +556,7 @@ def validate_population(pop):
     """Check :class:`FinitePopulation` invariants, raising on the first
     violation: non-finite mass, then negative mass, then normalization,
     then outcome domain."""
+    require_population(pop, "validate_population")
     require_finite(pop.mass, NonFiniteMass, "cell mass")
     if np.any(pop.mass < 0):
         bad = float(pop.mass[pop.mass < 0][0])
@@ -568,6 +578,7 @@ def population_to_json(pop):
     """JSON-ready dict with fields ``x_domains``, ``w_domains``, ``cells``,
     plus the outcome domain and sampling regime; the cells' ``y`` values are
     the outcome support."""
+    require_population(pop, "population_to_json")
     cells = []
     for k in range(pop.n_cells):
         cells.append({
@@ -630,6 +641,12 @@ def is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_label(value):
+    """True when ``value`` can name a covariate level: text, or a real
+    number read as its text. A boolean or null names none."""
+    return isinstance(value, str) or is_real(value)
+
+
 def as_real(value, what):
     """``value`` as a ``float``; a value that is not a real number (a
     string, a boolean) raises :class:`DataError` naming ``what``."""
@@ -656,6 +673,14 @@ def json_number(value, what, finite=True):
     if finite and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return float(value)
+
+
+def json_text(value, what):
+    """``value``, read inside :func:`json_keys`, as text: a number, a
+    boolean or null is of the wrong type, never read as its text."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be text, got {value!r}")
+    return value
 
 
 def json_bool(value, what):
@@ -695,6 +720,7 @@ def population_from_json(obj):
 
 
 def save_population(pop, path):
+    require_population(pop, "save_population")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(population_to_json(pop), fh, indent=2)
         fh.write("\n")

@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import COVARIATE_REGIME, NORMALIZATION_TOL, Interval, as_real, require_regime
+from .domain import (
+    COVARIATE_REGIME,
+    NORMALIZATION_TOL,
+    Interval,
+    as_real,
+    require_population,
+    require_regime,
+)
 from .errors import ProbabilityOutOfRange, RegimeMismatch, ZeroCellMass
 
 
@@ -74,6 +81,7 @@ def ecological_plim(pop, sel):
     pooled-cell mean converges to the short mean E(y | x = xi) for every
     omega: the imputation recovers nothing about the long mean.
     """
+    require_population(pop, "ecological_plim")
     require_regime(pop, "the ecological plim", COVARIATE_REGIME)
     xi_flat, _ = sel.resolve(pop.x_domains, pop.w_domains)
     p_z1 = pop.mass_where(z=1)

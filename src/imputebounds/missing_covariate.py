@@ -21,6 +21,7 @@ from .domain import (
     FinitePopulation,
     Interval,
     ObservationTable,
+    require_population,
     require_regime,
     sealed,
     total_size,
@@ -60,6 +61,7 @@ def _xi_omega(sel, x_domains, w_domains):
 
 def true_long_mean(pop, sel):
     """Exact E(y | x = xi, w = omega) from the population mass table."""
+    require_population(pop, "true_long_mean")
     xi, om = _xi_omega(sel, pop.x_domains, pop.w_domains)
     denom = pop.mass_where(xi=xi, omega=om)
     if denom <= 0.0:
@@ -156,12 +158,14 @@ def plim_imputed_long_mean(pop, model, sel):
     estimate converges to this limit only when w is missing at random
     given x.
     """
+    require_population(pop, "plim_imputed_long_mean")
     _, ymass, total = _pooled_cell(pop, model, sel)
     return float(ymass / total)
 
 
 def imputed_cell_share(pop, model, sel):
     """Limit fraction of the pooled cell that is genuinely observed."""
+    require_population(pop, "imputed_cell_share")
     obs_mass, _, total = _pooled_cell(pop, model, sel)
     return float(obs_mass / total)
 
@@ -174,6 +178,7 @@ def matching_conditions(pop, model, sel):
     actual missing-cell mean. Both compare exactly (tolerance 1e-9); a
     vacuous side (no mass on either route) counts as a match.
     """
+    require_population(pop, "matching_conditions")
     xi, om, _, _, u_mass, u_ymass = _mixture_parts(pop, model, sel)
     p_xi = pop.mass_where(xi=xi)
     if p_xi <= 0.0:
@@ -247,6 +252,7 @@ def binary_bounds_oracle(pop, sel):
     them are attained at other corners). A binary outcome has at most two
     strata at xi, so there are at most four corners.
     """
+    require_population(pop, "binary_bounds_oracle")
     require_regime(pop, "the allocation oracle", COVARIATE_REGIME)
     if not pop.binary_support:
         raise NonBinaryOutcome("oracle requires a binary {0,1} outcome")

@@ -16,6 +16,7 @@ from .domain import (
     OUTCOME_REGIME,
     FinitePopulation,
     Interval,
+    require_population,
     require_regime,
 )
 from .errors import (
@@ -48,6 +49,7 @@ def _cell_stats(pop, sel):
 
 def true_mean(pop, sel):
     """Exact E(y | x = xi) from the population mass table."""
+    require_population(pop, "true_mean")
     xi, p_xi = _cell_stats(pop, sel)
     return pop.ymass_where(xi=xi) / p_xi
 
@@ -84,12 +86,14 @@ def identification_interval_pop(pop, sel):
     P(z=0|xi) can sit anywhere in the outcome domain, so the interval is
     that observed part shifted by Y_L and Y_U times the missing share.
     """
+    require_population(pop, "identification_interval_pop")
     return _swept(pop, sel, pop.outcome)
 
 
 def restricted_interval_pop(pop, sel, gamma):
     """Identification interval when the missing-outcome mean is assumed to
     lie in ``gamma`` (an interval inside the outcome domain)."""
+    require_population(pop, "restricted_interval_pop")
     if not (pop.outcome.lo <= gamma.lo and gamma.hi <= pop.outcome.hi):
         raise DataError("restriction must lie inside the outcome domain")
     return _swept(pop, sel, gamma)
@@ -136,6 +140,7 @@ def assumed_missing_mean(model, source, xi_flat):
 def model_missing_outcome_mean(pop, model, sel):
     """Exact mean of the imputation distribution on the missing stratum,
     E(u | x = xi, z = 0), computed against the population."""
+    require_population(pop, "model_missing_outcome_mean")
     xi, _ = _cell_stats(pop, sel)
     require_regime(pop, "the model's missing-outcome mean", OUTCOME_REGIME)
     require_regime(pop, f"model {model.kind!r}", model.target)
@@ -155,6 +160,7 @@ def plim_imputation_mean(pop, model, sel):
     """Population probability limit of the single-imputation estimate:
     the observed part plus the model's missing-stratum mean weighted by the
     missing share."""
+    require_population(pop, "plim_imputation_mean")
     a, b = _decomposition(pop, sel)
     if b == 0.0:
         return a
@@ -164,6 +170,7 @@ def plim_imputation_mean(pop, model, sel):
 def consistency_condition(pop, model, sel):
     """True iff the model's missing-stratum mean matches the actual
     E(y | x = xi, z = 0); exactly then the imputation estimate is consistent."""
+    require_population(pop, "consistency_condition")
     require_regime(pop, "the consistency condition", OUTCOME_REGIME)
     xi, _ = _cell_stats(pop, sel)
     denom = pop.mass_where(xi=xi, z=0)

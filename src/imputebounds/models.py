@@ -18,10 +18,12 @@ from .domain import (
     NORMALIZATION_TOL,
     as_real,
     flat_value,
+    is_label,
     json_keys,
     json_number,
     read_json,
     require_finite,
+    require_population,
     total_size,
     value_labels,
 )
@@ -39,12 +41,14 @@ _COVARIATE_KINDS = (MAR_COVARIATE, EXPLICIT_COVARIATE_Q, ECOLOGICAL)
 
 def _as_value_key(value):
     """A covariate value as a tuple of level labels: a bare label or a
-    list or tuple of them, each read as its text (``1`` names ``"1"``)."""
-    if isinstance(value, (str, int, float)):
-        value = (value,)
-    if not isinstance(value, (list, tuple)):
-        raise DataError(f"covariate value {value!r} is not a list of level labels")
-    return tuple(map(str, value))
+    list or tuple of them. A label is text or a number, read as its text
+    (``1`` names ``"1"``); a boolean or null is none."""
+    labels = value if isinstance(value, (list, tuple)) else (value,)
+    for label in labels:
+        if not is_label(label):
+            raise DataError(f"covariate value {value!r} holds {label!r}, "
+                            "which is not a level label")
+    return tuple(map(str, labels))
 
 
 def _strata(pairs, canon_key, normalize):
@@ -183,6 +187,7 @@ class ImputationModel:
 def true_outcome_model(pop):
     """Explicit outcome model equal to the population's actual conditional
     distribution of missing outcomes, P(y | x, z=0)."""
+    require_population(pop, "true_outcome_model")
     q = {}
     for xf in range(total_size(pop.x_domains)):
         denom = pop.mass_where(xi=xf, z=0)
@@ -202,6 +207,7 @@ def true_outcome_model(pop):
 def true_covariate_model(pop):
     """Explicit covariate model equal to the population's actual conditional
     distribution of missing covariates, P(w | y, x, z=0)."""
+    require_population(pop, "true_covariate_model")
     strata = {}
     for k, y_val in enumerate(pop.outcome_values):
         for xf in range(total_size(pop.x_domains)):

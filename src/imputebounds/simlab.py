@@ -40,6 +40,7 @@ from .domain import (
     population_from_json,
     read_json,
     require_finite,
+    require_population,
     sealed,
     validate_population,
 )
@@ -180,6 +181,7 @@ def sample_table(pop, n, seed):
 
     Values are looked up and blanked per population cell, so each column
     is one gather over the records, which the table adopts."""
+    require_population(pop, "sample_table")
     n = _whole(n, "n", 0)
     validate_population(pop)
     cdf = np.cumsum(pop.mass)
@@ -425,6 +427,7 @@ def bias_gap(pop, model, sel):
     probability limit, the true cell mean, their gap, and whether each lies
     in the assumption-free identification interval, all read through the
     estimator of the cell (:meth:`~imputebounds.rmi.EstimatorSpec.for_cell`)."""
+    require_population(pop, "bias_gap")
     estimator = rmi.EstimatorSpec.for_cell(sel)
     plim = estimator.plim(pop, model)
     truth = estimator.truth(pop)

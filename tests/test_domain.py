@@ -8,12 +8,22 @@ import pytest
 import imputebounds
 from imputebounds import (
     CategoricalDomain,
+    CellSelector,
     FinitePopulation,
+    ImputationModel,
     Interval,
     ObservationTable,
     OutcomeDomain,
+    bias_gap,
+    ecological_plim,
+    missing_covariate,
+    missing_outcome,
     population_from_json,
     population_to_json,
+    sample_table,
+    save_population,
+    true_covariate_model,
+    true_outcome_model,
     validate_population,
 )
 from imputebounds.domain import (
@@ -256,6 +266,53 @@ class TestRequireRegime:
             with pytest.raises(RegimeMismatch) as raised:
                 require_regime(source, "an operation", regime)
             assert str(raised.value) == message
+
+
+MAR = ImputationModel("mar_outcome")
+XI, XI_OMEGA = CellSelector({"g": "a"}), CellSelector({"g": "a"}, {"m": "o"})
+
+#: every public function that reads a population's exact mass table, with
+#: the arguments that follow the population
+POPULATION_ONLY = [
+    (missing_outcome.true_mean, (XI,)),
+    (missing_outcome.identification_interval_pop, (XI,)),
+    (missing_outcome.restricted_interval_pop, (XI, Interval(0.0, 1.0))),
+    (missing_outcome.model_missing_outcome_mean, (MAR, XI)),
+    (missing_outcome.plim_imputation_mean, (MAR, XI)),
+    (missing_outcome.consistency_condition, (MAR, XI)),
+    (missing_covariate.true_long_mean, (XI_OMEGA,)),
+    (missing_covariate.plim_imputed_long_mean, (MAR, XI_OMEGA)),
+    (missing_covariate.imputed_cell_share, (MAR, XI_OMEGA)),
+    (missing_covariate.matching_conditions, (MAR, XI_OMEGA)),
+    (missing_covariate.binary_bounds_oracle, (XI_OMEGA,)),
+    (ecological_plim, (XI_OMEGA,)),
+    (true_outcome_model, ()),
+    (true_covariate_model, ()),
+    (sample_table, (10, 0)),
+    (bias_gap, (MAR, XI_OMEGA)),
+    (validate_population, ()),
+    (population_to_json, ()),
+    (save_population, (os.devnull,)),
+]
+
+
+@pytest.mark.parametrize("function, args", POPULATION_ONLY,
+                         ids=[f.__name__ for f, _ in POPULATION_ONLY])
+@pytest.mark.parametrize("table", [
+    ObservationTable.from_records([(1.0, "a", "o"), (0.0, "a", None)],
+                                  OutcomeDomain.binary_01(), X1, W2),
+    ObservationTable.from_records([(1.0, "a", "o"), (0.0, "a", "p")],
+                                  OutcomeDomain.binary_01(), X1, W2),
+], ids=["covariate-table", "complete-table"])
+def test_population_only_functions_refuse_a_table(function, args, table):
+    """A table has no mass table, whatever its regime: each function says
+    so, rather than failing on a missing attribute or computing a number
+    from the table's columns."""
+    with pytest.raises(DataError) as raised:
+        function(table, *args)
+    assert type(raised.value) is DataError
+    assert str(raised.value) == (f"{function.__name__} needs a population, "
+                                 "not an observation table")
 
 
 def regime_raises(package_dir):

@@ -153,3 +153,40 @@ def test_support_outside_the_domain_anywhere_is_rejected():
         {"1": {1.0: 1.0}, "0": {0.5: 1.0}})
     with pytest.raises(ImputedValueOutOfDomain):
         plim_imputation_mean(pop, model, CellSelector({"g": "1"}))
+
+
+class TestNoBooleanOrNullLabels:
+    """``true`` is no level label: JSON booleans are Python ``int``s, and
+    would otherwise name the level ``"True"``."""
+
+    @pytest.mark.parametrize("obj, label", [
+        ({"kind": "outcome_q", "strata": [{"x": True, "dist": [{"y": 1.0, "p": 1.0}]}]},
+         True),
+        ({"kind": "outcome_q", "strata": [{"x": [True], "dist": [{"y": 1.0, "p": 1.0}]}]},
+         True),
+        ({"kind": "outcome_q", "strata": [{"x": [None], "dist": [{"y": 1.0, "p": 1.0}]}]},
+         None),
+        ({"kind": "covariate_q", "strata": [
+            {"y": 1.0, "x": ["a"], "dist": [{"w": [False], "p": 1.0}]}]}, False),
+        ({"kind": "covariate_q", "strata": [
+            {"y": 1.0, "x": None, "dist": [{"w": ["o"], "p": 1.0}]}]}, None),
+    ], ids=["bare_x", "x_list", "null_in_x", "w_atom", "null_x"])
+    def test_model_json_raises(self, obj, label, tmp_path, capsys):
+        with pytest.raises(DataError) as raised:
+            model_from_json(obj)
+        assert f"holds {label!r}, which is not a level label" in str(raised.value)
+        (tmp_path / "d.csv").write_text("y,g,m\n0,a,o\n1,a,\n")
+        (tmp_path / "c.json").write_text(json.dumps({
+            "outcome": {"column": "y", "binary": True}, "x": ["g"], "w": ["m"]}))
+        (tmp_path / "q.json").write_text(json.dumps(obj))
+        code = main(["estimate", "--data", str(tmp_path / "d.csv"),
+                     "--config", str(tmp_path / "c.json"),
+                     "--model", f"q:{tmp_path / 'q.json'}", "--xi", "g=a",
+                     "--omega", "m=o"])
+        assert code == EXIT_DATA
+        assert "which is not a level label" in capsys.readouterr().err
+
+    def test_numbers_still_name_their_text(self):
+        model = model_from_json({"kind": "covariate_q", "strata": [
+            {"y": 1.0, "x": [1], "dist": [{"w": 2.5, "p": 1.0}]}]})
+        assert model.covariate_q.strata == {(1.0, ("1",)): ((("2.5",), 1.0),)}
