@@ -96,12 +96,17 @@ class OutcomeDomain:
 
 @dataclass(frozen=True)
 class CategoricalDomain:
-    """One covariate role: a name and an ordered tuple of level labels."""
+    """One covariate role: a name and an ordered tuple of level labels (see
+    :func:`is_label`), each kept as its text."""
 
     name: str
     levels: tuple
 
     def __post_init__(self):
+        for lv in self.levels:
+            if not is_label(lv):
+                raise DataError(f"domain {self.name!r} has the level {lv!r}, "
+                                "which is not a level label")
         levels = tuple(str(lv) for lv in self.levels)
         if not levels:
             raise DataError(f"domain {self.name!r} has no levels")
@@ -118,6 +123,9 @@ class CategoricalDomain:
         return len(self.levels)
 
     def code(self, level):
+        if not is_label(level):
+            raise DataError(f"{level!r} names no level of domain {self.name!r}: "
+                            "it is not a level label")
         try:
             return self._codes[str(level)]
         except KeyError:
@@ -384,9 +392,9 @@ def require_population(source, what):
 
 def yx_codes(table):
     """The (y, x) stratum codes ``y_index * |X| + x`` of every record of
-    ``table``, the function that decodes codes (one or an array) back to
-    their outcomes and flat ``x`` codes, and the number of codes, so every
-    code is below it.
+    ``table``, the function ``key`` mapping a code to its stratum key
+    ``(float y, int x)``, the outcome levels that ``y_index`` indexes, and
+    the number of codes, so every code is below it.
 
     ``table`` has no missing outcome: a covariate model or the mixture
     estimate meets an outcome-regime table only after it has raised
@@ -394,7 +402,7 @@ def yx_codes(table):
     index over the levels ``[0.0, 1.0]``, whether or not both occur; any
     other outcome is indexed over its distinct values by ``np.unique``.
     Either way the codes rise with ``(y, x)``, so the codes that occur sort
-    in the same order and decode to the same keys."""
+    in the same order as their keys."""
     if table.outcome.binary:
         y_levels, codes = np.array([0.0, 1.0]), table.y.astype(np.int64)
     else:
@@ -403,11 +411,43 @@ def yx_codes(table):
     codes *= n_x
     codes += table.x
 
-    def decode(codes):
-        y_at, x = np.divmod(codes, n_x)
-        return y_levels[y_at], x
+    def key(code):
+        y_at, x = divmod(int(code), n_x)
+        return (float(y_levels[y_at]), x)
 
-    return codes, decode, len(y_levels) * n_x
+    return codes, key, y_levels, len(y_levels) * n_x
+
+
+def count_codes(codes, space, inverse=True):
+    """``np.unique(codes, return_inverse=True, return_counts=True)`` of
+    ``int64`` codes in ``[0, space)``: the codes that occur, each code's
+    place among them (None unless ``inverse``), and how often each occurs,
+    with the same values and dtypes. When ``space <= max(4 * len(codes),
+    2**16)`` they come from one ``np.bincount`` over the whole space and a
+    running count of the codes that occur, with no sort. A larger space (a
+    real-valued outcome makes up to ``n * |X|`` (y, x) codes) is sorted by
+    ``np.unique``, so no count is much longer than the codes it counts."""
+    if space > max(4 * len(codes), 2**16):
+        if inverse:
+            return np.unique(codes, return_inverse=True, return_counts=True)
+        occur, counts = np.unique(codes, return_counts=True)
+        return occur, None, counts
+    counts = np.bincount(codes, minlength=space)
+    occur = np.flatnonzero(counts)
+    place = None
+    if inverse:
+        place = np.cumsum(counts > 0)
+        place -= 1
+        place = place.take(codes)
+    return occur, place, counts.take(occur)
+
+
+def stratum_name(x_domains, key):
+    """How an error names a stratum key: a flat ``x`` code or ``(y, x)``."""
+    if isinstance(key, tuple):
+        y_val, xf = key
+        return f"(y={y_val}, x={value_labels(x_domains, xf)!r})"
+    return f"x={value_labels(x_domains, key)!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from .domain import (
     FinitePopulation,
     Interval,
     ObservationTable,
+    count_codes,
     require_population,
     require_regime,
     sealed,
+    stratum_name,
     total_size,
-    value_labels,
     yx_codes,
 )
 from .errors import (
@@ -302,8 +303,8 @@ def mixture_joint_estimate(table, q):
 
     Observed records enter with weight 1/N at their own (y, x, w); each
     missing record spreads its 1/N across W according to its (y, x) stratum
-    of ``q``. Records are counted per integer (y, x, w) atom and per (y, x)
-    stratum code, so ``q`` is looked up once per stratum.
+    of ``q``. Records are counted (not sorted) per integer (y, x, w) atom
+    and per (y, x) stratum code, so ``q`` is looked up once per stratum.
 
     Returns a covariate-regime :class:`FinitePopulation` on the table's
     domains with one cell per atom, in ascending (y, x, w) code order, and
@@ -317,35 +318,30 @@ def mixture_joint_estimate(table, q):
         raise EmptyCell("empty table")
     share = 1.0 / n
     n_w = total_size(table.w_domains)
-    stratum, decode, space = yx_codes(table)
+    stratum, key, y_levels, space = yx_codes(table)
     observed = np.asarray(table.z_w)
-    atoms, counts = np.unique(stratum[observed] * n_w + table.w[observed],
-                              return_counts=True)
+    atoms, _, counts = count_codes(stratum[observed] * n_w + table.w[observed],
+                                   space * n_w, inverse=False)
     codes, masses = [atoms], [counts * share]
-    strata, first, n_missing = np.unique(stratum[~observed], return_index=True,
-                                         return_counts=True)
-    # strata in the order their first record appears, so an undefined
-    # stratum is reported as a record-by-record pass would meet it
-    for j in np.argsort(first, kind="stable"):
-        y_val, xf = decode(strata[j])
-        y_val, xf = float(y_val), int(xf)
-        if (y_val, xf) not in q_strata:
-            raise QUndefinedForStratum(f"q has no stratum (y={y_val}, "
-                                       f"x={value_labels(table.x_domains, xf)!r})")
-        w_codes, probs = q_strata[(y_val, xf)]
-        codes.append(strata[j] * n_w + w_codes)
-        masses.append(n_missing[j] * probs * share)
-    atoms, atom_of = np.unique(np.concatenate(codes).astype(np.int64),
-                               return_inverse=True)
-    mass = np.bincount(atom_of, weights=np.concatenate(masses).astype(np.float64),
-                       minlength=len(atoms))
+    strata, place, n_missing = count_codes(stratum[~observed], space)
+    keys = [key(code) for code in strata]
+    covered = np.array([k in q_strata for k in keys], dtype=bool)
+    if not covered.all():
+        # the first undefined stratum in record order, as a record-by-record
+        # pass would meet it
+        first = keys[place[np.argmin(covered[place])]]
+        raise QUndefinedForStratum(f"q has no stratum {stratum_name(table.x_domains, first)}")
+    for code, k, count in zip(strata, keys, n_missing):
+        w_codes, probs = q_strata[k]
+        codes.append(code * n_w + w_codes)
+        masses.append(count * probs * share)
+    atoms, atom_of, _ = count_codes(np.concatenate(codes), space * n_w)
+    mass = np.bincount(atom_of, weights=np.concatenate(masses), minlength=len(atoms))
     stratum_of, w_i = np.divmod(atoms, n_w)
-    n_x = total_size(table.x_domains)
-    y_i, x_i = np.divmod(stratum_of, n_x)
+    y_i, x_i = np.divmod(stratum_of, total_size(table.x_domains))
     return FinitePopulation(
         outcome=table.outcome,
-        # the outcome levels that the stratum codes index
-        outcome_values=sealed(decode(np.arange(0, space, n_x))[0]),
+        outcome_values=sealed(y_levels),
         x_domains=table.x_domains,
         w_domains=table.w_domains,
         y_i=sealed(y_i),

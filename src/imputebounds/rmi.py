@@ -9,17 +9,16 @@ change what the estimator converges to; it only averages away the draw
 noise of a single completion.
 
 Strata are integer codes: ``x`` for models keyed by the covariate alone,
-``y_index * |X| + x`` for models keyed by outcome and covariate. An
-:class:`ImputationPlan` is the one place that codes a table, once per
-record: it fits the model on the observed records' codes (explicit models
-on :func:`imputebounds.models.coded_strata`) and takes the coverage check
-and each missing record's stratum row from one count of the missing
-records' codes. Codes are counted, not sorted (:func:`_count`): a count
-over the space of possible codes gives what ``np.unique`` would, unless
-that space is far larger than the records. The plan keeps the fitted
-model and what every draw reads (the missing records, their stratum rows,
-the padded CDF and value matrices), not the codes; :func:`fit_model` is
-the plan's fitted model.
+``y_index * |X| + x`` (:func:`imputebounds.domain.yx_codes`) for models
+keyed by outcome and covariate. An :class:`ImputationPlan` codes a table
+once per record: it fits the model on the observed records' codes
+(explicit models on :func:`imputebounds.models.coded_strata`) and takes
+the coverage check and each missing record's stratum row from one count
+of the missing records' codes (:func:`imputebounds.domain.count_codes`
+gives what ``np.unique`` would, mostly without a sort). The plan keeps
+the fitted model and what every draw reads (the missing records, their
+stratum rows, the padded CDF and value matrices), not the codes;
+:func:`fit_model` is the plan's fitted model.
 
 The pooled runner builds the plan and the estimator's cell once and one
 Philox generator per run, then makes its draws in blocks. For a block of
@@ -51,10 +50,11 @@ from . import _kernels, missing_covariate, missing_outcome, models
 from ._rng import STREAM_COMPLETION, fill_streams, stream
 from .domain import (
     ObservationTable,
+    count_codes,
     require_regime,
     sealed,
+    stratum_name,
     total_size,
-    value_labels,
     yx_codes,
 )
 from .errors import (
@@ -88,61 +88,12 @@ class FittedImputationModel:
     strata: dict
     domains: tuple
 
-    def stratum(self, key):
-        return self.strata.get(key)
-
 
 def _imputed_column(table, target):
     """The column a model imputes and the records where it is observed."""
     if target == "outcome":
         return table.y, np.asarray(table.z_y)
     return table.w, np.asarray(table.z_w)
-
-
-def _stratum_codes(table, target, kind):
-    """The integer stratum code of every record, a function mapping a
-    code back to its stratum key: ``x``, or ``(y, x)`` coded by
-    :func:`~imputebounds.domain.yx_codes`, and the number of codes."""
-    if target == "outcome" or kind == models.ECOLOGICAL:
-        return table.x, int, total_size(table.x_domains)
-    codes, decode, space = yx_codes(table)
-
-    def key(code):
-        y_val, xf = decode(code)
-        return (float(y_val), int(xf))
-
-    return codes, key, space
-
-
-def _stratum_name(table, key):
-    if isinstance(key, tuple):
-        y_val, xf = key
-        return f"(y={y_val}, x={value_labels(table.x_domains, xf)!r})"
-    return f"x={value_labels(table.x_domains, key)!r}"
-
-
-def _count(codes, space, inverse=True):
-    """``np.unique(codes, return_inverse=True, return_counts=True)`` of
-    ``int64`` codes in ``[0, space)``: the codes that occur, each code's
-    place among them (None unless ``inverse``), and how often each occurs,
-    with the same values and dtypes. When ``space <= max(4 * len(codes),
-    2**16)`` they come from one ``np.bincount`` over the whole space and a
-    running count of the codes that occur, with no sort. A larger space (a
-    real-valued outcome makes up to ``n * |X|`` (y, x) codes) is sorted by
-    ``np.unique``, so no count is much longer than the codes it counts."""
-    if space > max(4 * len(codes), 2**16):
-        if inverse:
-            return np.unique(codes, return_inverse=True, return_counts=True)
-        occur, counts = np.unique(codes, return_counts=True)
-        return occur, None, counts
-    counts = np.bincount(codes, minlength=space)
-    occur = np.flatnonzero(counts)
-    place = None
-    if inverse:
-        place = np.cumsum(counts > 0)
-        place -= 1
-        place = place.take(codes)
-    return occur, place, counts.take(occur)
 
 
 def _fit_empirical(codes, space, key, values, levels):
@@ -162,7 +113,7 @@ def _fit_empirical(codes, space, key, values, levels):
     codes *= len(atoms)
     codes += values
     del values
-    pairs, _, counts = _count(codes, space * len(atoms), inverse=False)
+    pairs, _, counts = count_codes(codes, space * len(atoms), inverse=False)
     stratum_of = pairs // len(atoms)
     starts = np.flatnonzero(np.diff(stratum_of, prepend=-1))
     strata = {}
@@ -191,16 +142,20 @@ class ImputationPlan:
     of every record: the ``fitted`` model, the missing records, each one's
     stratum row, and the padded CDF and value matrices. The fit's
     (stratum, atom) pairs and the missing records' strata are counted by
-    :func:`_count`; only a real outcome's atoms are sorted. A fitted model
-    drawn on other domains than its own is a :class:`DataError` naming the
-    role. Nothing writes to a plan once it is built; a draw lives in the
-    arrays that :meth:`imputed_block` and :meth:`complete` return.
+    :func:`~imputebounds.domain.count_codes`; only a real outcome's atoms
+    are sorted. A fitted model drawn on other domains than its own is a
+    :class:`DataError` naming the role. Nothing writes to a plan once it is
+    built; a draw lives in the arrays that :meth:`imputed_block` and
+    :meth:`complete` return.
     """
 
     def __init__(self, table, model):
         require_regime(table, f"model {model.kind!r}", model.target)
         column, observed = _imputed_column(table, model.target)
-        codes, key, space = _stratum_codes(table, model.target, model.kind)
+        if model.target == "outcome" or model.kind == models.ECOLOGICAL:
+            codes, key, space = table.x, int, total_size(table.x_domains)
+        else:
+            codes, key, _, space = yx_codes(table)
         self.missing = np.flatnonzero(~observed)
         missing_codes = codes.take(self.missing)
         domains = (("x", table.x_domains), ("outcome", table.outcome)
@@ -228,12 +183,12 @@ class ImputationPlan:
         strata = self.fitted.strata
         self.table = table
         self.target = model.target
-        required, self.row_of, _ = _count(missing_codes, space)
+        required, self.row_of, _ = count_codes(missing_codes, space)
         keys = [key(code) for code in required]
         for k in sorted(keys, key=str):
             if k not in strata:
                 raise UnfittableStratum(
-                    f"no distribution to impute from at {_stratum_name(table, k)}")
+                    f"no distribution to impute from at {stratum_name(table.x_domains, k)}")
         width = max((len(strata[k][1]) for k in keys), default=1)
         self.cdf_mat = np.ones((len(keys), width))
         self.val_mat = np.zeros((len(keys), width), dtype=column.dtype)

@@ -22,7 +22,7 @@ from imputebounds import (
     random_population,
     run_multiple_imputation,
 )
-from imputebounds.cli import EXIT_DATA, DataConfig, ingest_csv, main
+from imputebounds.cli import EXIT_DATA, EXIT_GUARD, DataConfig, ingest_csv, main
 from imputebounds.domain import flat_value
 from imputebounds.errors import DataError, MalformedRow, OutcomeOutOfDomain
 from imputebounds.simlab import (
@@ -608,6 +608,34 @@ class TestPopulationTypes:
             cell["z"] = float(cell["z"])
         assert population_to_json(population_from_json(pop)) == population_to_json(
             build_mnar_pop())
+
+
+class TestNoBooleanOrNullLevels:
+    """A boolean or null names no covariate level in a population file or
+    a spec, as in a data config or a q file: ``true`` once loaded as the
+    level ``"True"``."""
+
+    def test_population_level_exits_3(self, outcome_fixture, tmp_path, capsys):
+        data, config = outcome_fixture
+        pop = population_to_json(build_mnar_pop())
+        pop["x_domains"]["g"].append(True)
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(pop))
+        code, _, cap = run_cli(loader_argv("population", path, data, config), capsys)
+        assert code == EXIT_DATA
+        assert "domain 'g' has the level True, which is not a level label" in cap.err
+
+    @pytest.mark.parametrize("where", ["cell", "xi"])
+    def test_spec_label_exits_3(self, where, tmp_path, capsys):
+        pop = population_to_json(build_mnar_pop())
+        fields = {"xi": {"g": True}} if where == "xi" else {}
+        if where == "cell":
+            pop["cells"][0]["x"] = [True]
+        path = tmp_path / "spec.json"
+        path.write_text(spec_json(population=pop, **fields))
+        code, _, cap = run_cli(["simulate", "--spec", str(path)], capsys)
+        assert code == EXIT_DATA
+        assert "True names no level of domain 'g': it is not a level label" in cap.err
 
 
 class TestConfigBinary:
@@ -1347,3 +1375,25 @@ class TestSandwichSurfacedAtCli:
                  "mar", "--xi", "g=a", "--m", "5", "--seed", seed], capsys)
             pooled = est_report["results"]["pooled_mean"]
             assert iv["lo"] <= pooled <= iv["hi"]
+
+
+@pytest.mark.parametrize("config, rows, cell, code, message", [
+    pytest.param({"outcome": {"column": "y", "binary": True}, "x": ["y"]}, "y\n1\n",
+                 ["--xi", "y=1"], EXIT_DATA,
+                 "UnknownColumn: configured column names are not distinct",
+                 id="repeated_config_column"),
+    pytest.param({"outcome": {"column": "y", "binary": True}, "x": ["g"]}, "y,g\n1,a\n",
+                 ["--xi", "g"], EXIT_DATA, "DataError: cell selector part 'g' is not K=V",
+                 id="selector_part_not_k_v"),
+    pytest.param({"outcome": {"column": "y", "lo": 0, "hi": 10}, "x": ["g"], "w": ["m"]},
+                 "y,g,m\n5,a,o\n0,a,\n", ["--xi", "g=a", "--omega", "m=o"], EXIT_GUARD,
+                 "NonBinaryOutcome: bounds require a binary {0,1} outcome",
+                 id="bounds_on_a_real_outcome"),
+])
+def test_bounds_error_paths(config, rows, cell, code, message, tmp_path, capsys):
+    (tmp_path / "d.csv").write_text(rows)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    got, _, cap = run_cli(["bounds", "--data", str(tmp_path / "d.csv"),
+                           "--config", str(tmp_path / "c.json"), *cell], capsys)
+    assert got == code
+    assert message in cap.err

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -349,6 +350,39 @@ def test_regime_mismatch_is_raised_in_one_place():
     ]
 
 
+def unique_calls(package_dir):
+    """``(module file, enclosing class and function)`` of every ``np.unique``
+    call in the modules of ``package_dir``, each place once."""
+    found = set()
+
+    def visit(node, file, scope):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"):
+            found.add((file, ".".join(scope)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, scope)
+
+    for file in sorted(os.listdir(package_dir)):
+        if file.endswith(".py"):
+            with open(os.path.join(package_dir, file), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), file, ())
+    return sorted(found)
+
+
+def test_codes_are_counted_in_one_place():
+    """Integer codes are counted by :func:`count_codes` alone, which sorts
+    only a space far larger than its codes. The only other sorts index a
+    real outcome's levels: the (y, x) strata and an empirical fit's atoms."""
+    assert unique_calls(os.path.dirname(imputebounds.__file__)) == [
+        ("domain.py", "count_codes"),
+        ("domain.py", "yx_codes"),
+        ("rmi.py", "_fit_empirical"),
+    ]
+
+
 class TestFlatIndexing:
     def test_roundtrip(self):
         domains = (CategoricalDomain("a", ("u", "v")),
@@ -416,3 +450,53 @@ class TestSerialization:
         carries an ``outcome_support`` key loads as it would without it."""
         obj = dict(population_to_json(build_mnar_pop()), outcome_support=[7.0])
         assert population_from_json(obj).outcome_values.tolist() == [0.0, 1.0]
+
+
+BIG = (CategoricalDomain("big", tuple(f"v{i}" for i in range(1001))),)
+
+
+def one_cell_population(**fields):
+    """A one-cell binary population on ``X1`` x ``W2``, ``fields`` replaced."""
+    return FinitePopulation(**dict(dict(
+        outcome=OutcomeDomain.binary_01(), outcome_values=[0.0, 1.0], x_domains=X1,
+        w_domains=W2, y_i=[0], x_i=[0], w_i=[0], z=[1], mass=[1.0]), **fields))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: OutcomeDomain(0.0, float("inf")),
+                 "outcome domain endpoints must be finite", id="endpoint_not_finite"),
+    pytest.param(lambda: OutcomeDomain(1.0, 1.0),
+                 "outcome domain requires lo < hi, got [1.0, 1.0]", id="lo_not_below_hi"),
+    pytest.param(lambda: OutcomeDomain(0.0, 2.0, binary=True),
+                 "binary outcome domain must be [0, 1]", id="binary_not_01"),
+    pytest.param(lambda: CategoricalDomain("g", ("a", "a")),
+                 "domain 'g' has duplicate levels", id="duplicate_levels"),
+    pytest.param(lambda: CategoricalDomain("g", ("a", True)),
+                 "domain 'g' has the level True, which is not a level label",
+                 id="boolean_level"),
+    pytest.param(lambda: X1[0].code(None),
+                 "None names no level of domain 'g': it is not a level label",
+                 id="null_label"),
+    pytest.param(lambda: ObservationTable(OutcomeDomain.binary_01(), BIG, BIG, [], [], []),
+                 "covariate cell count exceeds cap 1000000", id="table_cell_cap"),
+    pytest.param(lambda: ObservationTable(OutcomeDomain.binary_01(), X1, W2, [0.0],
+                                          [0, 0], [0]),
+                 "column lengths differ", id="column_lengths"),
+    pytest.param(lambda: one_cell_population(x_domains=BIG, w_domains=BIG),
+                 "covariate cell count exceeds cap 1000000", id="population_cell_cap"),
+    pytest.param(lambda: one_cell_population(outcome_values=[1.0, 0.0]),
+                 "outcome support must be sorted and unique", id="unsorted_support"),
+    pytest.param(lambda: one_cell_population(mass=[0.5, 0.5]),
+                 "cell arrays differ in length", id="cell_lengths"),
+    pytest.param(lambda: one_cell_population(y_i=[2]),
+                 "outcome index out of range", id="outcome_index"),
+    pytest.param(lambda: one_cell_population(x_i=[1]), "x index out of range", id="x_index"),
+    pytest.param(lambda: one_cell_population(w_i=[2]), "w index out of range", id="w_index"),
+    pytest.param(lambda: one_cell_population(z=[2]), "z must be 0 or 1", id="z_not_01"),
+    pytest.param(lambda: population_from_json({"x_domains": {"g": ["a"]}, "cells": [
+        {"y": float("nan"), "x": ["a"], "z": 1, "mass": 1.0}]}),
+                 "a cell's 'y' must be finite, got nan", id="json_number_not_finite"),
+])
+def test_error_paths(build, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        build()

@@ -12,10 +12,12 @@ from imputebounds import (
     plim_imputed_long_mean,
     sample_table,
 )
-from imputebounds.domain import OutcomeDomain
+from imputebounds.domain import (
+    CategoricalDomain, CellSelector, FinitePopulation, OutcomeDomain)
 from imputebounds.rmi import draw_completion, fit_model
 from imputebounds.simlab import MissingnessMechanism, apply_mechanism
-from imputebounds.errors import DataError, ProbabilityOutOfRange, RegimeMismatch
+from imputebounds.errors import (
+    DataError, ProbabilityOutOfRange, RegimeMismatch, ZeroCellMass)
 from conftest import X1, W2
 
 
@@ -121,3 +123,16 @@ class TestFutilityExperiment:
         assert abs(est_o - est_p) < 0.02
         assert abs(est_o - short) < 0.02
         assert abs(est_p - short) < 0.02
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ecological_plim(FinitePopulation.from_cells(
+        {(1.0, "a", "o", 0): 0.5, (0.0, "a", "p", 0): 0.5},
+        outcome=OutcomeDomain.binary_01(),
+        x_domains=(CategoricalDomain("g", ("a", "b")),), w_domains=W2,
+        regime="covariate"), CellSelector("b")),
+                 ZeroCellMass, r"P\(x = 'b'\) = 0", id="plim_zero_cell_mass"),
+])
+def test_error_paths(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

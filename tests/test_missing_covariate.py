@@ -1,4 +1,6 @@
 import itertools
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from imputebounds.rmi import draw_completion, fit_model
 from imputebounds.ecological import ecological_plim
 from imputebounds.errors import (
     DataError,
+    EmptyCell,
     ModelUndefinedOnCell,
     NonBinaryOutcome,
     QUndefinedForStratum,
@@ -568,6 +571,16 @@ class TestMixtureAgainstRecordLoop:
         validate_population(measure)
         assert measure.outcome_values.tolist() == [0.0, 1.0]
 
+    def test_binary_outcome_is_counted_without_a_sort(self):
+        """A binary outcome is its own index, so the observed atoms, the
+        missing strata and the merged atoms of 2e3 records are counted."""
+        pop = random_covariate_pop(29)
+        table = sample_table(pop, 2000, seed=3)
+        q = true_covariate_model(pop).covariate_q
+        with mock.patch.object(np, "unique", wraps=np.unique) as sorts:
+            mixture_joint_estimate(table, q)
+        assert not sorts.called
+
     def test_first_undefined_stratum_in_record_order_is_named(self):
         t = ObservationTable.from_records(
             [(1.0, ("b", "u"), None), (0.0, ("a", "u"), None)],
@@ -598,3 +611,57 @@ class TestPlimConvergence:
             t = sample_table(pop, 200000, seed=seed)
             completed = draw_completion(t, fit_model(model, t), seed=seed)
             assert abs(imputed_long_mean(completed, sel) - plim) <= 0.015
+
+
+X2 = (CategoricalDomain("g", ("a", "b")),)
+
+
+def covariate_cells(cells, outcome=OutcomeDomain.binary_01(), x_domains=X2):
+    """A covariate-regime population from ``{(y, x, w, z): mass}``."""
+    return FinitePopulation.from_cells(cells, outcome=outcome, x_domains=x_domains,
+                                       w_domains=W2, regime="covariate")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: true_long_mean(covariate_cells({(1.0, "a", "o", 1): 1.0}),
+                                         CellSelector("a")),
+                 DataError, "this operation selects a (xi, omega) cell",
+                 id="x_only_selector"),
+    pytest.param(lambda: matching_conditions(
+        covariate_cells({(1.0, "a", "o", 1): 0.5, (0.0, "a", "p", 0): 0.5}),
+        ImputationModel.mar_covariate(), CellSelector("b", "o")),
+                 ZeroCellMass, "P(x = 'b') = 0", id="matching_zero_mass"),
+    pytest.param(lambda: binary_bounds_closed_form(object(), CellSelector("a", "o")),
+                 DataError, "source must be a population or an observation table",
+                 id="wrong_source_type"),
+    pytest.param(lambda: binary_bounds_closed_form(ObservationTable(
+        OutcomeDomain(0.0, 10.0), X1, W2, [0.0, 5.0], [0, 0], [0, -1]),
+        CellSelector("a", "o")),
+                 NonBinaryOutcome, "bounds require a binary {0,1} outcome",
+                 id="table_not_binary"),
+    pytest.param(lambda: binary_bounds_oracle(covariate_cells(
+        {(0.5, "a", "o", 1): 0.5, (0.0, "a", "p", 0): 0.5},
+        outcome=OutcomeDomain(0.0, 1.0), x_domains=X1), CellSelector("a", "o")),
+                 NonBinaryOutcome, "oracle requires a binary {0,1} outcome",
+                 id="oracle_not_binary"),
+    pytest.param(lambda: mixture_joint_estimate(
+        ObservationTable(OutcomeDomain.binary_01(), X1, W2, [], [], []),
+        QCovariateModel({(1.0, "a"): {"o": 1.0}})),
+                 EmptyCell, "empty table", id="mixture_empty_table"),
+])
+def test_error_paths(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("cells, expected", [
+    pytest.param({(1.0, "a", "o", 1): 0.5, (0.0, "a", "p", 1): 0.3,
+                  (0.0, "b", "o", 0): 0.2}, (True, True), id="vacuous"),
+    pytest.param({(1.0, "a", "o", 1): 0.4, (1.0, "a", "p", 0): 0.6}, (False, False),
+                 id="one_sided"),
+])
+def test_matching_conditions_without_missing_mass_at_omega(cells, expected):
+    """With no missing mass at (xi, omega) the means match only when the
+    model routes none there either."""
+    assert matching_conditions(covariate_cells(cells), ImputationModel.ecological(),
+                               CellSelector("a", "o")) == expected

@@ -40,7 +40,7 @@ from imputebounds.errors import (
     ZeroCellMass,
 )
 from imputebounds.simlab import bias_gap
-from conftest import W2, X1
+from conftest import W2, X1, build_mnar_pop
 
 
 # --- independent oracles -----------------------------------------------------
@@ -471,3 +471,20 @@ class TestDrawsShareOneLimit:
             assert abs(est - plim) < 0.03
         assert res.pooled_mean == pytest.approx(
             np.mean(res.per_draw_estimates), abs=1e-15)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: restricted_interval_pop(build_mnar_pop(), CellSelector("a"),
+                                                 RestrictionGamma(0.5, 1.5)),
+                 DataError, "restriction must lie inside the outcome domain",
+                 id="restriction_outside_domain"),
+])
+def test_error_paths(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_consistency_holds_without_missing_mass():
+    pop = joint_population({(1.0, "a", None): 0.4, (0.0, "a", None): 0.6},
+                           outcome=OutcomeDomain.binary_01(), x_domains=X1)
+    assert consistency_condition(pop, ImputationModel.mar_outcome(), CellSelector("a"))

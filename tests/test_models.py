@@ -22,9 +22,10 @@ from imputebounds import (
 )
 from imputebounds.cli import EXIT_DATA, main
 from imputebounds.domain import FinitePopulation
-from imputebounds.errors import DataError, ImputedValueOutOfDomain
+from imputebounds.errors import DataError, ImputedValueOutOfDomain, ProbabilityOutOfRange
 from imputebounds.missing_outcome import assumed_missing_mean
-from imputebounds.models import QCovariateModel, coded_strata, model_from_json
+from imputebounds.models import (
+    QCovariateModel, coded_strata, model_from_json, model_to_json, true_outcome_model)
 from conftest import X1, W2, build_covariate_pop
 
 #: x levels whose labels read as numbers, in an order that differs from
@@ -190,3 +191,41 @@ class TestNoBooleanOrNullLabels:
         model = model_from_json({"kind": "covariate_q", "strata": [
             {"y": 1.0, "x": [1], "dist": [{"w": 2.5, "p": 1.0}]}]})
         assert model.covariate_q.strata == {(1.0, ("1",)): ((("2.5",), 1.0),)}
+
+
+def fully_observed(regime):
+    """A population with no missing mass in ``regime``."""
+    return FinitePopulation.from_cells(
+        {(1.0, "a", "o", 1): 0.4, (0.0, "a", "p", 1): 0.6},
+        outcome=OutcomeDomain.binary_01(), x_domains=X1, w_domains=W2, regime=regime)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: QCovariateModel({(1.0, "a"): {"o": -0.5, "p": 1.5}}),
+                 ProbabilityOutOfRange, "negative probability -0.5", id="negative_probability"),
+    pytest.param(lambda: ImputationModel("mvn"), DataError,
+                 "unknown imputation model kind 'mvn'", id="unknown_kind"),
+    pytest.param(lambda: ImputationModel("explicit_outcome_q"), DataError,
+                 "explicit outcome model needs a distribution", id="outcome_q_missing"),
+    pytest.param(lambda: ImputationModel("explicit_covariate_q"), DataError,
+                 "explicit covariate model needs a distribution", id="covariate_q_missing"),
+    pytest.param(lambda: true_outcome_model(fully_observed("outcome")), DataError,
+                 "population has no missing-outcome mass to mirror",
+                 id="true_outcome_model_no_missing_mass"),
+    pytest.param(lambda: true_covariate_model(fully_observed("covariate")), DataError,
+                 "population has no missing-covariate mass to mirror",
+                 id="true_covariate_model_no_missing_mass"),
+])
+def test_error_paths(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("model", [
+    ImputationModel.explicit_outcome({("a",): {0.0: 0.25, 1.0: 0.75}}),
+    ImputationModel.mar_outcome(),
+    ImputationModel.mar_covariate(),
+    ImputationModel.ecological(),
+], ids=lambda model: model.kind)
+def test_model_json_round_trip(model):
+    assert model_from_json(json.loads(json.dumps(model_to_json(model)))) == model

@@ -5,15 +5,29 @@ implementation in which each interval and plim function kept its own copy
 of the missing-outcome decomposition and convergence replications ran
 through ``fit_model``/``draw_completion``; the current code must reproduce
 them bit for bit.
+
+The mixture pins were recorded the same way from the implementation in
+which ``mixture_joint_estimate`` coded, sorted and named its own (y, x)
+strata with ``np.unique`` and an ``argsort`` of their first records.
 """
+
+import hashlib
 
 import pytest
 
-from imputebounds import CellSelector, ImputationModel, RestrictionGamma
+from imputebounds import (
+    CellSelector,
+    ImputationModel,
+    QCovariateModel,
+    RestrictionGamma,
+)
+from imputebounds.errors import QUndefinedForStratum
 from imputebounds.missing_covariate import (
     binary_bounds_closed_form,
     binary_bounds_oracle,
     imputed_cell_share,
+    mixture_conditional_mean,
+    mixture_joint_estimate,
     plim_imputed_long_mean,
 )
 from imputebounds.missing_outcome import (
@@ -225,3 +239,88 @@ def test_exact_values_are_pinned():
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_convergence_reports_are_pinned(name):
     assert convergence_reports()[name] == PINNED_REPORTS[name]
+
+
+def mixture_case(seed):
+    """A covariate table of 40 to 2890 records, binary y for an odd
+    ``seed`` and four real levels for an even one, with the population's
+    true q."""
+    values = (0.0, 1.0) if seed % 2 else (0.0, 0.25, 1.5, 4.0)
+    pop = random_population(seed, outcome_values=values, x_sizes=(3,), w_sizes=(4,),
+                            regime="covariate")
+    return (sample_table(pop, 40 + 150 * (seed % 20), seed + 1),
+            true_covariate_model(pop).covariate_q)
+
+
+def mixture_digest(table, q):
+    """sha256 of the mixture population's outcome support, cell columns and
+    masses, then of ``float.hex`` of its conditional mean on every cell."""
+    measure = mixture_joint_estimate(table, q)
+    digest = hashlib.sha256()
+    for column in (measure.outcome_values, measure.y_i, measure.x_i, measure.w_i,
+                   measure.mass):
+        digest.update(column.tobytes())
+    for x_val in measure.x_domains[0].levels:
+        for w_val in measure.w_domains[0].levels:
+            mean = mixture_conditional_mean(measure, CellSelector(x_val, w_val))
+            digest.update(mean.hex().encode())
+    return digest.hexdigest()
+
+
+#: :func:`mixture_digest` of :func:`mixture_case` per seed
+PINNED_MIXTURES = {
+    300: "08861abbef4d6e1e90d593334a80b00574ca147d727c2a07bea567eb454bade5",
+    301: "5bc4b1cd742ef190a63669131c1e063fadeaf6cb141570f59434c9e5c44e3d12",
+    302: "366ed7fe88468e3307f031c7c4b314358d1d9e1d91c771254c626beb91ae68de",
+    303: "f4f5558e0bf327e4e72ecdc44935dc95806588f032778bbd16716720217ce3b5",
+    304: "02b03b9b4970f824065a4c4db90936dd1ee87d9b96afbd33a23bdfe127eaf714",
+    305: "66538e146d5c375b22dbf284467d182a01e9b40b28f3756a1c935782cfe02ed4",
+    306: "3ccdbfa3f30f3c95b093dc316989a92d73163333351c9468024c3f53748b2d8b",
+    307: "1c7ee0987dc2d79a5c93ddc9224f975a8123a83facc74f3f4d32e2f8f8a35e57",
+    308: "eda404a07aad76c7d707e86a612eb7895e9a5644aea9964330d5dc3045462502",
+    309: "74fda1175e82c0307dee6b18d1a9f581bca903090234dfab10051111175bc7e3",
+    310: "bc36d5fc87c6f02a195f2484396d4b89350ae02f0dd43d44da7bf257fb05cfb5",
+    311: "76410dbd37f80aaadb1406f2edfe8ac7448db2009423e0e4853ec4a20505ce7c",
+    312: "b9491bd19b90d39ddb8c2c61e4590612b4e28f0fcc4acadb5d00e69a5fc0a190",
+    313: "8c338e8650cdeb50553913c1e86959f6fe20a54d5718c9360464ca886cdb8bb5",
+    314: "cd9b490e2b5e920ddf9fdc71096760676afeaf990a4b6584c59af18cc700f8ed",
+    315: "1522fafbe5ad82e2f9d98832335489890af48747455080567e307b0faedb18f4",
+    316: "c97bf0dc105ceb47d3efa2925f6eb2eb5ea5b2deac440d27f81296e5fbbccd7b",
+    317: "1ad516f2f9d643487d372644ee8cb06c8e563a43db8a550152b0a73b0ae6376b",
+    318: "cbdef998198b076d61732a482b0ac0bbb4fd2cddd436742c3dfe35c7d8538031",
+    319: "33ceccaa6cc87415d0f7b20feb1c3aeee4af698bd62d65b3e64cc2887644acc4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_MIXTURES))
+def test_mixture_estimate_is_pinned(seed):
+    assert mixture_digest(*mixture_case(seed)) == PINNED_MIXTURES[seed]
+
+
+def undefined_case(seed):
+    """A 300-record covariate table over three outcome levels and a q that
+    defines only the strata at x = "a", so that five or six (y, x) strata
+    with missing records are undefined."""
+    pop = random_population(seed, outcome_values=(0.0, 0.5, 1.0), x_sizes=(3,),
+                            w_sizes=(2,), regime="covariate")
+    strata = true_covariate_model(pop).covariate_q.strata
+    return (sample_table(pop, 300, seed + 1),
+            QCovariateModel({k: d for k, d in strata.items() if k[1] == ("a",)}))
+
+
+#: the QUndefinedForStratum message of :func:`undefined_case` per seed: the
+#: first undefined stratum in record order, never (y=0.0, x=('b',)), the
+#: first in the text order of the keys
+PINNED_UNDEFINED = {
+    331: "q has no stratum (y=0.5, x=('c',))",
+    333: "q has no stratum (y=0.5, x=('b',))",
+    334: "q has no stratum (y=1.0, x=('c',))",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_UNDEFINED))
+def test_undefined_stratum_message_is_pinned(seed):
+    table, q = undefined_case(seed)
+    with pytest.raises(QUndefinedForStratum) as raised:
+        mixture_joint_estimate(table, q)
+    assert str(raised.value) == PINNED_UNDEFINED[seed]

@@ -47,7 +47,8 @@ REMOVED = ("empirical_cond", "errors.EmptyConditioningSet",
            "MissingnessMechanism.from_callable", "cell_partition", "CompletedTable",
            "rmi.ImputationModel", "rmi.QCovariateModel", "rmi.model_from_json",
            "rmi.model_to_json", "rmi.true_outcome_model", "rmi.true_covariate_model",
-           "missing_covariate.QCovariateModel", "FinitePopulation.require_regime")
+           "missing_covariate.QCovariateModel", "FinitePopulation.require_regime",
+           "FittedImputationModel.stratum")
 
 
 def readme_removed_names():

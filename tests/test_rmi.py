@@ -35,7 +35,8 @@ from imputebounds.errors import (
     RegimeMismatch,
     UnfittableStratum,
 )
-from imputebounds.domain import require_regime, total_size, yx_codes
+from imputebounds.domain import (
+    count_codes, require_regime, stratum_name, total_size, yx_codes)
 from imputebounds.models import coded_strata, model_from_json
 from imputebounds.rmi import ImputationPlan
 from conftest import X1, W2, build_covariate_pop, build_mnar_pop
@@ -54,7 +55,7 @@ class TestFitModel:
     def test_mar_outcome_takes_empirical_frequencies(self):
         t = outcome_table([0, 1, 1, None])
         fitted = fit_model(ImputationModel.mar_outcome(), t)
-        atoms, cdf = fitted.stratum(0)
+        atoms, cdf = fitted.strata[0]
         assert atoms.tolist() == [0.0, 1.0]
         assert cdf.tolist() == pytest.approx([1 / 3, 1.0])
 
@@ -62,7 +63,7 @@ class TestFitModel:
         t = outcome_table([1, None])
         model = ImputationModel.explicit_outcome({"a": {0.0: 0.25, 1.0: 0.75}})
         fitted = fit_model(model, t)
-        atoms, cdf = fitted.stratum(0)
+        atoms, cdf = fitted.strata[0]
         assert atoms.tolist() == [0.0, 1.0]
         assert cdf.tolist() == pytest.approx([0.25, 1.0])
 
@@ -80,7 +81,7 @@ class TestFitModel:
              (0.0, "a", "o"), (1.0, "a", None)],
             OutcomeDomain.binary_01(), X1, W2)
         fitted = fit_model(ImputationModel.mar_covariate(), t)
-        atoms, cdf = fitted.stratum((1.0, 0))
+        atoms, cdf = fitted.strata[(1.0, 0)]
         assert atoms.tolist() == [0, 1]
         assert cdf.tolist() == pytest.approx([2 / 3, 1.0])
 
@@ -169,7 +170,7 @@ class TestDrawCompletion:
         fitted = fit_model(ImputationModel.mar_outcome(), t)
         completed = draw_completion(t, fitted, seed=8)
         drawn = completed.y[~t.z_y]
-        atoms, cdf = fitted.stratum(0)
+        atoms, cdf = fitted.strata[0]
         probs = np.diff(np.concatenate([[0.0], cdf]))
         freq1 = float((drawn == 1.0).mean())
         assert freq1 == pytest.approx(probs[atoms.tolist().index(1.0)], abs=0.01)
@@ -293,7 +294,7 @@ class TestRunMultipleImputation:
         res = run_multiple_imputation(self.table, self.model, 1000, self.spec,
                                       seed=77)
         fitted = fit_model(self.model, self.table)
-        atoms, cdf = fitted.stratum(0)
+        atoms, cdf = fitted.strata[0]
         probs = np.diff(np.concatenate([[0.0], cdf]))
         limit = (3.0 + 3.0 * float(atoms @ probs)) / 7.0
         margin = 2.0 * res.pooled_dispersion / np.sqrt(res.m)
@@ -809,11 +810,11 @@ def counted_codes(draw):
 @example((np.array([7], dtype=np.int64), 8))
 @example((np.array([2**16], dtype=np.int64), 2**16 + 1))
 def test_count_equals_unique(case):
-    """``rmi._count`` returns what ``np.unique`` does, in values, dtypes and
+    """``count_codes`` returns what ``np.unique`` does, in values, dtypes and
     shapes, and sorts only when the space exceeds ``max(4 n, 2**16)``."""
     codes, space = case
     with mock.patch.object(np, "unique", wraps=np.unique) as sorts:
-        got = rmi._count(codes, space)
+        got = count_codes(codes, space)
     assert sorts.called == (space > max(4 * len(codes), 2**16))
     expected = np.unique(codes, return_inverse=True, return_counts=True)
     for mine, theirs in zip(got, expected, strict=True):
@@ -861,7 +862,7 @@ def sorted_plan(table, model):
     for k in sorted(keys, key=str):
         if k not in strata:
             raise UnfittableStratum(
-                f"no distribution to impute from at {rmi._stratum_name(table, k)}")
+                f"no distribution to impute from at {stratum_name(table.x_domains, k)}")
     width = max((len(strata[k][1]) for k in keys), default=1)
     cdf_mat = np.ones((len(keys), width))
     val_mat = np.zeros((len(keys), width), dtype=column.dtype)
@@ -936,9 +937,9 @@ class TestCountedPlanEdges:
             OutcomeDomain.binary_01(), self.X3, W2, np.full(6, present),
             np.array([0, 2, 2, 0, 2, 1]), np.array([0, 1, -1, -1, 0, 1]))
         assert_plan_matches_sorted(table, model)
-        codes, decode, space = yx_codes(table)
+        codes, key, _, space = yx_codes(table)
         assert space == 6
-        assert decode(codes)[0].tolist() == [present] * 6
+        assert [key(code)[0] for code in codes] == [present] * 6
 
     def test_real_outcome_takes_the_sorted_route(self):
         """A real outcome with many levels and many x levels makes a (y, x)
@@ -950,7 +951,7 @@ class TestCountedPlanEdges:
         x = np.repeat(rng.integers(0, 400, 200), 2)
         w = np.tile([1, -1], 200)
         table = ObservationTable(OutcomeDomain(0.0, 30.0), x_domains, W2, y, x, w)
-        assert yx_codes(table)[2] > max(4 * table.n, 2**16)
+        assert yx_codes(table)[3] > max(4 * table.n, 2**16)
         with mock.patch.object(np, "unique", wraps=np.unique) as sorts:
             plan = ImputationPlan(table, ImputationModel.mar_covariate())
         # the outcome index, the fit's pairs and the missing strata

@@ -16,6 +16,7 @@ from imputebounds import (
     true_long_mean,
     validate_population,
 )
+from imputebounds.domain import CategoricalDomain
 from imputebounds.simlab import (
     ExperimentSpec,
     MissingnessMechanism,
@@ -419,3 +420,38 @@ class TestBiasGap:
         assert rep.gap == pytest.approx(expected, abs=1e-12)
         assert abs(rep.gap) > 0.1
         assert rep.truth_covered
+
+
+X2_POP = joint_population({(1.0, "a", None): 0.3, (0.0, "a", None): 0.2,
+                           (1.0, "b", None): 0.1, (0.0, "b", None): 0.4},
+                          outcome=OutcomeDomain.binary_01(),
+                          x_domains=(CategoricalDomain("g", ("a", "b")),))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: apply_mechanism(X2_POP, MissingnessMechanism.by_outcome({1.0: 0.5})),
+                 "no missingness rate for outcome 0.0", id="by_outcome_missing_rate"),
+    pytest.param(lambda: apply_mechanism(X2_POP, MissingnessMechanism.by_x({"a": 0.1})),
+                 "no missingness rate for some x cell", id="by_x_missing_rate"),
+    pytest.param(lambda: apply_mechanism(X2_POP, MissingnessMechanism.by_cell(
+        {(1.0, "a", None): 0.5})), "no missingness rate for some cell",
+                 id="by_cell_missing_rate"),
+    pytest.param(lambda: apply_mechanism(X2_POP, MissingnessMechanism("mvn", None)),
+                 "unknown mechanism kind 'mvn'", id="unknown_kind"),
+    pytest.param(lambda: apply_mechanism(X2_POP, MissingnessMechanism.by_x(
+        {True: 0.5, "a": 0.1, "b": 0.1})), "True names no level of domain 'g'",
+                 id="by_x_boolean_key"),
+    pytest.param(lambda: apply_mechanism(X2_POP, MissingnessMechanism.by_cell(
+        {(y, x, None): 0.5 for y in (0.0, 1.0) for x in ("a", "b", True)})),
+                 "True names no level of domain 'g'", id="by_cell_boolean_key"),
+    pytest.param(lambda: ExperimentSpec(X2_POP, ImputationModel.mar_outcome(),
+                                        "imputation_mean", CellSelector("a"), (), 1, 1, 0.1),
+                 "n_grid is empty", id="empty_n_grid"),
+])
+def test_error_paths(call, message):
+    with pytest.raises(DataError, match=message):
+        call()
+
+
+def test_more_levels_than_letters_are_numbered():
+    assert default_domains("x", (27,))[0].levels == tuple(f"v{i}" for i in range(27))
