@@ -26,6 +26,8 @@ under the derived seed.
 
 import numpy as np
 
+from .domain import _whole
+
 _MASK64 = (1 << 64) - 1
 
 STREAM_SAMPLE = 0
@@ -56,8 +58,11 @@ def derive_seed(master, *path):
 def _key(seed, index):
     """The Philox key of ``(seed, index)``, as a uint64 array: numpy would
     turn a list holding a value at or above 2**63 into float64 and drop its
-    low bits."""
-    return np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+    low bits. Every stream's seed passes here, so this is where a seed that
+    is not a whole number (text, a boolean, 1.5) raises :class:`DataError`;
+    integers of any size are masked to 64 bits."""
+    seed = _whole(seed, "seed", None)
+    return np.array([seed & _MASK64, int(index) & _MASK64], dtype=np.uint64)
 
 
 def stream(seed, index):
@@ -66,8 +71,10 @@ def stream(seed, index):
 
 
 def fill_streams(generator, seed, first, out):
-    """Fill row ``j`` of the 2-D float64 array ``out`` with
-    ``stream(seed, first + j).random(out.shape[1])``, bit for bit.
+    """Fill row ``j`` of ``out`` with ``stream(seed, first + j).random(n)``,
+    bit for bit, where ``out`` is a 2-D float64 array of rows of ``n``
+    entries or a sequence of such rows (say ``list(array)``, whose row
+    views a caller can make once and slice per call).
 
     ``generator`` is a Philox generator, such as one from :func:`stream`,
     that is rekeyed for each row: its whole state is set to the one
@@ -82,8 +89,8 @@ def fill_streams(generator, seed, first, out):
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bits = generator.bit_generator
+    bits, random = generator.bit_generator, generator.random
     for j, row in enumerate(out):
         key[1] = (first + j) & _MASK64
         bits.state = state
-        generator.random(out=row)
+        random(out=row)

@@ -24,11 +24,15 @@ The pooled runner builds the plan and the estimator's cell once and one
 Philox generator per run, then makes its draws in blocks. For a block of
 ``b`` draws it rekeys the generator to each draw's stream in turn
 (:func:`imputebounds._rng.fill_streams`) to fill a ``(b, missing)`` matrix
-of uniforms, inverts the whole matrix with one kernel call
-(:meth:`ImputationPlan.imputed_block`), and reads the ``b`` estimates off the
-drawn values. The rekey builds one generator state of plain ints per block
-and changes only its key's stream word per draw, and every draw of a block
-reads the plan's ``row_of`` as it is, untiled.
+of uniforms, one per missing record as the stream contract has it, inverts
+only the columns of the records the estimator reads with one kernel call
+(:meth:`ImputationPlan.imputed_block` with ``of``), and reads the ``b``
+estimates off the drawn values. The rekey builds one generator state of
+plain ints per block and changes only its key's stream word per draw. An
+``imputation_mean`` cell whose observed outcomes and atoms sum exactly in
+any order (:func:`_sums_exactly`) is estimated as (observed sum + drawn
+sum) / size; any other cell is a row-wise mean of one buffer of cell
+copies made once per run.
 :meth:`ImputationPlan.complete` is the one-draw block written into a fresh
 copy of the imputed column of an observation table in the complete regime,
 and :func:`draw_completion` is one completion from a fresh plan. Because
@@ -41,6 +45,7 @@ What each estimator reads is one private table keyed by its name, which
 place that maps a cell to its estimator.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -50,6 +55,7 @@ from . import _kernels, missing_covariate, missing_outcome, models
 from ._rng import STREAM_COMPLETION, fill_streams, stream
 from .domain import (
     ObservationTable,
+    _whole,
     count_codes,
     require_regime,
     sealed,
@@ -198,12 +204,17 @@ class ImputationPlan:
             self.val_mat[j, :len(atoms)] = atoms
             self.val_mat[j, len(atoms):] = atoms[-1]
 
-    def imputed_block(self, u):
-        """The imputed values of ``len(u)`` draws, one row per draw: row
-        ``j`` inverts the uniforms ``u[j]``, one per missing record in
-        record order: one kernel call on ``row_of``, one flat ``take``."""
-        pos = _kernels.draw_positions(self.cdf_mat, self.row_of, u)
-        pos += self.row_of * self.val_mat.shape[1]
+    def imputed_block(self, u, of=slice(None)):
+        """The imputed values of ``len(u)`` draws, one row per draw. ``u``
+        holds one uniform per missing record in record order; row ``j``
+        inverts the uniforms ``u[j, of]`` of the records at the positions
+        ``of`` among ``missing`` (every record by default), in that order:
+        one kernel call on their ``row_of``, one flat ``take``. A drawn
+        value depends only on its stratum row and its uniform, so the
+        records left out change none of the others."""
+        row_of = self.row_of[of]
+        pos = _kernels.draw_positions(self.cdf_mat, row_of, u[:, of])
+        pos += row_of * self.val_mat.shape[1]
         return self.val_mat.ravel().take(pos)
 
     def complete(self, rng):
@@ -240,19 +251,61 @@ def _imputed_in(plan, rows, column):
     return at, np.searchsorted(plan.missing, rows[at])
 
 
+def _sums_exactly(values, count):
+    """True when every sum of at most ``count`` terms drawn from ``values``
+    is exact in float64, in any order: each value is k / 2**d for an
+    integer k and one shared d, none is -0.0, and count * max|k| < 2**53,
+    so every partial sum is a whole multiple of 2**-d below 2**53 of them.
+    (A sum that starts from its first term keeps a lone -0.0, one that
+    starts from +0.0 does not, so -0.0 would make the order matter to the
+    sign of a zero.) One vectorized pass: a nonzero value's own d is read off its mantissa
+    and exponent, the shared d is the largest of them."""
+    values = np.ravel(values)
+    if np.any(np.signbit(values) & (values == 0)):
+        return False
+    mantissa, exponent = np.frexp(values[values != 0])
+    if not len(mantissa):
+        return True
+    k = np.ldexp(mantissa, 53).astype(np.int64)
+    # the lowest set bit of each 53-bit mantissa: its trailing zeros
+    # shorten the value's own d
+    zeros = np.frexp(k & -k)[1] - 1
+    d = int((53 - exponent - zeros).max())
+    largest = float(np.abs(values).max())
+    if math.frexp(largest)[1] + d > 53:
+        return False
+    return count * int(math.ldexp(largest, d)) < 2**53
+
+
 def _imputation_mean_on(plan, sel):
     rows = missing_outcome.imputation_cell(plan.table, sel)
     base = plan.table.y[rows]
     at, of = _imputed_in(plan, rows, "outcome")
+    observed = np.delete(base, at)
+    atoms = plan.val_mat if len(of) else plan.val_mat[:0]
+    if _sums_exactly(np.concatenate([observed, atoms.ravel()]), len(rows)):
+        total = observed.sum()
+
+        def estimate(drawn, estimates):
+            # every partial sum is exact, so this is y[rows].mean() bit for bit
+            estimates.extend(((total + drawn.sum(axis=1)) / len(rows)).tolist())
+
+        return estimate, 0, of
+    cells = np.empty((0, len(base)))
 
     def estimate(drawn, estimates):
         # each row is one draw's cell, laid out as y[rows]: a mean along the
-        # contiguous axis sums every row in the order y[rows].mean() would
-        cell = np.tile(base, (len(drawn), 1))
-        cell[:, at] = drawn[:, of]
-        estimates.extend(cell.mean(axis=1).tolist())
+        # contiguous axis sums every row in the order y[rows].mean() would.
+        # Only the drawn places change between draws, so one buffer made on
+        # the first (largest) block serves the run
+        nonlocal cells
+        if len(cells) < len(drawn):
+            cells = np.tile(base, (len(drawn), 1))
+        block = cells[:len(drawn)]
+        block[:, at] = drawn
+        estimates.extend(block.mean(axis=1).tolist())
 
-    return estimate, len(rows)
+    return estimate, len(rows), of
 
 
 def _long_mean_on(plan, sel):
@@ -263,20 +316,22 @@ def _long_mean_on(plan, sel):
 
     def estimate(drawn, estimates):
         for row in drawn:
-            cell[at] = row[of]
+            cell[at] = row
             estimates.append(missing_covariate.pooled_cell_mean(y_cell, w_cell, om, sel))
 
-    return estimate, 0
+    return estimate, 0, of
 
 
 _Readings = namedtuple("_Readings", "estimate on_plan plim truth "
                        "population_interval sample_interval")
 
 #: per estimator name, what it reads, each reading taking the selector last.
-#: ``on_plan(plan, sel)`` is ``(estimate, tiled)``: ``estimate(drawn,
-#: estimates)`` appends one estimate per row of ``drawn`` in draw order and
-#: copies ``tiled`` cells per row to do so; checks that do not depend on the
-#: draw run once, in ``on_plan``
+#: ``on_plan(plan, sel)`` is ``(estimate, tiled, of)``: ``of`` are the
+#: positions among ``plan.missing`` of the records the estimator reads, and
+#: ``estimate(drawn, estimates)`` appends one estimate per row of ``drawn``
+#: (the values drawn at ``of``, one row per draw) in draw order, holding
+#: ``tiled`` cells per row to do so; checks that do not depend on the draw
+#: run once, in ``on_plan``
 _READINGS = {
     "imputation_mean": _Readings(
         missing_outcome.imputation_mean, _imputation_mean_on,
@@ -330,8 +385,9 @@ class EstimatorSpec:
 
 
 #: the largest working matrix a block of pooled draws may make, in cells:
-#: a block holds as many draws as fit when each costs the larger of its
-#: kernel matrix (missing records by support width) and its tiled cell
+#: a block holds as many draws as fit when each costs the largest of its
+#: row of uniforms (every missing record), its kernel matrix (the records
+#: the estimator reads by support width) and its tiled cell
 BLOCK_CELLS = 2**14
 
 
@@ -358,29 +414,31 @@ def run_multiple_imputation(table, model, m, estimator, seed):
     scheduling; ``m = 1`` reproduces :func:`draw_completion` exactly. The
     plan, the estimator's cell and one Philox generator are built once.
     Draws are made in blocks of at most :data:`BLOCK_CELLS` working cells:
-    the generator is rekeyed to each draw's stream, and a block's uniforms
-    are inverted in one kernel call. Estimator errors that do not depend
-    on the draw are tagged ``draw 0``, and an empty pooled cell on draw
-    ``k`` is tagged ``draw k``. The pooled value is the arithmetic mean of
+    the generator is rekeyed to each draw's stream, and the uniforms of the
+    records the estimator reads are inverted in one kernel call. Estimator
+    errors that do not depend on the draw are tagged ``draw 0``, and an
+    empty pooled cell on draw ``k`` is tagged ``draw k``. ``m`` is a whole
+    number of at least 1. The pooled value is the arithmetic mean of
     the per-draw estimates; the dispersion is their sample standard
     deviation (0 when ``m = 1``) and is reported for diagnostics only.
     """
-    m = int(m)
-    if m < 1:
-        raise DataError(f"m must be >= 1, got {m}")
+    m = _whole(m, "m", 1)
     plan = ImputationPlan(table, model)
     rng = stream(seed, STREAM_COMPLETION)
     estimates = []
     try:
-        estimate, tiled = _READINGS[estimator.name].on_plan(plan, estimator.selector)
+        estimate, tiled, of = _READINGS[estimator.name].on_plan(plan, estimator.selector)
         n = len(plan.missing)
-        per_draw = max(n * plan.cdf_mat.shape[1], tiled, 1)
+        # every draw fills a uniform per missing record, so n bounds the
+        # block as well as the few records it inverts
+        per_draw = max(n, len(of) * plan.cdf_mat.shape[1], tiled, 1)
         block = min(m, max(1, BLOCK_CELLS // per_draw))
         u = np.empty((block, n))
+        rows = list(u)
         for first in range(0, m, block):
             b = min(block, m - first)
-            fill_streams(rng, seed, STREAM_COMPLETION + first, u[:b])
-            estimate(plan.imputed_block(u[:b]), estimates)
+            fill_streams(rng, seed, STREAM_COMPLETION + first, rows[:b])
+            estimate(plan.imputed_block(u[:b], of), estimates)
     except ImputeBoundsError as e:
         raise _tag_draw(e, len(estimates)) from e
     arr = np.array(estimates)

@@ -259,6 +259,15 @@ class TestRunMultipleImputation:
         with pytest.raises(DataError):
             run_multiple_imputation(self.table, self.model, 0, self.spec, seed=0)
 
+    def test_m_below_one_names_it(self):
+        with pytest.raises(DataError, match=r"^m must be >= 1, got 0$"):
+            run_multiple_imputation(self.table, self.model, 0, self.spec, seed=0)
+
+    @pytest.mark.parametrize("m", [2.5, "3", True])
+    def test_m_must_be_a_whole_number(self, m):
+        with pytest.raises(DataError, match="^m must be an integer"):
+            run_multiple_imputation(self.table, self.model, m, self.spec, seed=0)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(DataError):
             EstimatorSpec("nonsense", CellSelector("a"))
@@ -646,7 +655,12 @@ class TestBlocks:
         m, seed = 7, 2**64 - 3
         sizes = kernel_blocks(monkeypatch)
         res = run_multiple_imputation(t, model, m, estimator, seed)
-        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        if model.target == "covariate" and estimator.name == "imputation_mean":
+            # it reads no drawn value: its draws fill their uniforms but
+            # invert none, so its blocks are sized by the uniforms alone
+            assert set(sizes) == {0}
+        else:
+            assert len(sizes) > 1 and sizes[-1] < sizes[0]
         plan = ImputationPlan(t, fit_model(model, t))
         assert list(res.per_draw_estimates) == [
             estimator.apply(plan.complete(stream(seed, k + 1))) for k in range(m)]
@@ -667,7 +681,9 @@ class TestBlocks:
         sizes = kernel_blocks(monkeypatch)
         with contextlib.suppress(EmptyCell):
             run_multiple_imputation(t, model, 20, spec, seed=0)
-        block = sizes[0] // len(plan.missing)
+        # the kernel inverts only the one missing record at a, so a block
+        # inverts one uniform per draw
+        block = sizes[0]
         assert 1 < block < 20
 
         def first_empty(seed):
@@ -685,10 +701,11 @@ class TestBlocks:
 @pytest.mark.parametrize("cell", ["a", "b"])
 def test_wide_support_draws_match_completed_tables(monkeypatch, cell):
     """A real-valued outcome has one atom per distinct donor value: 240 at
-    x = a make a support 240 wide, so a draw of the 100 missing records
-    fills more than BLOCK_CELLS cells, each block holds one draw, and the
+    x = a make a support 240 wide, so a draw of the 75 missing records at
+    a fills more than BLOCK_CELLS cells, each block holds one draw, and the
     kernel takes the gather build. The 5 donors at x = b make a short row,
-    padded to that width, which the estimator at b reads."""
+    padded to that width, which the estimator at b reads: a draw of its 25
+    missing records fills 6000 cells, so a block holds two draws."""
     values = stream(41, 0).random(245)
     t = ObservationTable.from_records(
         [(y, "a", None) for y in values[:240]] + [(y, "b", None) for y in values[240:]]
@@ -701,7 +718,9 @@ def test_wide_support_draws_match_completed_tables(monkeypatch, cell):
     m, seed = 300, 2**64 - 5
     sizes = kernel_blocks(monkeypatch)
     res = run_multiple_imputation(t, model, m, estimator, seed)
-    assert sizes == [100] * m
+    # the kernel inverts only the cell's missing records: 75 at a, 25 at b
+    drawn = {"a": 75, "b": 25}[cell]
+    assert len(set(sizes)) == 1 and sum(sizes) == drawn * m
     assert sizes[0] < _kernels.RECORDS_PER_COLUMN * (plan.cdf_mat.shape[1] - 1)
     assert list(res.per_draw_estimates) == [
         estimator.apply(plan.complete(stream(seed, k + 1))) for k in range(m)]
@@ -732,6 +751,122 @@ def test_wide_support_run_keeps_its_memory_bounded():
     assert res.per_draw_estimates[0] == completed.mean()
 
 
+def test_blocks_stay_bounded_by_the_uniforms_of_every_record():
+    """One missing record at a and 100000 at b: the estimator at a inverts
+    one record per draw, but each draw still fills a uniform for every
+    missing record, so a block of 2000 draws sized by the inverted records
+    alone would hold 1.6 GB of uniforms."""
+    n_b = 100_000
+    y = np.concatenate([[1.0, 0.0, np.nan, 1.0, 0.0], np.full(n_b, np.nan)])
+    x = np.concatenate([[0, 0, 0, 1, 1], np.ones(n_b, dtype=np.int64)])
+    t = ObservationTable(OutcomeDomain.binary_01(), X2, (), y, x, np.zeros_like(x))
+    model, estimator = ImputationModel.mar_outcome(), EstimatorSpec(
+        "imputation_mean", CellSelector("a"))
+    m, seed = 2000, 17
+    tracemalloc.start()
+    try:
+        res = run_multiple_imputation(t, model, m, estimator, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    plan = ImputationPlan(t, model)
+    assert [res.per_draw_estimates[k] for k in (0, m - 1)] == [
+        estimator.apply(plan.complete(stream(seed, k + 1))) for k in (0, m - 1)]
+
+
+#: outcomes at the edges of the exact sum: dyadic values, a value that is
+#: not (0.1), a negative zero, and 2**52, which leaves no bit for 0.5
+EDGE_OUTCOMES = (0.0, 0.5, 1.0, 3.25, -2.0, 0.1, -0.0, 2.0**52)
+EDGE_DOMAIN = OutcomeDomain(-2.0, 2.0**52)
+
+
+def edge_run(records, atoms, m, seed):
+    """A table of ``(y, x)`` records, x in {a, b}, with an explicit model
+    drawing ``atoms[x]`` with equal weights (``mar_outcome`` when ``atoms``
+    is None), and ``imputation_mean`` at a."""
+    table = ObservationTable.from_records(
+        [(y, x, None) for y, x in records], EDGE_DOMAIN, X2)
+    model = ImputationModel.mar_outcome() if atoms is None else (
+        ImputationModel.explicit_outcome(
+            {x: {v: 1.0 / len(vs) for v in vs} for x, vs in atoms.items()}))
+    return table, model, EstimatorSpec("imputation_mean", CellSelector("a")), m, seed
+
+
+@st.composite
+def edge_runs(draw):
+    """A small cell at a from EDGE_OUTCOMES, any part of it missing (none
+    or all of it included), beside records at b."""
+    value = st.sampled_from(EDGE_OUTCOMES)
+    at_a = draw(st.lists(st.one_of(st.none(), value), min_size=1, max_size=8))
+    at_b = draw(st.lists(st.one_of(st.none(), value), max_size=4))
+    records = draw(st.permutations([(y, "a") for y in at_a] + [(y, "b") for y in at_b]))
+    atoms = draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {x: st.lists(value, min_size=1, max_size=3, unique=True)
+         for x in "ab"})))
+    return edge_run(records, atoms, draw(st.integers(1, 40)),
+                    draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_runs())
+@example(edge_run([(None, "a"), (0.5, "a"), (2.0**52, "a")], {"a": [0.5]}, 1, 0))
+@example(edge_run([(-0.0, "a"), (None, "a")], {"a": [-0.0], "b": [1.0]}, 3, 5))
+@example(edge_run([(0.1, "a"), (0.5, "a"), (None, "a"), (3.25, "a"), (0.1, "a"),
+                   (1.0, "a"), (0.1, "a"), (None, "a"), (0.1, "a")], None, 40, 11))
+def test_both_routes_give_the_bits_of_completed_tables(run):
+    """Draw k of ``imputation_mean`` is the estimate on the plan's
+    completion from stream (seed, k + 1), to the last bit and the sign of
+    zero, whether the run sums its cell exactly or means a copy of it."""
+    table, model, estimator, m, seed = run
+    try:
+        plan = ImputationPlan(table, model)
+    except UnfittableStratum:
+        return
+    res = run_multiple_imputation(table, model, m, estimator, seed)
+    assert [x.hex() for x in res.per_draw_estimates] == [
+        estimator.apply(plan.complete(stream(seed, k + 1))).hex() for k in range(m)]
+
+
+class TestExactSums:
+    """Where ``rmi._sums_exactly`` lets a run sum its cell in any order."""
+
+    def test_dyadic_values(self):
+        assert rmi._sums_exactly([0.0, 0.5, 1.0, 3.25, -2.0], 1000)
+
+    def test_a_value_that_is_not_dyadic_in_a_cell_of_more_than_one(self):
+        # 0.1 is 3602879701896397 / 2**55: one of it is exact, three are not
+        assert rmi._sums_exactly([0.1], 2)
+        assert not rmi._sums_exactly([0.1], 3)
+        assert not rmi._sums_exactly([0.0, 0.5, 0.1], 3)
+
+    def test_negative_zero(self):
+        assert rmi._sums_exactly([0.0, 1.0], 4)
+        assert not rmi._sums_exactly([-0.0], 1)
+        assert not rmi._sums_exactly([1.0, -0.0], 4)
+
+    def test_the_bound_on_the_largest_numerator(self):
+        assert rmi._sums_exactly([2.0**52 - 1, 1.0], 2)
+        assert not rmi._sums_exactly([2.0**52, 1.0], 2)
+        assert rmi._sums_exactly([2.0**52, 1.0], 1)
+        # alone, 2**52 is 1 * 2**52
+        assert rmi._sums_exactly([2.0**52], 2**52)
+        # 0.5 sets d = 1, so 2**51 is 2**52 halves
+        assert not rmi._sums_exactly([0.5, 2.0**51], 2)
+        assert rmi._sums_exactly([0.5, 2.0**51], 1)
+
+    def test_scales_far_apart(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not rmi._sums_exactly([5e-324, 1.0], 2)
+            assert not rmi._sums_exactly([1e300, 0.5], 2)
+            assert rmi._sums_exactly([5e-324, -5e-324], 2**50)
+
+    def test_no_values_or_only_zeros(self):
+        assert rmi._sums_exactly([], 5)
+        assert rmi._sums_exactly([0.0, 0.0], 2**60)
+
+
 def philox_key(seed, index):
     return stream(seed, index).bit_generator.state["state"]["key"].tolist()
 
@@ -745,6 +880,26 @@ class TestStream:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert philox_key(2**64 - 1, 1) == [2**64 - 1, 1]
+
+    @pytest.mark.parametrize("seed", ["7", True, 1.5])
+    def test_seed_must_be_a_whole_number(self, seed):
+        pop = random_population(3)
+        table, model = outcome_table([1, 0, None]), ImputationModel.mar_outcome()
+        spec = EstimatorSpec("imputation_mean", CellSelector("a"))
+        for call in (lambda: random_population(seed),
+                     lambda: sample_table(pop, 10, seed),
+                     lambda: draw_completion(table, model, seed),
+                     lambda: run_multiple_imputation(table, model, 2, spec, seed)):
+            with pytest.raises(DataError, match="^seed must be an integer"):
+                call()
+
+    def test_seeds_of_any_size_stay_valid(self):
+        assert philox_key(2**70 + 5, 1) == [5, 1]
+        assert philox_key(-1, 1) == [2**64 - 1, 1]
+        pop = random_population(3)
+        seven = table_bytes(sample_table(pop, 20, 7))
+        for seed in (np.int64(7), np.uint64(7), 7.0, 2**64 + 7):
+            assert table_bytes(sample_table(pop, 20, seed)) == seven
 
 
 #: (seed, first index, rows, dirty): fill ``rows`` streams from (seed, first)
@@ -778,6 +933,17 @@ def test_fill_streams_equals_fresh_streams(fills, n):
                 assert np.array_equal(out[j], fresh.random(n))
             if rows:
                 assert philox_position(generator) == philox_position(fresh)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 2**64 - 1), st.integers(0, 5),
+       st.integers(0, 13))
+def test_fill_streams_over_row_views_equals_the_array(seed, first, rows, n):
+    """A list of an array's row views fills as the array does."""
+    out, views = np.empty((rows, n)), np.empty((rows, n))
+    fill_streams(stream(0, 0), seed, first, out)
+    fill_streams(stream(0, 0), seed, first, list(views))
+    assert out.tobytes() == views.tobytes()
 
 
 def philox_position(generator):
