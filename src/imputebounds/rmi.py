@@ -31,8 +31,7 @@ estimates off the drawn values. The rekey builds one generator state of
 plain ints per block and changes only its key's stream word per draw. An
 ``imputation_mean`` cell whose observed outcomes and atoms sum exactly in
 any order (:func:`_sums_exactly`) is estimated as (observed sum + drawn
-sum) / size; any other cell is a row-wise mean of one buffer of cell
-copies made once per run.
+sum) / size; any other cell is a row-wise mean of the block's cell copies.
 :meth:`ImputationPlan.complete` is the one-draw block written into a fresh
 copy of the imputed column of an observation table in the complete regime,
 and :func:`draw_completion` is one completion from a fresh plan. Because
@@ -282,7 +281,8 @@ def _imputation_mean_on(plan, sel):
     base = plan.table.y[rows]
     at, of = _imputed_in(plan, rows, "outcome")
     observed = np.delete(base, at)
-    atoms = plan.val_mat if len(of) else plan.val_mat[:0]
+    # the atoms of the stratum rows the cell's missing records draw from
+    atoms = plan.val_mat[np.bincount(plan.row_of[of], minlength=len(plan.val_mat)) > 0]
     if _sums_exactly(np.concatenate([observed, atoms.ravel()]), len(rows)):
         total = observed.sum()
 
@@ -291,19 +291,13 @@ def _imputation_mean_on(plan, sel):
             estimates.extend(((total + drawn.sum(axis=1)) / len(rows)).tolist())
 
         return estimate, 0, of
-    cells = np.empty((0, len(base)))
 
     def estimate(drawn, estimates):
         # each row is one draw's cell, laid out as y[rows]: a mean along the
-        # contiguous axis sums every row in the order y[rows].mean() would.
-        # Only the drawn places change between draws, so one buffer made on
-        # the first (largest) block serves the run
-        nonlocal cells
-        if len(cells) < len(drawn):
-            cells = np.tile(base, (len(drawn), 1))
-        block = cells[:len(drawn)]
-        block[:, at] = drawn
-        estimates.extend(block.mean(axis=1).tolist())
+        # contiguous axis sums every row in the order y[rows].mean() would
+        cell = np.tile(base, (len(drawn), 1))
+        cell[:, at] = drawn
+        estimates.extend(cell.mean(axis=1).tolist())
 
     return estimate, len(rows), of
 

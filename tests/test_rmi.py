@@ -652,13 +652,16 @@ class TestBlocks:
         # a third of BLOCK_CELLS records, all in the estimator's cell, make
         # blocks of a few draws, so seven draws end on a partial block
         t = sample_table(pop, rmi.BLOCK_CELLS // 3, seed=31)
-        m, seed = 7, 2**64 - 3
+        # imputation_mean under a covariate model reads no drawn value, so
+        # its blocks are sized by the uniforms of every missing record alone
+        # and hold more draws: twenty end on a partial block
+        reads_no_draw = model.target == "covariate" and estimator.name == "imputation_mean"
+        m, seed = 20 if reads_no_draw else 7, 2**64 - 3
         sizes = kernel_blocks(monkeypatch)
         res = run_multiple_imputation(t, model, m, estimator, seed)
-        if model.target == "covariate" and estimator.name == "imputation_mean":
-            # it reads no drawn value: its draws fill their uniforms but
-            # invert none, so its blocks are sized by the uniforms alone
-            assert set(sizes) == {0}
+        if reads_no_draw:
+            # its draws fill their uniforms but invert none
+            assert len(sizes) > 1 and set(sizes) == {0}
         else:
             assert len(sizes) > 1 and sizes[-1] < sizes[0]
         plan = ImputationPlan(t, fit_model(model, t))
@@ -793,6 +796,10 @@ def edge_run(records, atoms, m, seed):
     return table, model, EstimatorSpec("imputation_mean", CellSelector("a")), m, seed
 
 
+#: a dyadic cell at a beside records at b that draw tenths
+DYADIC_BESIDE_TENTHS = [(0.5, "a"), (None, "a"), (1.0, "a"), (None, "b"), (0.1, "b")]
+
+
 @st.composite
 def edge_runs(draw):
     """A small cell at a from EDGE_OUTCOMES, any part of it missing (none
@@ -814,6 +821,7 @@ def edge_runs(draw):
 @example(edge_run([(-0.0, "a"), (None, "a")], {"a": [-0.0], "b": [1.0]}, 3, 5))
 @example(edge_run([(0.1, "a"), (0.5, "a"), (None, "a"), (3.25, "a"), (0.1, "a"),
                    (1.0, "a"), (0.1, "a"), (None, "a"), (0.1, "a")], None, 40, 11))
+@example(edge_run(DYADIC_BESIDE_TENTHS, {"a": [0.0, 0.5], "b": [0.1, 0.35]}, 5, 3))
 def test_both_routes_give_the_bits_of_completed_tables(run):
     """Draw k of ``imputation_mean`` is the estimate on the plan's
     completion from stream (seed, k + 1), to the last bit and the sign of
@@ -865,6 +873,16 @@ class TestExactSums:
     def test_no_values_or_only_zeros(self):
         assert rmi._sums_exactly([], 5)
         assert rmi._sums_exactly([0.0, 0.0], 2**60)
+
+    @pytest.mark.parametrize("cell, tiled", [("a", 0), ("b", 2)])
+    def test_only_the_atoms_the_cell_draws_count(self, cell, tiled):
+        # the cell at a draws {0, 0.5} and is summed exactly though the
+        # stratum at b draws tenths; the cell at b is meaned from copies
+        table, model, _, _, _ = edge_run(
+            DYADIC_BESIDE_TENTHS, {"a": [0.0, 0.5], "b": [0.1, 0.35]}, 1, 0)
+        plan = ImputationPlan(table, model)
+        reading = rmi._READINGS["imputation_mean"].on_plan(plan, CellSelector(cell))
+        assert reading[1] == tiled
 
 
 def philox_key(seed, index):
