@@ -24,7 +24,6 @@ from .domain import (
     population_from_json,
     population_to_json,
     save_population,
-    validate_population,
 )
 from .ecological import (
     ShortDistributions,
@@ -87,7 +86,7 @@ __all__ = [
     # domain
     "CategoricalDomain", "CellSelector", "FinitePopulation", "Interval",
     "ObservationTable", "OutcomeDomain", "load_population", "population_from_json",
-    "population_to_json", "save_population", "validate_population",
+    "population_to_json", "save_population",
     # missing outcomes
     "RestrictionGamma", "consistency_condition", "identification_interval_pop",
     "imputation_mean", "midpoint_estimate", "plim_imputation_mean",

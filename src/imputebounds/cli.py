@@ -174,12 +174,13 @@ def ingest_csv(path, cfg):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text, unread = data.decode("utf-8-sig"), None
+        text, unread, cut_line = data.decode("utf-8-sig"), None, None
     except UnicodeDecodeError as e:
         # parse the text before the bad byte; the record that holds the
         # byte is then the last one, cut short by the stand-in character
         text = e.object[:e.start].decode() + "\ufffd"
-        unread = MalformedRow(1 + _breaks(text), (
+        cut_line = 1 + _breaks(text)
+        unread = MalformedRow(cut_line, (
             f"cannot read {path}: byte 0x{e.object[e.start]:02x} is not "
             f"UTF-8 ({e.reason})"))
     del data
@@ -188,7 +189,7 @@ def ingest_csv(path, cfg):
     reader = csv.reader(source)
     columns = None
     try:
-        for records, first, last in _record_chunks(reader, unread is not None):
+        for records, first, last in _record_chunks(reader, cut_line):
             if columns is None:
                 columns = _Columns(cfg, records[0])
             else:
@@ -207,31 +208,27 @@ def ingest_csv(path, cfg):
     return columns.table()
 
 
-def _record_chunks(reader, drop_last):
+def _record_chunks(reader, cut_line=None):
     """``(records, first, last)`` for the header record alone and then for
     each run of up to :data:`CHUNK_RECORDS` data records, read from
-    physical lines ``first`` to ``last``. With ``drop_last`` the final
-    record, the one cut short by an undecodable byte, is left out, so each
-    chunk is held back until the next one has been read. A ``csv.Error``
-    is raised after the chunks of the records read before it."""
-    ready = []
+    physical lines ``first`` to ``last``. The record that ends on
+    ``cut_line``, the one cut short by an undecodable byte, is left out: the
+    decoded text ends on that line, so it is the last record read. A chunk
+    cut by a ``csv.Error`` is yielded as it was read, and the error is then
+    raised."""
     for size in chain([1], repeat(CHUNK_RECORDS)):
         records, first = [], reader.line_num + 1
         try:
             records.extend(islice(reader, size))
         except csv.Error:
-            ready.append((records, first, reader.line_num))
-            yield from (chunk for chunk in ready if chunk[0])
+            if records:
+                yield records, first, reader.line_num
             raise
+        if records and reader.line_num == cut_line:
+            records.pop()
         if not records:
-            break
-        ready.append((records, first, reader.line_num))
-        if len(ready) > (1 if drop_last else 0):
-            yield ready.pop(0)
-    for records, first, last in ready:  # with drop_last, the chunk read last
-        records.pop()
-        if records:
-            yield records, first, last
+            return
+        yield records, first, reader.line_num
 
 
 def _breaks(text):

@@ -12,13 +12,15 @@ Conventions used throughout the package:
   ``(y, x, w, z)`` on finite supports. It is the ground truth that
   probability limits, oracles, and simulations are computed against.
 
-All types are immutable after construction (arrays are marked read-only)
-and safe to share across threads. A table or population adopts an array
-instead of copying it when its constructor had to convert the input, or
-when the input is already read-only and owns its data (a fresh array
-handed over through :func:`sealed`); anything else is copied. Caveat: a
-writable view made of an array before it was sealed can still write to
-it, and so can its owner by marking it writable again.
+All types are valid and immutable once built: a constructor checks its
+input, so no table or population with a bad index or mass exists, and
+arrays are marked read-only. They are safe to share across threads. A
+table or population adopts an array instead of copying it when its
+constructor had to convert the input, or when the input is already
+read-only and owns its data (a fresh array handed over through
+:func:`sealed`); anything else is copied. Caveat: a writable view made of
+an array before it was sealed can still write to it, and so can its owner
+by marking it writable again.
 """
 
 from contextlib import contextmanager
@@ -341,7 +343,7 @@ class ObservationTable:
         ys, xs, ws = [], [], []
         for rec in records:
             y_val, x_val, w_val = (tuple(rec) + (None,))[:3]
-            ys.append(np.nan if y_val is None else float(y_val))
+            ys.append(np.nan if y_val is None else as_real(y_val, "outcome"))
             xs.append(flat_value(x_domains, x_val))
             if w_val is None and w_domains:
                 ws.append(-1)
@@ -461,6 +463,11 @@ class FinitePopulation:
     ``regime`` declares which variable the indicator z governs when the
     population is sampled: ``"outcome"`` blanks y where z=0, ``"covariate"``
     blanks w.
+
+    The constructor checks the structure (regime, support, indices, z) and
+    then the masses, raising on the first violation: non-finite mass, then
+    negative mass, then normalization, then an outcome support outside the
+    domain.
     """
 
     outcome: OutcomeDomain
@@ -503,6 +510,16 @@ class FinitePopulation:
             raise DataError("w index out of range")
         if np.any((z != 0) & (z != 1)):
             raise DataError("z must be 0 or 1")
+        require_finite(mass, NonFiniteMass, "cell mass")
+        if np.any(mass < 0):
+            raise NegativeMass(f"cell mass {float(mass[mass < 0][0])} is negative")
+        total = float(mass.sum())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise MassNotNormalized(f"cell masses sum to {total!r}, not 1")
+        if not self.outcome.contains(vals):
+            raise OutcomeOutOfDomain(
+                f"outcome support exceeds domain [{self.outcome.lo}, {self.outcome.hi}]"
+            )
         object.__setattr__(self, "outcome_values", vals)
         object.__setattr__(self, "y_i", y_i)
         object.__setattr__(self, "x_i", x_i)
@@ -523,19 +540,20 @@ class FinitePopulation:
         staged = {}
         support = set()
         for (y_val, x_val, w_val, z), m in cells.items():
-            y_val = float(y_val)
+            y_val = as_real(y_val, "cell outcome")
             support.add(y_val)
             if w_domains and w_val is None:
                 raise DataError("population cells must carry a w value")
-            if int(z) not in (0, 1):
+            z = _whole(z, "cell z", None)
+            if z not in (0, 1):
                 raise DataError("z must be 0 or 1")
             key = (y_val, flat_value(x_domains, x_val),
-                   flat_value(w_domains, w_val), int(z))
-            staged[key] = staged.get(key, 0.0) + float(m)
+                   flat_value(w_domains, w_val), z)
+            staged[key] = staged.get(key, 0.0) + as_real(m, "cell mass")
         values = np.array(sorted(support), dtype=np.float64)
         index = {v: i for i, v in enumerate(values)}
         order = sorted(staged)
-        pop = cls(
+        return cls(
             outcome=outcome,
             outcome_values=values,
             x_domains=x_domains,
@@ -547,8 +565,6 @@ class FinitePopulation:
             mass=np.array([staged[k] for k in order], dtype=np.float64),
             regime=regime,
         )
-        validate_population(pop)
-        return pop
 
     @property
     def n_cells(self):
@@ -590,24 +606,6 @@ def require_finite(values, error, what):
     bad = ~np.isfinite(values)
     if bad.any():
         raise error(f"{what} {float(values[bad][0])} is not finite")
-
-
-def validate_population(pop):
-    """Check :class:`FinitePopulation` invariants, raising on the first
-    violation: non-finite mass, then negative mass, then normalization,
-    then outcome domain."""
-    require_population(pop, "validate_population")
-    require_finite(pop.mass, NonFiniteMass, "cell mass")
-    if np.any(pop.mass < 0):
-        bad = float(pop.mass[pop.mass < 0][0])
-        raise NegativeMass(f"cell mass {bad} is negative")
-    total = float(pop.mass.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise MassNotNormalized(f"cell masses sum to {total!r}, not 1")
-    if not pop.outcome.contains(pop.outcome_values):
-        raise OutcomeOutOfDomain(
-            f"outcome support exceeds domain [{pop.outcome.lo}, {pop.outcome.hi}]"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +748,7 @@ def population_from_json(obj):
                    json_list(cell["x"], "a cell's 'x'"),
                    None if w_val is None else json_list(w_val, "a cell's 'w'"),
                    _whole(cell["z"], "a cell's 'z'", None))
-            # a non-finite mass is left to validate_population's NonFiniteMass
+            # a non-finite mass is left to FinitePopulation's NonFiniteMass
             cells[key] = cells.get(key, 0.0) + json_number(
                 cell["mass"], "a cell's 'mass'", finite=False)
         regime = obj.get("regime", OUTCOME_REGIME)

@@ -42,7 +42,6 @@ from .domain import (
     require_finite,
     require_population,
     sealed,
-    validate_population,
 )
 from .errors import (
     DataError,
@@ -183,7 +182,6 @@ def sample_table(pop, n, seed):
     is one gather over the records, which the table adopts."""
     require_population(pop, "sample_table")
     n = _whole(n, "n", 0)
-    validate_population(pop)
     cdf = np.cumsum(pop.mass)
     cdf /= cdf[-1]
     # the uniforms die with the call, before the columns are gathered

@@ -25,7 +25,6 @@ from imputebounds import (
     save_population,
     true_covariate_model,
     true_outcome_model,
-    validate_population,
 )
 from imputebounds.domain import (
     _readonly, flat_value, require_regime, unflatten_index, value_labels)
@@ -41,10 +40,10 @@ from conftest import W2, X1, build_covariate_pop, build_mnar_pop
 
 
 def make_pop(cells):
-    """An unchecked binary-domain population at the single x cell of
-    ``X1``, one cell per ``(y, "a", None, z)`` key: the constructor checks
-    indices, not masses, so :func:`validate_population` is left to the
-    test."""
+    """A binary-domain population at the single x cell of ``X1``, built
+    directly, one cell per ``(y, "a", None, z)`` key: the constructor checks
+    the masses and the support as well as the indices, so a test of a bad
+    population builds it inside ``pytest.raises``."""
     keys = sorted(cells)
     values = sorted({y for y, _, _, _ in keys})
     return FinitePopulation(
@@ -63,30 +62,25 @@ def outcome_table(ys, outcome=None):
 
 class TestValidatePopulation:
     def test_single_cell_accepted(self):
-        pop = make_pop({(1.0, "a", None, 1): 1.0})
-        validate_population(pop)
+        make_pop({(1.0, "a", None, 1): 1.0})
 
     def test_unnormalized_masses_rejected(self):
-        pop = make_pop({(1.0, "a", None, 1): 0.5, (0.0, "a", None, 1): 0.6})
         with pytest.raises(MassNotNormalized):
-            validate_population(pop)
+            make_pop({(1.0, "a", None, 1): 0.5, (0.0, "a", None, 1): 0.6})
 
     def test_negative_mass_rejected(self):
-        pop = make_pop({(1.0, "a", None, 1): -0.1})
         with pytest.raises(NegativeMass):
-            validate_population(pop)
+            make_pop({(1.0, "a", None, 1): -0.1})
 
     def test_negative_checked_before_normalization(self):
-        pop = make_pop({(1.0, "a", None, 1): 1.1, (0.0, "a", None, 1): -0.1})
         with pytest.raises(NegativeMass):
-            validate_population(pop)
+            make_pop({(1.0, "a", None, 1): 1.1, (0.0, "a", None, 1): -0.1})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_mass_rejected(self, bad):
         # abs(nan - 1) > tol is False, so NaN would pass normalization
-        pop = make_pop({(1.0, "a", None, 1): 1.0, (0.0, "a", None, 1): bad})
         with pytest.raises(NonFiniteMass, match="not finite"):
-            validate_population(pop)
+            make_pop({(1.0, "a", None, 1): 1.0, (0.0, "a", None, 1): bad})
 
     def test_non_finite_mass_in_json_rejected(self):
         obj = population_to_json(build_mnar_pop())
@@ -95,9 +89,25 @@ class TestValidatePopulation:
             population_from_json(obj)
 
     def test_outcome_outside_domain_rejected(self):
-        pop = make_pop({(0.5, "a", None, 1): 1.0})
         with pytest.raises(OutcomeOutOfDomain):
-            validate_population(pop)
+            make_pop({(0.5, "a", None, 1): 1.0})
+
+    @pytest.mark.parametrize("masses, error", [
+        ([0.5, float("nan"), 0.7, -0.2], NonFiniteMass),
+        ([0.5, 0.0, 0.7, -0.2], NegativeMass),
+    ], ids=["nan", "negative-summing-to-one"])
+    def test_bad_masses_are_refused_when_built(self, masses, error):
+        """The first masses once built a fully observed population whose
+        ``true_mean`` at x = a was NaN, and whose identification interval at
+        x = b was [-0.4, -0.4], a "truth" that ``bias_gap`` reported as
+        covered. The second set sums to 1, so only the negative-mass check
+        refuses it."""
+        with pytest.raises(error):
+            FinitePopulation(
+                outcome=OutcomeDomain.binary_01(), outcome_values=[0.0, 1.0],
+                x_domains=(CategoricalDomain("g", ("a", "b")),), w_domains=(),
+                y_i=[0, 1, 0, 1], x_i=[0, 0, 1, 1], w_i=[0] * 4, z=[1] * 4,
+                mass=masses)
 
 
 class TestInterval:
@@ -291,7 +301,6 @@ POPULATION_ONLY = [
     (true_covariate_model, ()),
     (sample_table, (10, 0)),
     (bias_gap, (MAR, XI_OMEGA)),
-    (validate_population, ()),
     (population_to_json, ()),
     (save_population, (os.devnull,)),
 ]
@@ -380,6 +389,37 @@ def test_codes_are_counted_in_one_place():
         ("domain.py", "count_codes"),
         ("domain.py", "yx_codes"),
         ("rmi.py", "_fit_empirical"),
+    ]
+
+
+MASS_ERRORS = {"NonFiniteMass", "NegativeMass", "MassNotNormalized"}
+
+
+def mass_rule_uses(package_dir):
+    """``(module file, enclosing class and function)`` of every use of a
+    mass error outside ``errors.py`` and the imports, each place once."""
+    found = set()
+
+    def visit(node, file, scope):
+        if isinstance(node, ast.Name) and node.id in MASS_ERRORS:
+            found.add((file, ".".join(scope)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, scope)
+
+    for file in sorted(os.listdir(package_dir)):
+        if file.endswith(".py") and file != "errors.py":
+            with open(os.path.join(package_dir, file), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), file, ())
+    return sorted(found)
+
+
+def test_masses_are_checked_in_one_place():
+    """Whether a population's masses are valid is decided when it is built,
+    by the constructor alone: no other code names a mass error."""
+    assert mass_rule_uses(os.path.dirname(imputebounds.__file__)) == [
+        ("domain.py", "FinitePopulation.__post_init__"),
     ]
 
 
@@ -484,6 +524,12 @@ def one_cell_population(**fields):
                  "column lengths differ", id="column_lengths"),
     pytest.param(lambda: one_cell_population(x_domains=BIG, w_domains=BIG),
                  "covariate cell count exceeds cap 1000000", id="population_cell_cap"),
+    pytest.param(lambda: one_cell_population(outcome_values=[]),
+                 "outcome support must be non-empty and finite", id="empty_support"),
+    pytest.param(lambda: one_cell_population(outcome_values=[0.0, float("nan")]),
+                 "outcome support must be non-empty and finite", id="nan_support"),
+    pytest.param(lambda: one_cell_population(outcome_values=[0.0, float("inf")]),
+                 "outcome support must be non-empty and finite", id="inf_support"),
     pytest.param(lambda: one_cell_population(outcome_values=[1.0, 0.0]),
                  "outcome support must be sorted and unique", id="unsorted_support"),
     pytest.param(lambda: one_cell_population(mass=[0.5, 0.5]),
@@ -493,6 +539,22 @@ def one_cell_population(**fields):
     pytest.param(lambda: one_cell_population(x_i=[1]), "x index out of range", id="x_index"),
     pytest.param(lambda: one_cell_population(w_i=[2]), "w index out of range", id="w_index"),
     pytest.param(lambda: one_cell_population(z=[2]), "z must be 0 or 1", id="z_not_01"),
+    pytest.param(lambda: FinitePopulation.from_cells(
+        {("1", "a", None, 1): 1.0}, outcome=OutcomeDomain.binary_01(), x_domains=X1),
+                 "cell outcome '1' is not a number", id="from_cells_text_y"),
+    pytest.param(lambda: FinitePopulation.from_cells(
+        {(1.0, "a", None, 1): "1.0"}, outcome=OutcomeDomain.binary_01(), x_domains=X1),
+                 "cell mass '1.0' is not a number", id="from_cells_text_mass"),
+    pytest.param(lambda: FinitePopulation.from_cells(
+        {(1.0, "a", None, True): 1.0}, outcome=OutcomeDomain.binary_01(), x_domains=X1),
+                 "cell z must be an integer, got True", id="from_cells_boolean_z"),
+    pytest.param(lambda: FinitePopulation.from_cells(
+        {(1.0, "a", None, 0.5): 1.0}, outcome=OutcomeDomain.binary_01(), x_domains=X1),
+                 "cell z must be an integer, got 0.5", id="from_cells_fractional_z"),
+    pytest.param(lambda: outcome_table([0.0, "1"]),
+                 "outcome '1' is not a number", id="from_records_text_y"),
+    pytest.param(lambda: outcome_table([0.0, True]),
+                 "outcome True is not a number", id="from_records_boolean_y"),
     pytest.param(lambda: population_from_json({"x_domains": {"g": ["a"]}, "cells": [
         {"y": float("nan"), "x": ["a"], "z": 1, "mass": 1.0}]}),
                  "a cell's 'y' must be finite, got nan", id="json_number_not_finite"),

@@ -34,7 +34,7 @@ from imputebounds.simlab import (
     sample_table,
 )
 from imputebounds.domain import (
-    CategoricalDomain, flat_value, validate_population, value_labels)
+    CategoricalDomain, flat_value, value_labels)
 from imputebounds.rmi import draw_completion, fit_model
 from imputebounds.ecological import ecological_plim
 from imputebounds.errors import (
@@ -559,7 +559,6 @@ class TestMixtureAgainstRecordLoop:
     def test_estimate_is_a_valid_population(self, inputs):
         table, q = inputs
         measure = mixture_joint_estimate(table, q)
-        validate_population(measure)
         assert measure.regime == "covariate" and np.all(measure.z == 1)
         assert (measure.x_domains, measure.w_domains) == (XG, WG)
         assert measure.outcome_values.tolist() == sorted(set(table.y.tolist()))
@@ -568,7 +567,6 @@ class TestMixtureAgainstRecordLoop:
         pop = random_covariate_pop(29)
         table = sample_table(pop, 20000, seed=3)
         measure = mixture_joint_estimate(table, true_covariate_model(pop).covariate_q)
-        validate_population(measure)
         assert measure.outcome_values.tolist() == [0.0, 1.0]
 
     def test_binary_outcome_is_counted_without_a_sort(self):

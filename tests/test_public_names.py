@@ -48,7 +48,7 @@ REMOVED = ("empirical_cond", "errors.EmptyConditioningSet",
            "rmi.ImputationModel", "rmi.QCovariateModel", "rmi.model_from_json",
            "rmi.model_to_json", "rmi.true_outcome_model", "rmi.true_covariate_model",
            "missing_covariate.QCovariateModel", "FinitePopulation.require_regime",
-           "FittedImputationModel.stratum")
+           "FittedImputationModel.stratum", "validate_population")
 
 
 def readme_removed_names():
