@@ -37,7 +37,6 @@ from .missing_covariate import (
     imputed_cell_share,
     imputed_long_mean,
     matching_conditions,
-    midpoint_long_estimate,
     mixture_conditional_mean,
     mixture_joint_estimate,
     plim_imputed_long_mean,
@@ -48,7 +47,6 @@ from .missing_outcome import (
     consistency_condition,
     identification_interval_pop,
     imputation_mean,
-    midpoint_estimate,
     plim_imputation_mean,
     q_mean_estimate,
     restricted_interval_pop,
@@ -89,13 +87,13 @@ __all__ = [
     "population_to_json", "save_population",
     # missing outcomes
     "RestrictionGamma", "consistency_condition", "identification_interval_pop",
-    "imputation_mean", "midpoint_estimate", "plim_imputation_mean",
-    "q_mean_estimate", "restricted_interval_pop", "sample_interval", "true_mean",
+    "imputation_mean", "plim_imputation_mean", "q_mean_estimate",
+    "restricted_interval_pop", "sample_interval", "true_mean",
     # missing covariates
     "QCovariateModel", "binary_bounds_closed_form", "binary_bounds_oracle",
     "imputed_cell_share", "imputed_long_mean", "matching_conditions",
-    "midpoint_long_estimate", "mixture_conditional_mean",
-    "mixture_joint_estimate", "plim_imputed_long_mean", "true_long_mean",
+    "mixture_conditional_mean", "mixture_joint_estimate",
+    "plim_imputed_long_mean", "true_long_mean",
     # ecological
     "ShortDistributions", "duncan_davis_bounds", "duncan_davis_oracle",
     "ecological_plim",

@@ -7,7 +7,7 @@ Subcommands::
                --xi ... [--omega ...] [--m INT] [--seed INT]
     simulate   --spec SPECFILE [--out DIR]
     audit      --data F --config C --model ... --xi ... [--omega ...]
-               --m INT --seed INT [--population POP]
+               [--m INT] [--seed INT] [--population POP]
     ecological --py FLOAT --pw FLOAT
 
 Every report is JSON on stdout carrying the artifact version, the fully
@@ -41,8 +41,8 @@ from .domain import (
     json_field,
     json_list,
     json_object,
+    load_json,
     load_population,
-    read_json,
     sealed,
 )
 from .ecological import ShortDistributions, duncan_davis_bounds
@@ -125,7 +125,7 @@ def config_from_json(obj):
 
 
 def load_config(path):
-    return config_from_json(read_json(path))
+    return load_json(path, config_from_json)
 
 
 def _column_index(header, name):
@@ -547,12 +547,12 @@ def _estimate_extras(table, model, estimator):
     sel = estimator.selector
     q_mean = None
     mixture = None
-    if model.kind == "explicit_outcome_q" and sel.omega is None:
+    if model.kind == models.EXPLICIT_OUTCOME_Q and estimator.name == "imputation_mean":
         xi_flat, _ = sel.resolve(table.x_domains, table.w_domains)
         e_q = missing_outcome.assumed_missing_mean(model, table, xi_flat)
         if e_q is not None:
             q_mean = missing_outcome.q_mean_estimate(table, sel, e_q)
-    if model.kind == "explicit_covariate_q" and sel.omega is not None:
+    if model.kind == models.EXPLICIT_COVARIATE_Q and estimator.name == "long_mean":
         mixture = estimator.truth(
             missing_covariate.mixture_joint_estimate(table, model.covariate_q))
     return q_mean, mixture
@@ -570,7 +570,7 @@ def _cmd_simulate(args):
     spec = simlab.load_experiment(args.spec)
     report = simlab.convergence_experiment(spec)
     results = report.to_json()
-    results["estimator"] = spec.estimator
+    results["estimator"] = EstimatorSpec.for_cell(spec.selector).name
     results["n_grid"] = list(spec.n_grid)
     results["reps"] = spec.reps
     config = {"spec": args.spec}

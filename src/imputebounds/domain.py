@@ -669,6 +669,18 @@ def read_json(path):
             raise DataError(f"{path} is not valid JSON: {e}") from None
 
 
+def load_json(path, build, *args):
+    """``build(read_json(path), *args)``, with ``path`` put in front of any
+    :class:`DataError` the build raises: the error keeps its class and any
+    ``line``. :func:`read_json`'s own errors name the path already."""
+    obj = read_json(path)
+    try:
+        return build(obj, *args)
+    except DataError as e:
+        e.args = (f"{path}: {e}",)
+        raise
+
+
 #: the default of a :func:`json_field` whose key must be present
 _REQUIRED = object()
 
@@ -774,4 +786,4 @@ def save_population(pop, path):
 
 
 def load_population(path):
-    return population_from_json(read_json(path))
+    return load_json(path, population_from_json)

@@ -67,9 +67,6 @@ def duncan_davis_oracle(sd):
         cells = (t, py - t, pw - t, 1.0 - py - pw + t)
         if all(c >= -1e-15 for c in cells):
             feasible.append(min(1.0, max(0.0, t / pw)))
-    if not feasible:
-        raise ProbabilityOutOfRange(
-            f"no joint distribution matches marginals ({py}, {pw})")
     return Interval(min(feasible), max(feasible))
 
 

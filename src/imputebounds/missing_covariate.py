@@ -47,7 +47,6 @@ __all__ = [
     "matching_conditions",
     "binary_bounds_closed_form",
     "binary_bounds_oracle",
-    "midpoint_long_estimate",
     "mixture_joint_estimate",
     "mixture_conditional_mean",
 ]
@@ -285,12 +284,6 @@ def binary_bounds_oracle(pop, sel):
     if lo is None:
         raise ZeroDenominator("the pooled cell is empty under every allocation")
     return Interval(lo, hi)
-
-
-def midpoint_long_estimate(table, sel):
-    """Midpoint of the sample-analog binary bounds; the constant-limit
-    point estimate with the smallest worst-case asymptotic squared bias."""
-    return binary_bounds_closed_form(table, sel).midpoint
 
 
 # ---------------------------------------------------------------------------

@@ -190,9 +190,3 @@ def q_mean_estimate(table, sel, e_q):
             f"assumed mean {e_q} outside [{table.outcome.lo}, {table.outcome.hi}]")
     a, b = _decomposition(table, sel)
     return a + e_q * b
-
-
-def midpoint_estimate(table, sel):
-    """Midpoint of the sample interval; among constant-limit point
-    estimates it minimizes the worst-case asymptotic squared bias."""
-    return sample_interval(table, sel).midpoint

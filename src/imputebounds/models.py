@@ -21,7 +21,7 @@ from .domain import (
     is_label,
     json_field,
     json_list,
-    read_json,
+    load_json,
     require_finite,
     require_population,
     total_size,
@@ -304,7 +304,7 @@ def model_from_ref(ref, base_dir=""):
         return model_from_json(ref)
     if isinstance(ref, str):
         if ref.startswith("q:"):
-            return model_from_json(read_json(os.path.join(base_dir, ref[2:])))
+            return load_json(os.path.join(base_dir, ref[2:]), model_from_json)
         if ref in _NAMED_KINDS:
             return model_from_json({"kind": _NAMED_KINDS[ref]})
     raise DataError(f"unknown model {ref!r}; expected mar|marcov|q:FILE|ecological")

@@ -40,8 +40,8 @@ and its uniform, so the per-draw estimates do not depend on the block size
 or the plan's layout.
 
 What each estimator reads is one private table keyed by its name, which
-:class:`EstimatorSpec` reads; :meth:`EstimatorSpec.for_cell` is the one
-place that maps a cell to its estimator.
+:class:`EstimatorSpec` reads; a cell names its estimator in one place,
+:func:`_estimator_of`, and a spec that names another is refused.
 """
 
 import math
@@ -340,13 +340,18 @@ _READINGS = {
 }
 
 
+def _estimator_of(sel):
+    """``imputation_mean`` reads an x cell, ``long_mean`` an (x, w) cell."""
+    return "imputation_mean" if sel.omega is None else "long_mean"
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """A cell estimator by name and what it reads, one row of
     :data:`_READINGS`: ``imputation_mean`` estimates E(y|x) when outcomes
     are missing, ``long_mean`` E(y|x,w) when covariates are. Each method is
-    one reading of that row at ``selector``; :meth:`for_cell` picks the row
-    of a cell."""
+    one reading of that row at ``selector``, whose cell names the estimator
+    (:meth:`for_cell`): any other name is a :class:`DataError`."""
 
     name: str
     selector: object
@@ -356,11 +361,14 @@ class EstimatorSpec:
             raise DataError(
                 f"unknown estimator {self.name!r}; "
                 f"expected one of {sorted(_READINGS)}")
+        if self.name != _estimator_of(self.selector):
+            raise DataError(f"estimator {self.name!r} does not read the cell xi="
+                            f"{self.selector.xi!r}, omega={self.selector.omega!r}")
 
     @classmethod
     def for_cell(cls, sel):
-        """``imputation_mean`` for an x cell, ``long_mean`` for an (x, w) cell."""
-        return cls("imputation_mean" if sel.omega is None else "long_mean", sel)
+        """The estimator of the cell ``sel`` selects."""
+        return cls(_estimator_of(sel), sel)
 
     def apply(self, completed):
         return _READINGS[self.name].estimate(completed, self.selector)

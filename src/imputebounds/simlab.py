@@ -35,9 +35,9 @@ from .domain import (
     flat_value,
     json_field,
     json_list,
+    load_json,
     load_population,
     population_from_json,
-    read_json,
     require_finite,
     require_population,
     sealed,
@@ -256,13 +256,13 @@ def random_population(seed, *, outcome_values=(0.0, 1.0), x_sizes=(2,),
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A convergence experiment: population, model, estimator, cell,
-    sample-size grid, replication count, master seed, and tolerance. An
-    unknown estimator is a :class:`DataError` when the spec is built."""
+    """A convergence experiment: population, model, cell (which names the
+    estimator), sample-size grid, replication count, master seed, and
+    tolerance. A cell that names no level of the population is a
+    :class:`DataError` when the spec is built."""
 
     population: FinitePopulation
     model: object
-    estimator: str
     selector: CellSelector
     n_grid: tuple
     reps: int
@@ -282,7 +282,7 @@ class ExperimentSpec:
         object.__setattr__(self, "reps", _whole(self.reps, "reps", 1))
         object.__setattr__(self, "seed", _whole(self.seed, "seed", None))
         object.__setattr__(self, "tolerance", tol)
-        rmi.EstimatorSpec(self.estimator, self.selector)
+        self.selector.resolve(self.population.x_domains, self.population.w_domains)
 
 
 def experiment_from_json(obj, base_dir="."):
@@ -292,12 +292,15 @@ def experiment_from_json(obj, base_dir="."):
         pop = load_population(os.path.join(base_dir, pop_ref))
     else:
         pop = population_from_json(pop_ref)
+    selector = CellSelector(json_field(obj, "xi", what), json_field(obj, "omega", what, None))
+    # the cell names the estimator: a spec's optional name may only repeat it
+    estimator = json_field(obj, "estimator", what, None)
+    if estimator is not None:
+        rmi.EstimatorSpec(estimator, selector)
     return ExperimentSpec(
         population=pop,
         model=models.model_from_ref(json_field(obj, "model", what), base_dir),
-        estimator=json_field(obj, "estimator", what),
-        selector=CellSelector(json_field(obj, "xi", what),
-                              json_field(obj, "omega", what, None)),
+        selector=selector,
         n_grid=json_list(json_field(obj, "n_grid", what), f"{what}: n_grid"),
         reps=json_field(obj, "reps", what),
         seed=json_field(obj, "seed", what),
@@ -306,8 +309,7 @@ def experiment_from_json(obj, base_dir="."):
 
 
 def load_experiment(path):
-    return experiment_from_json(read_json(path),
-                                base_dir=os.path.dirname(os.path.abspath(path)))
+    return load_json(path, experiment_from_json, os.path.dirname(os.path.abspath(path)))
 
 
 _SKIPPABLE = (EmptyCell, UnfittableStratum)
@@ -374,7 +376,7 @@ def convergence_experiment(spec):
     reported as a diagnostic only.
     """
     pop = spec.population
-    estimator = rmi.EstimatorSpec(spec.estimator, spec.selector)
+    estimator = rmi.EstimatorSpec.for_cell(spec.selector)
     plim = estimator.plim(pop, spec.model)
     entries = []
     for j, n in enumerate(spec.n_grid):

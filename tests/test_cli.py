@@ -303,6 +303,22 @@ class TestSimulate:
         assert entry["mean_abs_dev"] is None and entry["max_abs_dev"] is None
         assert report["results"]["passed"] is False
 
+    @pytest.mark.parametrize("pop, fields, estimator", [
+        (build_mnar_pop, {}, "imputation_mean"),
+        (build_covariate_pop, {"model": "marcov", "omega": {"m": "o"}}, "long_mean"),
+    ], ids=["x_cell", "xw_cell"])
+    def test_spec_without_estimator_names_the_cells(self, pop, fields, estimator,
+                                                     tmp_path, capsys):
+        """The cell names the estimator, so a spec may leave it out; the
+        report still names it."""
+        spec = json.loads(spec_json(population=population_to_json(pop()), **fields))
+        del spec["estimator"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, report, _ = run_cli(["simulate", "--spec", str(path)], capsys)
+        assert code == 0
+        assert report["results"]["estimator"] == estimator
+
     @pytest.mark.parametrize("estimator", [["imputation_mean"], {"a": 1}])
     def test_estimator_that_is_not_a_string_exits_3(self, estimator, tmp_path,
                                                      capsys):
@@ -311,7 +327,7 @@ class TestSimulate:
         spec.write_text(spec_json(estimator=estimator))
         code, _, cap = run_cli(["simulate", "--spec", str(spec)], capsys)
         assert code == EXIT_DATA
-        assert cap.err.startswith("error: DataError: unknown estimator")
+        assert cap.err.startswith(f"error: DataError: {spec}: unknown estimator")
 
 
 class TestDeterminism:
@@ -368,7 +384,7 @@ class TestErrorPaths:
             ["bounds", "--data", data, "--config", str(bad), "--xi", "g=a"],
             capsys)
         assert code == 3
-        assert "UnknownColumn: levels declared for 'gg'" in cap.err
+        assert f"UnknownColumn: {bad}: levels declared for 'gg'" in cap.err
 
     def test_outcome_outside_binary_domain(self, tmp_path, outcome_fixture, capsys):
         _, config = outcome_fixture
@@ -573,7 +589,7 @@ class TestMalformedJson:
         with pytest.raises(DataError) as raised:
             READERS[kind](content)
         assert type(raised.value) is DataError
-        assert cap.err == f"error: DataError: {raised.value}\n"
+        assert cap.err == f"error: DataError: {bad}: {raised.value}\n"
 
     @pytest.mark.parametrize("loader, content, message", [
         pytest.param("config", [1], "data config must be an object, got [1]",
@@ -603,6 +619,9 @@ class TestMalformedJson:
                                     "cells": [{"y": 1.0, "x": "a", "z": 1, "mass": 1.0}]},
                      "population JSON: cells[0].x must be a list, got 'a'",
                      id="population_cell_x_text"),
+        pytest.param("spec", dict(json.loads(spec_json()), estimator="long_mean"),
+                     "estimator 'long_mean' does not read the cell xi={'g': 'a'}, "
+                     "omega=None", id="spec_other_cells_estimator"),
     ])
     def test_error_names_the_shape_or_the_value(self, loader, content, message,
                                                 outcome_fixture, tmp_path, capsys):
@@ -612,7 +631,27 @@ class TestMalformedJson:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(content))
         code, _, cap = run_cli(loader_argv(loader, bad, data, config), capsys)
-        assert (code, cap.err) == (EXIT_DATA, f"error: DataError: {message}\n")
+        assert (code, cap.err) == (EXIT_DATA, f"error: DataError: {bad}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["audit", "simulate"])
+    def test_builder_error_names_each_file(self, command, outcome_fixture, tmp_path,
+                                           capsys):
+        """A value that a builder refuses is reported with the path of the
+        file that holds it and, under ``simulate``, of the spec that names
+        that file."""
+        data, config = outcome_fixture
+        pop = population_to_json(build_mnar_pop())
+        pop["cells"][2]["y"] = "a"
+        pop_path, spec_path = tmp_path / "pop.json", tmp_path / "spec.json"
+        pop_path.write_text(json.dumps(pop))
+        spec_path.write_text(spec_json(population="pop.json"))
+        loader, path, files = {
+            "audit": ("population", pop_path, f"{pop_path}: "),
+            "simulate": ("spec", spec_path, f"{spec_path}: {pop_path}: "),
+        }[command]
+        code, _, cap = run_cli(loader_argv(loader, path, data, config), capsys)
+        assert (code, cap.err) == (
+            EXIT_DATA, f"error: DataError: {files}cell outcome 'a' is not a number\n")
 
 
 class TestPopulationTypes:
@@ -781,7 +820,7 @@ class TestConfigTypes:
             ["bounds", "--data", data, "--config", str(config), "--xi", "g=a"],
             capsys)
         assert code == EXIT_DATA
-        assert cap.err == f"error: DataError: data config: {message}\n"
+        assert cap.err == f"error: DataError: {config}: data config: {message}\n"
 
     def test_numeric_levels_name_their_text(self, tmp_path):
         (tmp_path / "d.csv").write_text("y,g\n1,2\n0,1.5\n")
@@ -830,7 +869,7 @@ class TestSentinel:
         code, _, cap = run_cli(["bounds", "--data", data, "--config", str(config),
                                 "--xi", "g=a"], capsys)
         assert code == EXIT_DATA
-        assert ("DataError: data config: the missing-value sentinel must be a "
+        assert (f"DataError: {config}: data config: the missing-value sentinel must be a "
                 f"string, got {sentinel!r}") in cap.err
 
 
@@ -1435,7 +1474,7 @@ class TestSandwichSurfacedAtCli:
 @pytest.mark.parametrize("config, rows, cell, code, message", [
     pytest.param({"outcome": {"column": "y", "binary": True}, "x": ["y"]}, "y\n1\n",
                  ["--xi", "y=1"], EXIT_DATA,
-                 "UnknownColumn: configured column names are not distinct",
+                 "UnknownColumn: CONFIG: configured column names are not distinct",
                  id="repeated_config_column"),
     pytest.param({"outcome": {"column": "y", "binary": True}, "x": ["g"]}, "y,g\n1,a\n",
                  ["--xi", "g"], EXIT_DATA, "DataError: cell selector part 'g' is not K=V",
@@ -1451,4 +1490,4 @@ def test_bounds_error_paths(config, rows, cell, code, message, tmp_path, capsys)
     got, _, cap = run_cli(["bounds", "--data", str(tmp_path / "d.csv"),
                            "--config", str(tmp_path / "c.json"), *cell], capsys)
     assert got == code
-    assert message in cap.err
+    assert message.replace("CONFIG", str(tmp_path / "c.json")) in cap.err

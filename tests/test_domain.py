@@ -28,9 +28,11 @@ from imputebounds import (
 )
 from imputebounds.cli import DataConfig
 from imputebounds.domain import (
-    _readonly, as_real, flat_value, require_regime, unflatten_index, value_labels)
+    _readonly, as_real, flat_value, load_json, require_regime, unflatten_index,
+    value_labels)
 from imputebounds.errors import (
     DataError,
+    MalformedRow,
     MassNotNormalized,
     NegativeMass,
     NonFiniteMass,
@@ -424,6 +426,41 @@ def test_masses_are_checked_in_one_place():
     ]
 
 
+def omega_none_tests(package_dir):
+    """``(module file, enclosing class and function)`` of every comparison
+    of an ``omega`` attribute with ``None`` in the modules of
+    ``package_dir``, each place once."""
+    found = set()
+
+    def visit(node, file, scope):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Attribute) and o.attr == "omega" for o in operands)
+                    and any(isinstance(o, ast.Constant) and o.value is None
+                            for o in operands)):
+                found.add((file, ".".join(scope)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, scope)
+
+    for file in sorted(os.listdir(package_dir)):
+        if file.endswith(".py"):
+            with open(os.path.join(package_dir, file), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), file, ())
+    return sorted(found)
+
+
+def test_cell_kind_is_read_in_one_place():
+    """Whether a cell is an x cell or an (x, w) cell is read by the
+    selector itself and by :func:`imputebounds.rmi._estimator_of`, which
+    names the cell's estimator: no other code branches on ``omega``."""
+    assert omega_none_tests(os.path.dirname(imputebounds.__file__)) == [
+        ("domain.py", "CellSelector.resolve"),
+        ("rmi.py", "_estimator_of"),
+    ]
+
+
 #: exceptions that only a program fault raises, or that catch everything
 CATCH_ALLS = {None, "Exception", "BaseException", "TypeError", "AttributeError",
               "OverflowError"}
@@ -642,7 +679,25 @@ def one_cell_population(**fields):
     pytest.param(lambda: as_real(10**400, "a mass"),
                  "a mass 1" + "0" * 400 + " is too large for a float",
                  id="as_real_too_large"),
+    pytest.param(lambda: one_cell_population(regime="bogus"),
+                 "unknown regime 'bogus'", id="population_unknown_regime"),
+    pytest.param(lambda: missing_outcome.true_mean({}, XI),
+                 "true_mean needs a population, not a dict", id="population_only_dict"),
 ])
 def test_error_paths(build, message):
     with pytest.raises(DataError, match=re.escape(message)):
         build()
+
+
+def test_load_json_puts_the_path_in_front(tmp_path):
+    """An error that a JSON document's builder raises names the file, and
+    keeps its class and line."""
+    path = tmp_path / "doc.json"
+    path.write_text("[1]")
+
+    def build(obj):
+        raise MalformedRow(4, f"cannot use {obj!r}")
+
+    with pytest.raises(MalformedRow) as raised:
+        load_json(path, build)
+    assert (str(raised.value), raised.value.line) == (f"{path}: line 4: cannot use [1]", 4)

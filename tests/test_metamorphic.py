@@ -31,7 +31,6 @@ from imputebounds import (
     OutcomeDomain,
     binary_bounds_closed_form,
     identification_interval_pop,
-    midpoint_estimate,
     mixture_conditional_mean,
     mixture_joint_estimate,
     plim_imputation_mean,
@@ -133,7 +132,8 @@ def assert_same(a, b):
 
 def outcome_readings(table, sel, e_q):
     return [reading(f, table, sel, *args) for f, args in (
-        (sample_interval, ()), (midpoint_estimate, ()), (q_mean_estimate, (e_q,)))]
+        (sample_interval, ()), (lambda t, s: sample_interval(t, s).midpoint, ()),
+        (q_mean_estimate, (e_q,)))]
 
 
 def covariate_readings(table, q, cells):

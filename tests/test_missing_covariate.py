@@ -18,7 +18,6 @@ from imputebounds import (
     imputed_cell_share,
     imputed_long_mean,
     matching_conditions,
-    midpoint_long_estimate,
     mixture_conditional_mean,
     mixture_joint_estimate,
     plim_imputed_long_mean,
@@ -404,15 +403,15 @@ class TestMidpointLongEstimate:
             [(1, "o")] * 3 + [(0, "o")] + [(1, "p")] + [(0, "p")]
             + [(1, None)] * 2 + [(0, None)] * 2)
         iv = binary_bounds_closed_form(t, sel_ao)
-        assert midpoint_long_estimate(t, sel_ao) == pytest.approx(iv.midpoint)
+        assert binary_bounds_closed_form(t, sel_ao).midpoint == pytest.approx(iv.midpoint)
 
     def test_degenerate_cell(self, sel_ao):
         t = covariate_table([(1, "o"), (0, "o"), (0, "p")])
-        assert midpoint_long_estimate(t, sel_ao) == pytest.approx(0.5)
+        assert binary_bounds_closed_form(t, sel_ao).midpoint == pytest.approx(0.5)
 
     def test_empty_observed_cell_widens_fully(self, sel_ao):
         t = covariate_table([(1, None), (1, None), (0, None)])
-        assert midpoint_long_estimate(t, sel_ao) == pytest.approx(0.5)
+        assert binary_bounds_closed_form(t, sel_ao).midpoint == pytest.approx(0.5)
         iv = binary_bounds_closed_form(t, sel_ao)
         assert (iv.lo, iv.hi) == (0.0, 1.0)
 

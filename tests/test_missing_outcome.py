@@ -13,7 +13,6 @@ from imputebounds import (
     consistency_condition,
     identification_interval_pop,
     imputation_mean,
-    midpoint_estimate,
     plim_imputation_mean,
     q_mean_estimate,
     restricted_interval_pop,
@@ -246,7 +245,7 @@ class TestTableCell:
             estimate(t, CellSelector("b"))
 
     @pytest.mark.parametrize("estimate", [
-        sample_interval, midpoint_estimate,
+        sample_interval, lambda t, sel: sample_interval(t, sel).midpoint,
         lambda t, sel: q_mean_estimate(t, sel, 0.5)],
         ids=["sample_interval", "midpoint_estimate", "q_mean_estimate"])
     def test_covariate_table_refused(self, estimate):
@@ -417,14 +416,14 @@ class TestQMeanEstimate:
 class TestMidpointEstimate:
     def test_center_of_sample_interval(self, sel_a):
         t = make_outcome_table([1, 0, 1, 1, None])
-        assert midpoint_estimate(t, sel_a) == pytest.approx(0.7)
+        assert sample_interval(t, sel_a).midpoint == pytest.approx(0.7)
 
     def test_no_missing_returns_observed_mean(self, sel_a):
-        assert midpoint_estimate(make_outcome_table([1, 0]), sel_a) == pytest.approx(0.5)
+        assert sample_interval(make_outcome_table([1, 0]), sel_a).midpoint == pytest.approx(0.5)
 
     def test_all_missing_returns_domain_center(self, sel_a):
-        assert midpoint_estimate(make_outcome_table([None, None, None]),
-                                 sel_a) == pytest.approx(0.5)
+        assert sample_interval(make_outcome_table([None, None, None]),
+                               sel_a).midpoint == pytest.approx(0.5)
 
     def test_minimax_over_candidate_grid(self, sel_a):
         for seed in range(5):
@@ -444,7 +443,9 @@ class TestOmegaRejected:
 
     @pytest.mark.parametrize("omega", ["o", "p"])
     @pytest.mark.parametrize("estimate", [
-        sample_interval, midpoint_estimate, lambda t, sel: q_mean_estimate(t, sel, 0.5)])
+        sample_interval, lambda t, sel: sample_interval(t, sel).midpoint,
+        lambda t, sel: q_mean_estimate(t, sel, 0.5)],
+        ids=["sample_interval", "midpoint_estimate", "<lambda>"])
     def test_table_functions(self, estimate, omega):
         t = ObservationTable.from_records(
             [(1.0, "a", "o"), (None, "a", "o"), (0.0, "a", "p")],

@@ -32,7 +32,6 @@ from imputebounds.missing_covariate import (
 )
 from imputebounds.missing_outcome import (
     identification_interval_pop,
-    midpoint_estimate,
     plim_imputation_mean,
     q_mean_estimate,
     restricted_interval_pop,
@@ -80,7 +79,7 @@ def exact_values():
         for name, iv in intervals.items():
             out[f"{case}/{name}.lo"] = iv.lo
             out[f"{case}/{name}.hi"] = iv.hi
-        out[f"{case}/midpoint"] = midpoint_estimate(table, sel)
+        out[f"{case}/midpoint"] = sample_interval(table, sel).midpoint
         out[f"{case}/q_mean"] = q_mean_estimate(table, sel, 0.3)
         for name, model in (("mar", ImputationModel.mar_outcome()),
                             ("true_q", true_outcome_model(pop))):
@@ -112,13 +111,11 @@ def convergence_reports():
     pop_w, _ = covariate_case(32, (3,))
     specs = {
         "imputation_mean": ExperimentSpec(
-            pop_y, ImputationModel.mar_outcome(), "imputation_mean",
-            CellSelector("b"), n_grid=(4, 80), reps=6, seed=2**63 + 12345,
-            tolerance=0.2),
+            pop_y, ImputationModel.mar_outcome(), CellSelector("b"),
+            n_grid=(4, 80), reps=6, seed=2**63 + 12345, tolerance=0.2),
         "long_mean": ExperimentSpec(
-            pop_w, ImputationModel.mar_covariate(), "long_mean",
-            CellSelector("c", "a"), n_grid=(60, 200), reps=4, seed=77,
-            tolerance=0.3),
+            pop_w, ImputationModel.mar_covariate(), CellSelector("c", "a"),
+            n_grid=(60, 200), reps=4, seed=77, tolerance=0.3),
     }
     return {name: convergence_experiment(spec).to_json()
             for name, spec in specs.items()}

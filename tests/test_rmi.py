@@ -272,6 +272,18 @@ class TestRunMultipleImputation:
         with pytest.raises(DataError):
             EstimatorSpec("nonsense", CellSelector("a"))
 
+    @pytest.mark.parametrize("name, sel", [
+        ("long_mean", CellSelector("a")),
+        ("imputation_mean", CellSelector("a", "o")),
+    ], ids=["x_cell", "xw_cell"])
+    def test_another_cells_estimator_rejected(self, name, sel):
+        """The cell names its estimator; a spec may only repeat that name."""
+        with pytest.raises(DataError) as raised:
+            EstimatorSpec(name, sel)
+        assert type(raised.value) is DataError
+        assert str(raised.value) == (f"estimator {name!r} does not read the cell "
+                                     f"xi={sel.xi!r}, omega={sel.omega!r}")
+
     @pytest.mark.parametrize("sel, name, pop, model, readings", [
         (CellSelector("a"), "imputation_mean", build_mnar_pop(),
          ImputationModel.mar_outcome(),

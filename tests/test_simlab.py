@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from imputebounds.simlab import (
     random_population,
 )
 from imputebounds.errors import DataError, ProbabilityOutOfRange
-from conftest import X1, build_mnar_pop
+from conftest import X1, build_covariate_pop, build_mnar_pop
 
 
 def simple_joint(p1=0.6):
@@ -235,8 +236,7 @@ class TestRandomPopulation:
 class TestExperimentSpec:
     def test_grid_must_increase(self, mnar_pop):
         with pytest.raises(DataError):
-            ExperimentSpec(mnar_pop, ImputationModel.mar_outcome(),
-                           "imputation_mean", CellSelector("a"),
+            ExperimentSpec(mnar_pop, ImputationModel.mar_outcome(), CellSelector("a"),
                            n_grid=(100, 100), reps=2, seed=0, tolerance=0.1)
 
     def test_json_round_trip(self, tmp_path, mnar_pop):
@@ -287,7 +287,7 @@ class TestExperimentSpec:
 class TestConvergenceExperiment:
     def test_biased_model_converges_to_plim_not_truth(self, mnar_pop, sel_a):
         model = ImputationModel.explicit_outcome({"a": {0.0: 0.9, 1.0: 0.1}})
-        spec = ExperimentSpec(mnar_pop, model, "imputation_mean", sel_a,
+        spec = ExperimentSpec(mnar_pop, model, sel_a,
                               n_grid=(500, 20000), reps=4, seed=21,
                               tolerance=0.05)
         report = convergence_experiment(spec)
@@ -298,14 +298,13 @@ class TestConvergenceExperiment:
 
     def test_long_mean_report_plim_is_a_float(self, covariate_pop, sel_ao):
         spec = ExperimentSpec(covariate_pop, ImputationModel.mar_covariate(),
-                              "long_mean", sel_ao, n_grid=(200,), reps=1,
+                              sel_ao, n_grid=(200,), reps=1,
                               seed=3, tolerance=1.0)
         assert type(convergence_experiment(spec).to_json()["plim"]) is float
 
     def test_consistent_model_converges_to_truth(self, sel_a):
         pop = apply_mechanism(simple_joint(), MissingnessMechanism.constant(0.4))
-        spec = ExperimentSpec(pop, ImputationModel.mar_outcome(),
-                              "imputation_mean", sel_a,
+        spec = ExperimentSpec(pop, ImputationModel.mar_outcome(), sel_a,
                               n_grid=(500, 20000), reps=4, seed=22,
                               tolerance=0.1)
         report = convergence_experiment(spec)
@@ -314,8 +313,7 @@ class TestConvergenceExperiment:
         assert report.entries[-1].max_abs_dev < 0.02
 
     def test_tiny_n_with_loose_tolerance_passes(self, mnar_pop, sel_a):
-        spec = ExperimentSpec(mnar_pop, ImputationModel.mar_outcome(),
-                              "imputation_mean", sel_a,
+        spec = ExperimentSpec(mnar_pop, ImputationModel.mar_outcome(), sel_a,
                               n_grid=(10,), reps=5, seed=3, tolerance=1.0)
         assert convergence_experiment(spec).passed
 
@@ -329,8 +327,7 @@ class TestConvergenceExperiment:
                  (1.0, "b", None): 0.01, (0.0, "b", None): 0.01},
                 outcome=OutcomeDomain.binary_01(), x_domains=xd),
             MissingnessMechanism.constant(0.3))
-        spec = ExperimentSpec(pop, ImputationModel.mar_outcome(),
-                              "imputation_mean", CellSelector("b"),
+        spec = ExperimentSpec(pop, ImputationModel.mar_outcome(), CellSelector("b"),
                               n_grid=(20,), reps=20, seed=5, tolerance=1.0)
         report = convergence_experiment(spec)
         assert report.entries[0].skips > 1
@@ -348,8 +345,7 @@ class TestConvergenceExperiment:
                  (1.0, "b", None): 0.25, (0.0, "b", None): 0.25},
                 outcome=OutcomeDomain.binary_01(), x_domains=xd),
             MissingnessMechanism.by_x({"a": 0.0, "b": 1.0}))
-        spec = ExperimentSpec(pop, ImputationModel.mar_outcome(),
-                              "imputation_mean", CellSelector("a"),
+        spec = ExperimentSpec(pop, ImputationModel.mar_outcome(), CellSelector("a"),
                               n_grid=(50,), reps=4, seed=1, tolerance=1.0)
         report = convergence_experiment(spec)
         assert report.entries[0].skips == 4
@@ -361,7 +357,7 @@ class TestConvergenceExperiment:
         model = ImputationModel.explicit_outcome({"a": {0.0: 0.9, 1.0: 0.1}})
         wins = 0
         for seed in range(20):
-            spec = ExperimentSpec(mnar_pop, model, "imputation_mean", sel_a,
+            spec = ExperimentSpec(mnar_pop, model, sel_a,
                                   n_grid=(2000, 200000), reps=1, seed=seed,
                                   tolerance=1.0)
             rep = convergence_experiment(spec)
@@ -377,7 +373,7 @@ class TestConvergenceExperiment:
         n = 200_000
         pop = random_population(6061, x_sizes=(3, 2), w_sizes=(4,),
                                 regime="covariate")
-        spec = ExperimentSpec(pop, ImputationModel.mar_covariate(), "long_mean",
+        spec = ExperimentSpec(pop, ImputationModel.mar_covariate(),
                               CellSelector(["a", "a"], ["a"]), n_grid=(n,),
                               reps=2, seed=9303, tolerance=1.0)
         tracemalloc.start()
@@ -415,6 +411,13 @@ class TestBiasGap:
         assert rep.truth_covered
 
 
+def x2_spec(**fields):
+    """A valid experiment spec object on :data:`X2_POP`, ``fields`` replaced."""
+    return dict({"population": population_to_json(X2_POP), "model": "mar",
+                 "xi": {"g": "a"}, "n_grid": [100], "reps": 1, "seed": 1,
+                 "tolerance": 1.0}, **fields)
+
+
 X2_POP = joint_population({(1.0, "a", None): 0.3, (0.0, "a", None): 0.2,
                            (1.0, "b", None): 0.1, (0.0, "b", None): 0.4},
                           outcome=OutcomeDomain.binary_01(),
@@ -438,8 +441,21 @@ X2_POP = joint_population({(1.0, "a", None): 0.3, (0.0, "a", None): 0.2,
         {(y, x, None): 0.5 for y in (0.0, 1.0) for x in ("a", "b", True)})),
                  "True names no level of domain 'g'", id="by_cell_boolean_key"),
     pytest.param(lambda: ExperimentSpec(X2_POP, ImputationModel.mar_outcome(),
-                                        "imputation_mean", CellSelector("a"), (), 1, 1, 0.1),
+                                        CellSelector("a"), (), 1, 1, 0.1),
                  "n_grid is empty", id="empty_n_grid"),
+    pytest.param(lambda: ExperimentSpec(X2_POP, ImputationModel.mar_outcome(),
+                                        CellSelector("zz"), (100,), 1, 1, 0.1),
+                 "unknown level 'zz' for domain 'g'", id="spec_xi_names_no_level"),
+    pytest.param(lambda: experiment_from_json(x2_spec(xi={"g": "zz"})),
+                 "unknown level 'zz' for domain 'g'", id="spec_json_xi_names_no_level"),
+    pytest.param(lambda: experiment_from_json(x2_spec(estimator="long_mean")),
+                 re.escape("estimator 'long_mean' does not read the cell "
+                           "xi={'g': 'a'}, omega=None"), id="spec_names_the_xw_estimator"),
+    pytest.param(lambda: experiment_from_json(x2_spec(
+        population=population_to_json(build_covariate_pop()), model="marcov",
+        estimator="imputation_mean", xi=["a"], omega={"m": "o"})),
+                 re.escape("estimator 'imputation_mean' does not read the cell "
+                           "xi=('a',), omega={'m': 'o'}"), id="spec_names_the_x_estimator"),
 ])
 def test_error_paths(call, message):
     with pytest.raises(DataError, match=message):
